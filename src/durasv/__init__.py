@@ -35,7 +35,7 @@ from .features import (
     MeanDurationVector,
     make_chunks,
     mean_duration_vector,
-    raw_duration_sequence,
+    sequence_from_utterances,
 )
 from .metric import duration_ratio_distance, score_trials_metric
 from .model import (
@@ -94,11 +94,11 @@ __all__ = [
     "mean_duration_vector",
     "pad_batch",
     "parse_alignment",
-    "raw_duration_sequence",
     "sample_speakers",
     "save_model",
     "score_trials_embedding",
     "score_trials_metric",
+    "sequence_from_utterances",
     "train",
     "write_alignment",
 ]

@@ -5,7 +5,8 @@ line, whitespace separated::
 
     <speaker_id> <utterance_id> <phoneme_label> <length_frames>
 
-Lines of one utterance must be contiguous and in temporal order. An
+Lines of one utterance must be contiguous and in temporal order.
+Utterance ids may not contain ``,``, which trial files join them with. An
 inventory file lists one phoneme-class label per line; blank lines and
 ``#`` comments are ignored. Frame counts stay opaque positive integers,
 they are never converted to seconds.
@@ -14,7 +15,7 @@ they are never converted to seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateLabelError,
@@ -151,11 +152,6 @@ def arpabet_positional_inventory() -> PhonemeInventory:
     return PhonemeInventory(tuple(labels))
 
 
-def _lines(source: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(source, start=1):
-        yield lineno, raw
-
-
 def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     """Read one phoneme label per line, keeping file order.
 
@@ -165,7 +161,7 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     """
     labels: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in _lines(source):
+    for lineno, raw in enumerate(source, start=1):
         label = raw.split("#", 1)[0].strip()
         if not label:
             continue
@@ -202,7 +198,7 @@ def parse_alignment(
                 AlignedUtterance(cur_utt, cur_spk or "", tuple(cur_phones))
             )
 
-    for lineno, raw in _lines(source):
+    for lineno, raw in enumerate(source, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -222,6 +218,8 @@ def parse_alignment(
             raise NonPositiveLengthError(lineno)
 
         if utterance_id != cur_utt:
+            if "," in utterance_id:
+                raise MalformedLineError(f"',' in utterance id {utterance_id!r}", lineno)
             if utterance_id in finished:
                 raise MalformedLineError(
                     f"utterance {utterance_id!r} reappears non-contiguously", lineno

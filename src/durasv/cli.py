@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict, fields
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
@@ -50,6 +51,12 @@ def _load_corpus(align_path: str, inventory_path: str, exclude: list[str]) -> Co
         return parse_alignment(handle, inventory, exclude)
 
 
+def _from_args(cls, args: argparse.Namespace, **derived):
+    """A config dataclass from the options whose dest is one of its fields."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given}, **derived)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     config = synth.SynthConfig.from_json_file(args.config)
     out_dir = Path(args.out)
@@ -87,25 +94,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.align, args.inventory, args.exclude)
-    config = ModelConfig(
+    config = _from_args(
+        ModelConfig,
+        args,
         n_classes=corpus.inventory.size,
         n_speakers=len(corpus.by_speaker),
-        proj_dim=args.proj_dim,
-        encoder_channels=args.channels,
-        n_blocks=args.blocks,
-        dilations=tuple(args.dilations),
-        kernel_width=args.kernel_width,
-        embed_dim=args.embed_dim,
-        attention_hidden=args.attention_hidden,
+        n_blocks=len(args.dilations),
     )
-    hyper = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        seed=args.seed,
-        chunk_min=args.chunk_min,
-        chunk_max=args.chunk_max,
-    )
+    hyper = _from_args(TrainConfig, args)
     result = train(corpus, config, hyper)
     out_path = Path(args.out)
     save_model(result.params, out_path)
@@ -123,23 +119,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             "align": args.align,
             "inventory": args.inventory,
             "exclude": args.exclude,
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "learning_rate": args.lr,
-            "chunk_min": args.chunk_min,
-            "chunk_max": args.chunk_max,
-            "model_config": {
-                "n_classes": config.n_classes,
-                "n_speakers": config.n_speakers,
-                "proj_dim": config.proj_dim,
-                "encoder_channels": config.encoder_channels,
-                "n_blocks": config.n_blocks,
-                "dilations": list(config.dilations),
-                "kernel_width": config.kernel_width,
-                "embed_dim": config.embed_dim,
-                "attention_hidden": config.attention_hidden,
-            },
+            **asdict(hyper),
+            "model_config": asdict(config),
             "outputs": [str(out_path), str(log_path)],
         },
     )
@@ -250,26 +231,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    corpus_args = argparse.ArgumentParser(add_help=False)
+    corpus_args.add_argument("--align", required=True)
+    corpus_args.add_argument("--inventory", required=True)
+    corpus_args.add_argument("--exclude", action="append", default=[], metavar="LABEL")
 
     p = sub.add_parser("synth", help="generate a synthetic alignment corpus")
     p.add_argument("--config", required=True, help="JSON synthesis config")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the duration embedding model")
-    p.add_argument("--align", required=True)
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--exclude", action="append", default=[], metavar="LABEL")
+    p = sub.add_parser(
+        "train", parents=[corpus_args], help="train the duration embedding model"
+    )
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--log", default=None, help="training log path")
+    # the options below reach ModelConfig/TrainConfig by dest name (_from_args)
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--proj-dim", type=int, default=128)
-    p.add_argument("--channels", type=int, default=128)
-    p.add_argument("--blocks", type=int, default=3)
-    p.add_argument("--dilations", type=int, nargs="+", default=[1, 2, 3])
+    p.add_argument("--channels", dest="encoder_channels", type=int, default=128)
+    p.add_argument("--dilations", type=int, nargs="+", default=[1, 2, 3], help="one per block")
     p.add_argument("--kernel-width", type=int, default=3)
     p.add_argument("--embed-dim", type=int, default=128)
     p.add_argument("--attention-hidden", type=int, default=64)
@@ -277,10 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-max", type=int, default=256)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("trials", help="build verification trials")
-    p.add_argument("--align", required=True)
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--exclude", action="append", default=[], metavar="LABEL")
+    p = sub.add_parser(
+        "trials", parents=[corpus_args], help="build verification trials"
+    )
     p.add_argument("--n-enroll", type=int, required=True)
     p.add_argument("--n-trial", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -288,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trials)
 
-    p = sub.add_parser("score", help="score trials with an attack model")
-    p.add_argument("--align", required=True)
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--exclude", action="append", default=[], metavar="LABEL")
+    p = sub.add_parser(
+        "score", parents=[corpus_args], help="score trials with an attack model"
+    )
     p.add_argument("--trials", required=True)
     p.add_argument(
         "--model",

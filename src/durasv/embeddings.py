@@ -15,7 +15,7 @@ import numpy as np
 
 from .alignment import AlignedUtterance, Corpus
 from .errors import EmptyInputError, ShapeMismatchError, ZeroNormError
-from .evaluation import ScoreSet, TrialList
+from .evaluation import ScoreSet, TrialList, score_trials
 from .features import sequence_from_utterances
 from .model import ModelParams, forward, pad_batch
 
@@ -67,30 +67,11 @@ def score_trials_embedding(
     params: ModelParams, corpus: Corpus, trials: TrialList
 ) -> ScoreSet:
     """Cosine-score every trial; embeddings are cached per utterance set."""
-    cache: dict[tuple[str, ...], np.ndarray] = {}
-
-    def vector_for(utt_ids: tuple[str, ...]) -> np.ndarray:
-        if utt_ids not in cache:
-            utts = [corpus.utterance(u) for u in utt_ids]
-            cache[utt_ids] = embed(params, utts).vector
-        return cache[utt_ids]
-
-    scores = np.empty(len(trials.trials))
-    labels = np.empty(len(trials.trials), dtype=bool)
-    enroll_ids = []
-    trial_ids = []
-    for i, t in enumerate(trials.trials):
-        scores[i] = cosine_score(vector_for(t.enroll_utts), vector_for(t.trial_utts))
-        labels[i] = t.is_target
-        enroll_ids.append(",".join(t.enroll_utts))
-        trial_ids.append(",".join(t.trial_utts))
-    return ScoreSet(
-        scores,
-        labels,
+    return score_trials(
+        corpus,
+        trials,
+        lambda utts: embed(params, utts).vector,
+        cosine_score,
         "larger-is-similar",
-        tuple(enroll_ids),
-        tuple(trial_ids),
-        trials.n_enroll,
-        trials.n_trial,
         "embedding",
     )

@@ -88,7 +88,7 @@ class NoEligibleSpeakersError(DurasvError):
 
 
 class DegenerateScoreSetError(DurasvError):
-    """Score or trial set without both target and nontarget entries."""
+    """Score or trial set unfit for an EER: a class missing or a score non-finite."""
 
 
 class ConfigError(DurasvError):

@@ -14,11 +14,11 @@ import json
 import logging
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import IO, Iterable, Literal
+from typing import IO, Callable, Iterable, Literal, TypeVar, get_args
 
 import numpy as np
 
-from .alignment import Corpus
+from .alignment import AlignedUtterance, Corpus
 from .errors import (
     DegenerateScoreSetError,
     MalformedLineError,
@@ -28,6 +28,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 Polarity = Literal["larger-is-similar", "smaller-is-similar"]
+V = TypeVar("V")
 
 CI_CONVENTION = "normal-approximation: z * sqrt(eer*(1-eer)/n), n = total trials"
 
@@ -71,6 +72,8 @@ class ScoreSet:
     def __post_init__(self) -> None:
         if self.scores.shape != self.labels.shape:
             raise ValueError("scores and labels differ in length")
+        if not np.all(np.isfinite(self.scores)):
+            raise DegenerateScoreSetError("score set holds non-finite scores")
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,41 @@ def build_trials(
     return TrialList(tuple(trials), n_enroll, n_trial, seed, tuple(skipped))
 
 
+def score_trials(
+    corpus: Corpus,
+    trials: TrialList,
+    vector_of: Callable[[list[AlignedUtterance]], V],
+    compare: Callable[[V, V], float],
+    polarity: Polarity,
+    model: str,
+) -> ScoreSet:
+    """Score every trial by comparing the vectors of its two utterance sets.
+
+    ``vector_of`` runs once per distinct utterance-id set, in order of
+    first use; enrollment sets recur across their nontarget trials.
+    """
+    cache: dict[tuple[str, ...], V] = {}
+
+    def vector_for(utt_ids: tuple[str, ...]) -> V:
+        if utt_ids not in cache:
+            cache[utt_ids] = vector_of([corpus.utterance(u) for u in utt_ids])
+        return cache[utt_ids]
+
+    scores = [
+        compare(vector_for(t.enroll_utts), vector_for(t.trial_utts)) for t in trials.trials
+    ]
+    return ScoreSet(
+        np.array(scores, dtype=np.float64),
+        np.array([t.is_target for t in trials.trials], dtype=bool),
+        polarity,
+        tuple(",".join(t.enroll_utts) for t in trials.trials),
+        tuple(",".join(t.trial_utts) for t in trials.trials),
+        trials.n_enroll,
+        trials.n_trial,
+        model,
+    )
+
+
 def _oriented(scores: ScoreSet) -> np.ndarray:
     """Normalize scores so that larger always means more similar."""
     s = np.asarray(scores.scores, dtype=np.float64)
@@ -272,38 +310,52 @@ def write_trials(trial_list: TrialList, sink: IO[str]) -> None:
         )
 
 
-def read_trials(source: IO[str] | Iterable[str]) -> TrialList:
-    n_enroll = n_trial = seed = 0
-    trials: list[Trial] = []
+def _read_records(
+    source: IO[str] | Iterable[str], header_fields: dict[str, Callable[[str], object]]
+) -> tuple[dict[str, object], list[tuple[int, list[str]]]]:
+    """Header values and 4-field records of a trial or score file.
+
+    Blank lines are skipped. A ``#`` line contributes its ``key=value``
+    tokens whose key is in ``header_fields``, converted by that entry's
+    function; other tokens are ignored. Every other line must hold four
+    fields, the last being ``target`` or ``nontarget``. Records come back
+    with their 1-based line numbers.
+    """
+    header: dict[str, object] = {}
+    records: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             for token in line[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    if key == "n_enroll":
-                        n_enroll = int(value)
-                    elif key == "n_trial":
-                        n_trial = int(value)
-                    elif key == "seed":
-                        seed = int(value)
+                key, eq, value = token.partition("=")
+                if eq and key in header_fields:
+                    try:
+                        header[key] = header_fields[key](value)
+                    except ValueError:
+                        raise MalformedLineError(
+                            f"bad header value {key}={value!r}", lineno
+                        ) from None
             continue
         fields = line.split()
         if len(fields) != 4 or fields[3] not in ("target", "nontarget"):
-            raise MalformedLineError("bad trial record", lineno)
-        trials.append(
-            Trial(
-                fields[0],
-                tuple(fields[1].split(",")),
-                tuple(fields[2].split(",")),
-                fields[3] == "target",
-            )
-        )
-    if not trials:
+            raise MalformedLineError("need 4 fields, the last target|nontarget", lineno)
+        records.append((lineno, fields))
+    return header, records
+
+
+def read_trials(source: IO[str] | Iterable[str]) -> TrialList:
+    header, records = _read_records(source, {"n_enroll": int, "n_trial": int, "seed": int})
+    if not records:
         raise DegenerateScoreSetError("trial file holds no trials")
-    return TrialList(tuple(trials), n_enroll, n_trial, seed)
+    trials = tuple(
+        Trial(f[0], tuple(f[1].split(",")), tuple(f[2].split(",")), f[3] == "target")
+        for _, f in records
+    )
+    return TrialList(
+        trials, header.get("n_enroll", 0), header.get("n_trial", 0), header.get("seed", 0)
+    )
 
 
 def write_scores(scores: ScoreSet, sink: IO[str]) -> None:
@@ -325,55 +377,31 @@ def write_scores(scores: ScoreSet, sink: IO[str]) -> None:
         sink.write(f"{enroll_id} {trial_id} {float(score)!r} {kind}\n")
 
 
+def _polarity(value: str) -> Polarity:
+    if value not in get_args(Polarity):
+        raise ValueError(value)
+    return value  # type: ignore[return-value]
+
+
 def read_scores(source: IO[str] | Iterable[str]) -> ScoreSet:
-    polarity: Polarity = "larger-is-similar"
-    model: str | None = None
-    n_enroll: int | None = None
-    n_trial: int | None = None
-    enroll_ids: list[str] = []
-    trial_ids: list[str] = []
-    values: list[float] = []
-    labels: list[bool] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    if key == "polarity":
-                        if value not in ("larger-is-similar", "smaller-is-similar"):
-                            raise MalformedLineError(
-                                f"unknown polarity {value!r}", lineno
-                            )
-                        polarity = value  # type: ignore[assignment]
-                    elif key == "model":
-                        model = value
-                    elif key == "n_enroll":
-                        n_enroll = int(value)
-                    elif key == "n_trial":
-                        n_trial = int(value)
-            continue
-        fields = line.split()
-        if len(fields) != 4 or fields[3] not in ("target", "nontarget"):
-            raise MalformedLineError("bad score record", lineno)
-        enroll_ids.append(fields[0])
-        trial_ids.append(fields[1])
+    header, records = _read_records(
+        source, {"polarity": _polarity, "model": str, "n_enroll": int, "n_trial": int}
+    )
+    if not records:
+        raise DegenerateScoreSetError("score file holds no scores")
+    values = []
+    for lineno, fields in records:
         try:
             values.append(float(fields[2]))
         except ValueError:
             raise MalformedLineError(f"bad score value {fields[2]!r}", lineno) from None
-        labels.append(fields[3] == "target")
-    if not values:
-        raise DegenerateScoreSetError("score file holds no scores")
     return ScoreSet(
         np.array(values),
-        np.array(labels, dtype=bool),
-        polarity,
-        tuple(enroll_ids),
-        tuple(trial_ids),
-        n_enroll,
-        n_trial,
-        model,
+        np.array([f[3] == "target" for _, f in records], dtype=bool),
+        header.get("polarity", "larger-is-similar"),
+        tuple(f[0] for _, f in records),
+        tuple(f[1] for _, f in records),
+        header.get("n_enroll"),
+        header.get("n_trial"),
+        header.get("model"),
     )

@@ -94,13 +94,6 @@ def sequence_from_utterances(
     return DurationFeatureSequence(idx, lens, n_classes)
 
 
-def raw_duration_sequence(
-    utterances: Sequence[AlignedUtterance], inventory: PhonemeInventory
-) -> DurationFeatureSequence:
-    """Sparse duration feature rows for the given utterances, in order."""
-    return sequence_from_utterances(utterances, inventory.size)
-
-
 def mean_duration_vector(
     utterances: Sequence[AlignedUtterance], inventory: PhonemeInventory
 ) -> MeanDurationVector:

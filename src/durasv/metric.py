@@ -14,7 +14,7 @@ import numpy as np
 
 from .alignment import Corpus
 from .errors import DimensionMismatchError, NonPositiveComponentError
-from .evaluation import ScoreSet, TrialList
+from .evaluation import ScoreSet, TrialList, score_trials
 from .features import MeanDurationVector, mean_duration_vector
 
 
@@ -36,37 +36,12 @@ def duration_ratio_distance(
 
 
 def score_trials_metric(corpus: Corpus, trials: TrialList) -> ScoreSet:
-    """Score every trial with the ratio metric over mean duration vectors.
-
-    Mean vectors are cached per utterance-id set; enrollment sets recur
-    across their nontarget trials.
-    """
-    cache: dict[tuple[str, ...], MeanDurationVector] = {}
-
-    def vector_for(utt_ids: tuple[str, ...]) -> MeanDurationVector:
-        if utt_ids not in cache:
-            utts = [corpus.utterance(u) for u in utt_ids]
-            cache[utt_ids] = mean_duration_vector(utts, corpus.inventory)
-        return cache[utt_ids]
-
-    scores = np.empty(len(trials.trials))
-    labels = np.empty(len(trials.trials), dtype=bool)
-    enroll_ids = []
-    trial_ids = []
-    for i, t in enumerate(trials.trials):
-        scores[i] = duration_ratio_distance(
-            vector_for(t.enroll_utts), vector_for(t.trial_utts)
-        )
-        labels[i] = t.is_target
-        enroll_ids.append(",".join(t.enroll_utts))
-        trial_ids.append(",".join(t.trial_utts))
-    return ScoreSet(
-        scores,
-        labels,
+    """Score every trial with the ratio metric over mean duration vectors."""
+    return score_trials(
+        corpus,
+        trials,
+        lambda utts: mean_duration_vector(utts, corpus.inventory),
+        duration_ratio_distance,
         "smaller-is-similar",
-        tuple(enroll_ids),
-        tuple(trial_ids),
-        trials.n_enroll,
-        trials.n_trial,
         "metric",
     )

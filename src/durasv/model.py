@@ -17,6 +17,7 @@ compares it against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -118,34 +119,45 @@ def pad_batch(
     return Batch(class_idx, lengths, mask, lab)
 
 
-def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Zero-mean normal weights scaled by fan-in; biases start at zero."""
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in declaration order."""
     n, dp = config.n_classes, config.proj_dim
     c, a = config.encoder_channels, config.attention_hidden
     e, s = config.embed_dim, config.n_speakers
     k = config.kernel_width
 
-    tensors: dict[str, np.ndarray] = {}
-    tensors["proj"] = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, dp))
+    shapes: dict[str, tuple[int, ...]] = {"proj": (n, dp)}
     c_in = dp
     for i in range(config.n_blocks):
-        tensors[f"block{i}_w"] = rng.normal(
-            0.0, 1.0 / np.sqrt(k * c_in), size=(k, c_in, c)
-        )
-        tensors[f"block{i}_b"] = np.zeros(c)
+        shapes[f"block{i}_w"] = (k, c_in, c)
+        shapes[f"block{i}_b"] = (c,)
         if c_in != c:
-            tensors[f"block{i}_res"] = rng.normal(
-                0.0, 1.0 / np.sqrt(c_in), size=(c_in, c)
-            )
+            shapes[f"block{i}_res"] = (c_in, c)
         c_in = c
-    tensors["att_w"] = rng.normal(0.0, 1.0 / np.sqrt(c), size=(c, a))
-    tensors["att_b"] = np.zeros(a)
-    tensors["att_v"] = rng.normal(0.0, 1.0 / np.sqrt(a), size=(a,))
-    tensors["att_v0"] = np.zeros(())
-    tensors["emb_w"] = rng.normal(0.0, 1.0 / np.sqrt(2 * c), size=(2 * c, e))
-    tensors["emb_b"] = np.zeros(e)
-    tensors["cls_w"] = rng.normal(0.0, 1.0 / np.sqrt(e), size=(e, s))
-    tensors["cls_b"] = np.zeros(s)
+    shapes["att_w"] = (c, a)
+    shapes["att_b"] = (a,)
+    shapes["att_v"] = (a,)
+    shapes["att_v0"] = ()
+    shapes["emb_w"] = (2 * c, e)
+    shapes["emb_b"] = (e,)
+    shapes["cls_w"] = (e, s)
+    shapes["cls_b"] = (s,)
+    return shapes
+
+
+def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Zero-mean normal weights scaled by fan-in; biases start at zero.
+
+    The fan-in of a weight is the product of its input axes: every axis
+    but the last, or the only axis of ``att_v``, which maps to a scalar.
+    """
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(config).items():
+        if name.endswith("_b") or name == "att_v0":
+            tensors[name] = np.zeros(shape)
+        else:
+            fan_in = math.prod(shape[:-1]) if len(shape) > 1 else shape[0]
+            tensors[name] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
     return ModelParams(config, tensors)
 
 
@@ -476,5 +488,6 @@ __all__ = [
     "loss_and_grad",
     "loss_value",
     "pad_batch",
+    "parameter_shapes",
     "tiny_gradcheck_config",
 ]

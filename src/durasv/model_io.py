@@ -3,40 +3,30 @@
 Layout: 8 magic bytes, u16 format version, u32-length-prefixed JSON
 config, u32 tensor count, then per tensor a u16-length-prefixed name, a
 u8 rank, u64 dimensions, and raw little-endian float64 data, all in
-declaration order. Loading is bitwise lossless.
+declaration order. Loading is bitwise lossless, and checks the config
+keys against ``ModelConfig`` and every tensor's name, order and shape
+against ``parameter_shapes(config)``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CorruptPayloadError, FormatVersionError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, parameter_shapes
 
 MAGIC = b"DURASVM\x00"
 FORMAT_VERSION = 1
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
-    cfg = params.config
-    config_json = json.dumps(
-        {
-            "n_classes": cfg.n_classes,
-            "n_speakers": cfg.n_speakers,
-            "proj_dim": cfg.proj_dim,
-            "encoder_channels": cfg.encoder_channels,
-            "n_blocks": cfg.n_blocks,
-            "dilations": list(cfg.dilations),
-            "kernel_width": cfg.kernel_width,
-            "embed_dim": cfg.embed_dim,
-            "attention_hidden": cfg.attention_hidden,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    config_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
 
     with open(path, "wb") as sink:
         sink.write(MAGIC)
@@ -75,29 +65,28 @@ def load_model(path: str | Path) -> ModelParams:
     (config_len,) = struct.unpack("<I", take(4))
     try:
         config_data = json.loads(bytes(take(config_len)).decode("utf-8"))
-        config = ModelConfig(
-            n_classes=config_data["n_classes"],
-            n_speakers=config_data["n_speakers"],
-            proj_dim=config_data["proj_dim"],
-            encoder_channels=config_data["encoder_channels"],
-            n_blocks=config_data["n_blocks"],
-            dilations=tuple(config_data["dilations"]),
-            kernel_width=config_data["kernel_width"],
-            embed_dim=config_data["embed_dim"],
-            attention_hidden=config_data["attention_hidden"],
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # ModelConfig(**config_data) would fill a missing key with its default
+        if set(config_data) != {f.name for f in fields(ModelConfig)}:
+            raise ValueError(f"keys {sorted(config_data)} are not the ModelConfig fields")
+        config = ModelConfig(**config_data)
+    except (TypeError, ValueError) as exc:
         raise CorruptPayloadError(f"unreadable model config: {exc}") from exc
 
+    expected = parameter_shapes(config)
     (n_tensors,) = struct.unpack("<I", take(4))
+    if n_tensors != len(expected):
+        raise CorruptPayloadError(f"{n_tensors} tensors, config needs {len(expected)}")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
+    for want_name, want_shape in expected.items():
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = bytes(take(name_len)).decode("utf-8", errors="replace")
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = take(count * 8)
+        if (name, shape) != (want_name, want_shape):
+            raise CorruptPayloadError(
+                f"tensor {name!r} {shape}, config needs {want_name!r} {want_shape}"
+            )
+        raw = take(math.prod(shape) * 8)
         tensors[name] = np.frombuffer(raw, dtype="<f8").astype(
             np.float64, copy=True
         ).reshape(shape)

@@ -19,7 +19,7 @@ from durasv.evaluation import (
     compute_eer,
     eer_confidence_interval,
 )
-from durasv.features import make_chunks, raw_duration_sequence
+from durasv.features import make_chunks, sequence_from_utterances
 from durasv.metric import duration_ratio_distance, score_trials_metric
 from durasv.model import (
     ModelConfig,
@@ -94,7 +94,7 @@ def test_c1_raw_feature_rows():
                 for _ in range(k)
             )
             utt = AlignedUtterance(f"u{u}", "s", phones)
-            dense = raw_duration_sequence([utt], inv).to_dense()
+            dense = sequence_from_utterances([utt], inv.size).to_dense()
             assert np.all((dense != 0).sum(axis=1) == 1)
             for row, phone in zip(dense, phones):
                 assert row[phone.class_index] == phone.length_frames

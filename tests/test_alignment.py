@@ -101,6 +101,11 @@ class TestParseAlignment:
             parse_alignment(lines, self.INV)
         assert err.value.line == 3
 
+    def test_comma_in_utterance_id_rejected(self):
+        with pytest.raises(MalformedLineError) as err:
+            parse_alignment(["a u1 SIL 3", "a u2,u3 SIL 4"], self.INV)
+        assert err.value.line == 2
+
     def test_speaker_change_mid_utterance_rejected(self):
         with pytest.raises(MalformedLineError):
             parse_alignment(["a u1 SIL 3", "b u1 SIL 4"], self.INV)

@@ -149,6 +149,33 @@ class TestScoreAndEval:
         assert "ghost-utt" in capsys.readouterr().err
 
 
+    def test_bad_header_value_exits_one(self, corpus_dir, tmp_path, capsys):
+        trials = tmp_path / "trials.txt"
+        trials.write_text("# trials n_enroll=x\nS000 S000-u0000 S001-u0000 nontarget\n")
+        rc = main(
+            [
+                "score",
+                "--align", str(corpus_dir / "alignment.txt"),
+                "--inventory", str(corpus_dir / "inventory.txt"),
+                "--trials", str(trials),
+                "--model", "metric",
+                "--out", str(tmp_path / "s.txt"),
+            ]
+        )
+        assert rc == 1
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exits_one(self, tmp_path, capsys, value):
+        scores = tmp_path / "scores.txt"
+        scores.write_text(
+            "# scores polarity=larger-is-similar\n"
+            f"e1 t1 {value} target\ne2 t2 0.5 nontarget\n"
+        )
+        assert main(["eval", str(scores), "--out", str(tmp_path / "r.json")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_train_and_embedding_score_pipeline(self, corpus_dir, tmp_path):
         model = tmp_path / "model.bin"
@@ -206,12 +233,18 @@ class TestTrainCommand:
                 "--seed", "9",
                 "--proj-dim", "8",
                 "--channels", "8",
+                "--dilations", "1", "4",
                 "--embed-dim", "8",
                 "--attention-hidden", "4",
             ]
         )
         assert rc == 0
         loaded = load_model(model)
+        assert (loaded.config.n_blocks, loaded.config.dilations) == (2, (1, 4))
+        manifest = json.loads((tmp_path / "model.bin.manifest.json").read_text())
+        resolved = manifest["resolved"]
+        assert resolved["model_config"]["n_blocks"] == 2
+        assert resolved["learning_rate"] == 1e-3
         reference = init_model(loaded.config, np.random.default_rng([9, 0]))
         for name in reference.tensors:
             assert np.array_equal(loaded.tensors[name], reference.tensors[name])

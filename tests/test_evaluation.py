@@ -1,4 +1,5 @@
 import io
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from durasv.alignment import AlignedPhone, AlignedUtterance, Corpus, PhonemeInventory
 from durasv.errors import DegenerateScoreSetError, NoEligibleSpeakersError
 from durasv.evaluation import (
+    Polarity,
     ScoreSet,
     Trial,
+    TrialList,
     build_trials,
     compute_eer,
     eer_confidence_interval,
@@ -37,6 +40,24 @@ def brute_force_eer(scores, labels):
         if best is None or gap < best[0]:
             best = (gap, (far + frr) / 2.0)
     return best[1]
+
+
+# an id token as the alignment parser yields it: no whitespace, no "#"
+TOKEN = st.text(
+    st.characters(blacklist_categories=("Z", "Cc", "Cs"), blacklist_characters="#"),
+    min_size=1,
+    max_size=8,
+)
+# utterance ids also hold no ",", which joins them in trial files
+UTT_ID = TOKEN.filter(lambda s: "," not in s)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trials(draw):
+    utts = draw(st.lists(UTT_ID, min_size=2, max_size=6, unique=True))
+    cut = draw(st.integers(1, len(utts) - 1))
+    return Trial(draw(TOKEN), tuple(utts[:cut]), tuple(utts[cut:]), draw(st.booleans()))
 
 
 def score_set(tar, non, polarity="larger-is-similar"):
@@ -183,33 +204,46 @@ class TestEvaluateAndIo:
         assert cell.n_trials == 4
         assert "ci_convention" in table.to_json()
 
-    def test_trial_file_round_trip(self):
-        trials = build_trials(toy_corpus(4, 6), 2, 2, seed=1)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(trials(), min_size=1, max_size=6),
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.integers(-(2**63), 2**63),
+    )
+    def test_trial_file_round_trip(self, trial_items, n_enroll, n_trial, seed):
+        original = TrialList(tuple(trial_items), n_enroll, n_trial, seed)
         sink = io.StringIO()
-        write_trials(trials, sink)
-        again = read_trials(io.StringIO(sink.getvalue()))
-        assert again.trials == trials.trials
-        assert (again.n_enroll, again.n_trial, again.seed) == (2, 2, 1)
+        write_trials(original, sink)
+        assert read_trials(io.StringIO(sink.getvalue())) == original
 
-    def test_score_file_round_trip(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(TOKEN, TOKEN, FINITE, st.booleans()), min_size=1, max_size=8),
+        st.sampled_from(get_args(Polarity)),
+        st.none() | st.integers(0, 99),
+        st.none() | st.integers(0, 99),
+        st.none() | TOKEN,
+    )
+    def test_score_file_round_trip(self, rows, polarity, n_enroll, n_trial, model):
+        enroll_ids, trial_ids, values, labels = zip(*rows)
         s = ScoreSet(
-            np.array([0.25, -1.5]),
-            np.array([True, False]),
-            "smaller-is-similar",
-            ("e1", "e2"),
-            ("t1", "t2"),
-            4,
-            2,
-            "metric",
+            np.array(values),
+            np.array(labels, dtype=bool),
+            polarity,
+            enroll_ids,
+            trial_ids,
+            n_enroll,
+            n_trial,
+            model,
         )
         sink = io.StringIO()
         write_scores(s, sink)
         again = read_scores(io.StringIO(sink.getvalue()))
-        assert np.array_equal(again.scores, s.scores)
+        assert again.scores.tobytes() == s.scores.tobytes()
         assert np.array_equal(again.labels, s.labels)
-        assert again.polarity == s.polarity
-        assert again.model == "metric"
-        assert (again.n_enroll, again.n_trial) == (4, 2)
+        fields = ("polarity", "enroll_ids", "trial_ids", "n_enroll", "n_trial", "model")
+        assert [getattr(again, f) for f in fields] == [getattr(s, f) for f in fields]
 
     def test_enroll_trial_overlap_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from durasv.features import (
     dump_chunks,
     make_chunks,
     mean_duration_vector,
-    raw_duration_sequence,
+    sequence_from_utterances,
 )
 
 
@@ -37,18 +37,16 @@ def random_utterances(rng, n_classes, n_utts, max_phones=40, speaker="s0"):
 
 class TestRawDurationSequence:
     def test_rows_match_hand_example(self):
-        inv = inventory(4)
-        seq = raw_duration_sequence([utterance("s", "u", [(2, 7), (0, 3)])], inv)
+        seq = sequence_from_utterances([utterance("s", "u", [(2, 7), (0, 3)])], 4)
         assert seq.to_dense().tolist() == [[0, 0, 7, 0], [3, 0, 0, 0]]
 
     def test_single_phone_identity_case(self):
-        inv = inventory(1)
-        seq = raw_duration_sequence([utterance("s", "u", [(0, 1)])], inv)
+        seq = sequence_from_utterances([utterance("s", "u", [(0, 1)])], 1)
         assert seq.to_dense().tolist() == [[1]]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            raw_duration_sequence([], inventory(3))
+            sequence_from_utterances([], 3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -56,7 +54,7 @@ class TestRawDurationSequence:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         utts = random_utterances(rng, n, int(rng.integers(1, 5)))
-        seq = raw_duration_sequence(utts, inventory(n))
+        seq = sequence_from_utterances(utts, n)
         dense = seq.to_dense()
         assert np.all((dense != 0).sum(axis=1) == 1)
         total_frames = sum(p.length_frames for u in utts for p in u.phones)

@@ -1,4 +1,6 @@
+import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,5 +65,66 @@ def test_trailing_garbage_detected(params, tmp_path):
     path = tmp_path / "model.bin"
     save_model(params, path)
     path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(CorruptPayloadError):
+        load_model(path)
+
+
+def encode(config: dict, tensors: list) -> bytes:
+    """A version-1 model file from a config dict and (name, shape, data) triples."""
+    blob = json.dumps(config).encode()
+    out = [MAGIC, struct.pack("<HI", 1, len(blob)), blob, struct.pack("<I", len(tensors))]
+    for name, shape, data in tensors:
+        out += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", len(shape))]
+        out += [struct.pack("<Q", d) for d in shape] + [data]
+    return b"".join(out)
+
+
+def _set_emb_w(tensors, shape, data):
+    i = [t[0] for t in tensors].index("emb_w")
+    tensors[i] = ("emb_w", shape, data)
+
+
+def _huge_proj(config, tensors):
+    config.update(n_classes=2**62, proj_dim=2**62)
+    tensors[0] = ("proj", (2**62, 2**62), tensors[0][2])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda config, tensors: config.pop("attention_hidden"),
+        lambda config, tensors: config.update(bogus=1),
+        lambda config, tensors: config.update(dilations=[1, 2]),
+        lambda config, tensors: config.update(n_classes="5"),
+        lambda config, tensors: _set_emb_w(tensors, (8, 2), bytes(8 * 16)),
+        lambda config, tensors: _set_emb_w(tensors, (2**62, 2**62), b""),
+        _huge_proj,
+        lambda config, tensors: tensors.insert(0, tensors.pop(1)),
+        lambda config, tensors: tensors.pop(),
+        lambda config, tensors: tensors.append(("extra", (1,), bytes(8))),
+        lambda config, tensors: tensors.__setitem__(0, ("PROJ", *tensors[0][1:])),
+    ],
+    ids=[
+        "missing-key",
+        "extra-key",
+        "dilations-vs-blocks",
+        "string-dim",
+        "wrong-shape",
+        "huge-dims",
+        "huge-config-and-dims",
+        "tensor-order",
+        "missing-tensor",
+        "extra-tensor",
+        "renamed-tensor",
+    ],
+)
+def test_inconsistent_payload_detected(params, tmp_path, corrupt):
+    config = asdict(params.config)
+    tensors = [(name, t.shape, t.tobytes()) for name, t in params.tensors.items()]
+    path = tmp_path / "model.bin"
+    path.write_bytes(encode(config, tensors))
+    assert load_model(path).config == params.config
+    corrupt(config, tensors)
+    path.write_bytes(encode(config, tensors))
     with pytest.raises(CorruptPayloadError):
         load_model(path)
