@@ -91,5 +91,14 @@ class DegenerateScoreSetError(DurasvError):
     """Score or trial set unfit for an EER: a class missing or a score non-finite."""
 
 
+class TrainingDivergedError(DurasvError):
+    """A training step produced a non-finite loss."""
+
+    def __init__(self, epoch: int, step: int):
+        super().__init__(f"training diverged: non-finite loss at epoch {epoch}, step {step}")
+        self.epoch = epoch
+        self.step = step
+
+
 class ConfigError(DurasvError):
     """Invalid or unreadable run configuration."""

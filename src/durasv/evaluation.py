@@ -349,12 +349,16 @@ def read_trials(source: IO[str] | Iterable[str]) -> TrialList:
     header, records = _read_records(source, {"n_enroll": int, "n_trial": int, "seed": int})
     if not records:
         raise DegenerateScoreSetError("trial file holds no trials")
-    trials = tuple(
-        Trial(f[0], tuple(f[1].split(",")), tuple(f[2].split(",")), f[3] == "target")
-        for _, f in records
-    )
+    trials = []
+    for lineno, f in records:
+        try:
+            trials.append(
+                Trial(f[0], tuple(f[1].split(",")), tuple(f[2].split(",")), f[3] == "target")
+            )
+        except ValueError as exc:  # the utterance sets overlap
+            raise MalformedLineError(str(exc), lineno) from None
     return TrialList(
-        trials, header.get("n_enroll", 0), header.get("n_trial", 0), header.get("seed", 0)
+        tuple(trials), header.get("n_enroll", 0), header.get("n_trial", 0), header.get("seed", 0)
     )
 
 

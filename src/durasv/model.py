@@ -8,17 +8,22 @@ speaker embeddings and classification logits:
     linear embedding layer -> linear speaker classifier
 
 Inputs stay in (class index, frame count) form and are materialized only
-inside the projection, which is a row select-and-scale. Padded time steps
-are zeroed before every convolution and excluded from pooling, so
-right-padding never changes an embedding. ``loss_and_grad`` returns the
-exact gradient of the mean softmax cross-entropy; ``gradient_check``
-compares it against central finite differences.
+inside the projection, which is a row select-and-scale. The convolution
+blocks run on a packed layout: each item's steps are laid end to end in
+one ``(1, L, C)`` array, with zero rows between neighbouring items as
+wide as the widest convolution reaches, so padding never reaches a
+convolution and no item sees another. The block output is scattered back
+to the padded ``(B, T, C)`` grid for pooling, which excludes padded steps;
+right-padding therefore never changes an embedding. ``loss_and_grad``
+returns the exact gradient of the mean softmax cross-entropy;
+``gradient_check`` compares it against central finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +68,11 @@ class ModelConfig:
             raise ValueError("kernel width must be odd for centered padding")
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
 
+    @property
+    def conv_reach(self) -> int:
+        """Steps the widest convolution reads on either side of its centre."""
+        return max(self.dilations) * (self.kernel_width - 1) // 2
+
 
 @dataclass
 class ModelParams:
@@ -89,10 +99,76 @@ class Batch:
     lengths: np.ndarray  # (B, T) float64, 0.0 at padded steps
     mask: np.ndarray  # (B, T) float64 in {0, 1}
     labels: np.ndarray | None = None  # (B,) int64
+    # packed layouts already built for this batch, by gap width
+    _layouts: dict[int, "PackedLayout"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
         return int(self.mask.shape[0])
+
+    def packed(self, gap: int) -> "PackedLayout":
+        """The batch's packed layout with ``gap`` zero rows between items."""
+        layout = self._layouts.get(gap)
+        if layout is None:
+            layout = self._layouts[gap] = PackedLayout.of(self, gap)
+        return layout
+
+
+@dataclass(frozen=True)
+class PackedLayout:
+    """Where each batch cell sits when the items are laid end to end.
+
+    Item ``b`` keeps its steps ``0 .. n_b - 1``, up to its last unmasked
+    step, on consecutive rows; ``gap`` zero rows separate neighbouring
+    items, so a convolution that reaches at most ``gap`` steps to either
+    side never mixes two items.
+    """
+
+    rows: int  # packed length L
+    cells: np.ndarray  # (P,) flat index of each kept cell in the (B*T) grid
+    slots: np.ndarray  # (P,) its packed row
+    classes: np.ndarray  # (P,) its phone class
+    coef: np.ndarray  # (P, 1) its frame count times its mask value
+    mask: np.ndarray  # (1, L, 1) the batch mask on packed rows, 0 in the gaps
+
+    @classmethod
+    def of(cls, batch: Batch, gap: int) -> "PackedLayout":
+        b, t = batch.mask.shape
+        n = t - np.argmax(batch.mask[:, ::-1] != 0, axis=1)
+        cells = np.flatnonzero(np.arange(t) < n[:, None])
+        slots = np.arange(cells.size) + np.repeat(np.arange(0, b * gap, gap), n)
+        kept_mask = batch.mask.reshape(-1, 1)[cells]
+        mask = np.zeros((1, cells.size + gap * (b - 1), 1))
+        mask[0, slots] = kept_mask
+        return cls(
+            rows=mask.shape[1],
+            cells=cells,
+            slots=slots,
+            classes=batch.class_idx.reshape(-1)[cells],
+            coef=batch.lengths.reshape(-1, 1)[cells] * kept_mask,
+            mask=mask,
+        )
+
+    @cached_property
+    def _class_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Packed rows and coefficients sorted by class, each run's class and start."""
+        order = np.argsort(self.classes, kind="stable")
+        classes = self.classes[order]
+        starts = np.flatnonzero(np.concatenate(([True], classes[1:] != classes[:-1])))
+        return self.slots[order], self.coef[order], classes[starts], starts
+
+    def class_sums(self, packed: np.ndarray, n_classes: int) -> np.ndarray:
+        """Per class, the sum of ``coef`` times the kept cells' packed rows.
+
+        This is the gradient of the projection given the gradient of its
+        packed output; one segmented sum over class-sorted rows.
+        """
+        slots, coef, classes, starts = self._class_runs
+        sums = np.zeros((n_classes, packed.shape[-1]))
+        sums[classes] = np.add.reduceat(coef * packed[0, slots], starts, axis=0)
+        return sums
 
 
 def pad_batch(
@@ -161,12 +237,19 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams(config, tensors)
 
 
+def _pad_time(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` with ``pad`` zero steps on either side; cheaper per call than np.pad."""
+    xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad, x.shape[2]))
+    xp[:, pad : pad + x.shape[1]] = x
+    return xp
+
+
 def _conv_same(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
     """Dilated 1-d convolution with centered zero padding, (B,T,Cin)->(B,T,Cout)."""
     k = w.shape[0]
     pad = dilation * (k - 1) // 2
     t = x.shape[1]
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    xp = _pad_time(x, pad)
     out = np.zeros((x.shape[0], t, w.shape[2]))
     for j in range(k):
         out += xp[:, j * dilation : j * dilation + t, :] @ w[j]
@@ -180,7 +263,7 @@ def _conv_same_backward(
     k = w.shape[0]
     pad = dilation * (k - 1) // 2
     t = x.shape[1]
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    xp = _pad_time(x, pad)
     dw = np.empty_like(w)
     dxp = np.zeros_like(xp)
     for j in range(k):
@@ -192,11 +275,18 @@ def _conv_same_backward(
 
 @dataclass
 class ForwardCache:
-    """Intermediates needed for the backward pass (and for inspection)."""
+    """Intermediates needed for the backward pass (and for inspection).
+
+    The block fields hold the packed ``(1, L, C)`` arrays the convolution
+    blocks ran on (see ``layout``); padding never reaches a convolution.
+    Every field from ``encoded`` on is on the padded ``(B, T)`` grid, and
+    ``encoded`` is 0 at padded steps.
+    """
 
     batch: Batch
-    block_inputs: list[np.ndarray] = field(default_factory=list)  # masked
-    block_acts: list[np.ndarray] = field(default_factory=list)  # tanh outputs
+    layout: PackedLayout
+    block_inputs: list[np.ndarray] = field(default_factory=list)  # masked, packed
+    block_acts: list[np.ndarray] = field(default_factory=list)  # tanh outputs, packed
     encoded: np.ndarray | None = None  # (B,T,C) last block output
     att_hidden: np.ndarray | None = None  # (B,T,A) tanh of attention layer
     attention: np.ndarray | None = None  # (B,T) pooling weights, rows sum to 1
@@ -228,10 +318,12 @@ def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
     _validate_batch(cfg, batch)
     tensors = params.tensors
     m = batch.mask
-    m3 = m[:, :, None]
+    layout = batch.packed(cfg.conv_reach)
+    m3 = layout.mask
 
-    cache = ForwardCache(batch)
-    h = (batch.lengths * m)[:, :, None] * tensors["proj"][batch.class_idx]
+    cache = ForwardCache(batch, layout)
+    h = np.zeros((1, layout.rows, cfg.proj_dim))
+    h[0, layout.slots] = layout.coef * tensors["proj"][layout.classes]
     c = cfg.encoder_channels
     for i in range(cfg.n_blocks):
         xm = h * m3
@@ -242,7 +334,10 @@ def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
         h = act + res
         cache.block_inputs.append(xm)
         cache.block_acts.append(act)
-    cache.encoded = h
+    b, t = m.shape
+    encoded = np.zeros((b * t, c))
+    encoded[layout.cells] = h[0, layout.slots]
+    h = cache.encoded = encoded.reshape(b, t, c)
 
     s1 = h @ tensors["att_w"] + tensors["att_b"]
     u = np.tanh(s1)
@@ -308,7 +403,8 @@ def loss_and_grad(
     cfg = params.config
     tensors = params.tensors
     cache = forward_with_cache(params, batch)
-    m3 = batch.mask[:, :, None]
+    layout = cache.layout
+    m3 = layout.mask
 
     loss, dlogits = _cross_entropy(cache.logits, batch.labels)
     grads: dict[str, np.ndarray] = {}
@@ -341,10 +437,14 @@ def loss_and_grad(
     grads["att_v"] = np.einsum("bta,bt->a", u, de)
     grads["att_v0"] = np.asarray(de.sum())
     ds1 = de[:, :, None] * tensors["att_v"] * (1.0 - u * u)
-    grads["att_w"] = np.einsum("btc,bta->ca", h, ds1)
+    grads["att_w"] = h.reshape(-1, c).T @ ds1.reshape(-1, cfg.attention_hidden)
     grads["att_b"] = ds1.sum(axis=(0, 1))
     dh += ds1 @ tensors["att_w"].T
 
+    # padded steps get no gradient: alpha, and with it de and ds1, is 0 there
+    dh_packed = np.zeros((1, layout.rows, c))
+    dh_packed[0, layout.slots] = dh.reshape(-1, c)[layout.cells]
+    dh = dh_packed
     for i in reversed(range(cfg.n_blocks)):
         xm = cache.block_inputs[i]
         act = cache.block_acts[i]
@@ -359,12 +459,7 @@ def loss_and_grad(
             dxm += dh @ tensors[f"block{i}_res"].T
         dh = dxm * m3
 
-    coef = (batch.lengths * batch.mask).reshape(-1, 1)
-    dproj = np.zeros_like(tensors["proj"])
-    np.add.at(
-        dproj, batch.class_idx.reshape(-1), coef * dh.reshape(-1, cfg.proj_dim)
-    )
-    grads["proj"] = dproj
+    grads["proj"] = layout.class_sums(dh, cfg.n_classes)
 
     ordered = {name: grads[name] for name in tensors}
     return loss, ordered
@@ -481,6 +576,7 @@ __all__ = [
     "GradCheckReport",
     "ModelConfig",
     "ModelParams",
+    "PackedLayout",
     "forward",
     "forward_with_cache",
     "gradient_check",

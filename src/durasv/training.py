@@ -9,12 +9,13 @@ runs with the same seed produce bit-identical parameters and loss logs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .alignment import Corpus
-from .errors import InsufficientSpeakersError, ShapeMismatchError
+from .errors import InsufficientSpeakersError, ShapeMismatchError, TrainingDivergedError
 from .features import make_chunks
 from .model import Batch, ModelConfig, ModelParams, init_model, loss_and_grad, pad_batch
 
@@ -101,7 +102,9 @@ def train(corpus: Corpus, config: ModelConfig, hyper: TrainConfig) -> TrainResul
     """Train a speaker classifier on per-speaker duration chunks.
 
     Speakers are label-indexed in sorted order. Returns the final
-    parameters together with the per-epoch mean loss log.
+    parameters together with the per-epoch mean loss log. Stops with
+    ``TrainingDivergedError`` at the first non-finite loss, before that
+    step's update.
     """
     speakers = sorted(corpus.by_speaker)
     if len(speakers) < 2:
@@ -125,8 +128,10 @@ def train(corpus: Corpus, config: ModelConfig, hyper: TrainConfig) -> TrainResul
     for epoch in range(hyper.epochs):
         loss_sum = 0.0
         item_count = 0
-        for batch in _epoch_batches(corpus, speakers, hyper, epoch):
+        for step, batch in enumerate(_epoch_batches(corpus, speakers, hyper, epoch), 1):
             loss, grads = loss_and_grad(params, batch)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(epoch + 1, step)
             optimizer.step(params, grads)
             loss_sum += loss * batch.size
             item_count += batch.size

@@ -165,6 +165,29 @@ class TestScoreAndEval:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_overlapping_trial_sets_exit_one(self, corpus_dir, tmp_path, capsys):
+        trials = tmp_path / "trials.txt"
+        trials.write_text(
+            "# trials n_enroll=1 n_trial=1 seed=0\n"
+            "S000 S000-u0000 S001-u0000 nontarget\n"
+            "S000 S000-u0000 S000-u0000 target\n"
+        )
+        rc = main(
+            [
+                "score",
+                "--align", str(corpus_dir / "alignment.txt"),
+                "--inventory", str(corpus_dir / "inventory.txt"),
+                "--trials", str(trials),
+                "--model", "metric",
+                "--out", str(tmp_path / "s.txt"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3:") and "overlap" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.txt").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_score_exits_one(self, tmp_path, capsys, value):
         scores = tmp_path / "scores.txt"
@@ -248,6 +271,31 @@ class TestTrainCommand:
         reference = init_model(loaded.config, np.random.default_rng([9, 0]))
         for name in reference.tensors:
             assert np.array_equal(loaded.tensors[name], reference.tensors[name])
+
+    def test_diverged_training_exits_one_without_model(
+        self, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        from durasv import training
+
+        monkeypatch.setattr(training, "loss_and_grad", lambda p, b: (float("nan"), {}))
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(
+            [
+                "train",
+                "--align", str(corpus_dir / "alignment.txt"),
+                "--inventory", str(corpus_dir / "inventory.txt"),
+                "--out", str(out / "model.bin"),
+                "--epochs", "3",
+                "--proj-dim", "4",
+                "--channels", "4",
+                "--embed-dim", "4",
+                "--attention-hidden", "4",
+            ]
+        )
+        assert rc == 1
+        assert "non-finite loss at epoch 1, step 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_missing_alignment_exits_two(self, tmp_path):
         rc = main(

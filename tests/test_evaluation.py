@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv.alignment import AlignedPhone, AlignedUtterance, Corpus, PhonemeInventory
-from durasv.errors import DegenerateScoreSetError, NoEligibleSpeakersError
+from durasv.errors import (
+    DegenerateScoreSetError,
+    MalformedLineError,
+    NoEligibleSpeakersError,
+)
 from durasv.evaluation import (
     Polarity,
     ScoreSet,
@@ -248,3 +252,9 @@ class TestEvaluateAndIo:
     def test_enroll_trial_overlap_rejected(self):
         with pytest.raises(ValueError):
             Trial("s", ("u1",), ("u1",), True)
+
+    def test_overlapping_trial_record_names_its_line(self):
+        text = "# trials n_enroll=2 n_trial=1\n\ns u1,u2 u3 target\ns u1,u2 u2 target\n"
+        with pytest.raises(MalformedLineError, match="overlap") as info:
+            read_trials(io.StringIO(text))
+        assert info.value.line == 4

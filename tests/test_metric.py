@@ -109,3 +109,43 @@ class TestScoreTrialsMetric:
         trials = TrialList((Trial("fast", ("f0",), ("missing",), True),), 1, 1, 0)
         with pytest.raises(UnknownUtteranceError):
             score_trials_metric(corpus, trials)
+
+
+@st.composite
+def corpus_and_sets(draw):
+    """A small corpus, two disjoint utterance-id sets of it, and their reorderings."""
+    n_classes = draw(st.integers(1, 5))
+    n_utts = draw(st.integers(2, 8))
+    utts = []
+    for u in range(n_utts):
+        phones = draw(
+            st.lists(
+                st.tuples(st.integers(0, n_classes - 1), st.integers(1, 200)),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        utts.append(
+            AlignedUtterance(f"u{u}", f"spk{u % 2}", tuple(AlignedPhone(c, f) for c, f in phones))
+        )
+    corpus = Corpus(PhonemeInventory(tuple(f"P{i}" for i in range(n_classes))), tuple(utts))
+    ids = draw(st.permutations([u.utterance_id for u in utts]))
+    cut = draw(st.integers(1, n_utts - 1))
+    enroll, trial = tuple(ids[:cut]), tuple(ids[cut:])
+    return corpus, enroll, trial, tuple(draw(st.permutations(enroll))), tuple(
+        draw(st.permutations(trial))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_and_sets())
+def test_metric_score_ignores_utterance_order_within_a_set(drawn):
+    corpus, enroll, trial, enroll_again, trial_again = drawn
+    trials = TrialList(
+        (Trial("spk0", enroll, trial, True), Trial("spk0", enroll_again, trial_again, False)),
+        len(enroll),
+        len(trial),
+        seed=0,
+    )
+    scores = score_trials_metric(corpus, trials).scores
+    assert scores[0] == scores[1]

@@ -194,3 +194,55 @@ class TestLossAndGrad:
         batch = pad_batch([random_sequence(rng, cfg.n_classes, 5)])
         with pytest.raises(ShapeMismatchError):
             loss_and_grad(params, batch)
+
+
+class TestCrossItemIndependence:
+    """Each item's outputs and gradients depend on that item alone."""
+
+    CONFIGS = {
+        # wider reach than the first block's, and a residual projection
+        "dilations-1-4": ModelConfig(
+            n_classes=7, n_speakers=3, proj_dim=5, encoder_channels=6, n_blocks=2,
+            dilations=(1, 4), embed_dim=4, attention_hidden=3,
+        ),
+        "tiny": tiny_gradcheck_config(),
+    }
+
+    @staticmethod
+    def make_case(name, seed):
+        cfg = TestCrossItemIndependence.CONFIGS[name]
+        rng = np.random.default_rng([seed, 31])
+        params = init_model(cfg, rng)
+        # biases start at zero; jitter so padding or a neighbour would show
+        for v in params.tensors.values():
+            v += 0.05 * rng.standard_normal(v.shape)
+        sizes = rng.permutation([1, *rng.integers(1, 41, size=int(rng.integers(1, 6)))])
+        items = [random_sequence(rng, cfg.n_classes, int(t)) for t in sizes]
+        labels = rng.integers(0, cfg.n_speakers, size=len(items)).tolist()
+        return params, items, labels
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_batch_gradient_is_mean_of_item_gradients(self, name, seed):
+        params, items, labels = self.make_case(name, seed)
+        loss, grads = loss_and_grad(params, pad_batch(items, labels))
+        singles = [loss_and_grad(params, pad_batch([it], [lab])) for it, lab in zip(items, labels)]
+        ref_loss = np.mean([s[0] for s in singles])
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        refs = {t: np.mean([s[1][t] for s in singles], axis=0) for t in grads}
+        largest = max(np.abs(r).max() for r in refs.values())
+        for tensor, g in grads.items():
+            # att_v0 shifts every attention score alike, which the softmax
+            # ignores: its gradient is 0 up to rounding, so it is judged
+            # against the largest gradient entry
+            scale = largest if tensor == "att_v0" else np.abs(refs[tensor]).max()
+            assert np.abs(g - refs[tensor]).max() <= 1e-10 * scale, tensor
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_batch_embeddings_equal_item_embeddings(self, name, seed):
+        params, items, _ = self.make_case(name, seed)
+        emb, _ = forward(params, pad_batch(items))
+        for i, it in enumerate(items):
+            alone, _ = forward(params, pad_batch([it]))
+            assert np.abs(emb[i] - alone[0]).max() <= 1e-12

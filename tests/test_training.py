@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from durasv.errors import InsufficientSpeakersError, ShapeMismatchError
+from durasv import training
+from durasv.errors import (
+    InsufficientSpeakersError,
+    ShapeMismatchError,
+    TrainingDivergedError,
+)
 from durasv.model import ModelConfig, init_model
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers
 from durasv.training import TrainConfig, train
@@ -87,3 +92,26 @@ def test_speaker_labels_are_sorted():
     config = small_model_config(corpus)
     result = train(corpus, config, TrainConfig(epochs=0))
     assert result.speaker_labels == tuple(sorted(corpus.by_speaker))
+
+
+
+def test_non_finite_loss_stops_training(monkeypatch):
+    # the loss turns NaN at epoch 2, step 1 (both 1-based)
+    position = {"epoch": 0, "step": 0}
+    real_batches, real_loss = training._epoch_batches, training.loss_and_grad
+
+    def epoch_batches(corpus, speakers, hyper, epoch):
+        position.update(epoch=epoch + 1, step=0)
+        return real_batches(corpus, speakers, hyper, epoch)
+
+    def loss_and_grad(params, batch):
+        position["step"] += 1
+        loss, grads = real_loss(params, batch)
+        return (float("nan") if (position["epoch"], position["step"]) == (2, 1) else loss), grads
+
+    monkeypatch.setattr(training, "_epoch_batches", epoch_batches)
+    monkeypatch.setattr(training, "loss_and_grad", loss_and_grad)
+    corpus = small_corpus()
+    with pytest.raises(TrainingDivergedError, match="epoch 2, step 1") as info:
+        train(corpus, small_model_config(corpus), TrainConfig(epochs=3, batch_size=8))
+    assert (info.value.epoch, info.value.step) == (2, 1)
