@@ -120,34 +120,34 @@ class Batch:
 class PackedLayout:
     """Where each batch cell sits when the items are laid end to end.
 
-    Item ``b`` keeps its steps ``0 .. n_b - 1``, up to its last unmasked
-    step, on consecutive rows; ``gap`` zero rows separate neighbouring
-    items, so a convolution that reaches at most ``gap`` steps to either
-    side never mixes two items.
+    Item ``b`` keeps its ``n_b`` real steps, the mask's prefix, on
+    consecutive rows; ``gap`` zero rows separate neighbouring items, so a
+    convolution that reaches at most ``gap`` steps to either side never
+    mixes two items. A ``gap`` of 0 (kernel width 1) packs items edge to
+    edge.
     """
 
     rows: int  # packed length L
-    cells: np.ndarray  # (P,) flat index of each kept cell in the (B*T) grid
+    cells: np.ndarray  # (P,) flat index of each real cell in the (B*T) grid
     slots: np.ndarray  # (P,) its packed row
     classes: np.ndarray  # (P,) its phone class
-    coef: np.ndarray  # (P, 1) its frame count times its mask value
-    mask: np.ndarray  # (1, L, 1) the batch mask on packed rows, 0 in the gaps
+    coef: np.ndarray  # (P, 1) its frame count
+    mask: np.ndarray  # (1, L, 1) 1 on real rows, 0 in the gaps
 
     @classmethod
     def of(cls, batch: Batch, gap: int) -> "PackedLayout":
-        b, t = batch.mask.shape
-        n = t - np.argmax(batch.mask[:, ::-1] != 0, axis=1)
-        cells = np.flatnonzero(np.arange(t) < n[:, None])
-        slots = np.arange(cells.size) + np.repeat(np.arange(0, b * gap, gap), n)
-        kept_mask = batch.mask.reshape(-1, 1)[cells]
+        b = batch.size
+        n = batch.mask.sum(axis=1).astype(np.int64)
+        cells = np.flatnonzero(batch.mask)
+        slots = np.arange(cells.size) + np.repeat(np.arange(b) * gap, n)
         mask = np.zeros((1, cells.size + gap * (b - 1), 1))
-        mask[0, slots] = kept_mask
+        mask[0, slots] = 1.0
         return cls(
             rows=mask.shape[1],
             cells=cells,
             slots=slots,
             classes=batch.class_idx.reshape(-1)[cells],
-            coef=batch.lengths.reshape(-1, 1)[cells] * kept_mask,
+            coef=batch.lengths.reshape(-1, 1)[cells],
             mask=mask,
         )
 
@@ -576,7 +576,6 @@ __all__ = [
     "GradCheckReport",
     "ModelConfig",
     "ModelParams",
-    "PackedLayout",
     "forward",
     "forward_with_cache",
     "gradient_check",

@@ -272,6 +272,28 @@ class TestTrainCommand:
         for name in reference.tensors:
             assert np.array_equal(loaded.tensors[name], reference.tensors[name])
 
+    def test_kernel_width_1_trains(self, corpus_dir, tmp_path):
+        from durasv.model_io import load_model
+
+        model = tmp_path / "model.bin"
+        rc = main(
+            [
+                "train",
+                "--align", str(corpus_dir / "alignment.txt"),
+                "--inventory", str(corpus_dir / "inventory.txt"),
+                "--out", str(model),
+                "--epochs", "1",
+                "--kernel-width", "1",
+                "--proj-dim", "4",
+                "--channels", "4",
+                "--embed-dim", "4",
+                "--attention-hidden", "4",
+            ]
+        )
+        assert rc == 0
+        loaded = load_model(model)
+        assert loaded.config.kernel_width == 1 and loaded.all_finite()
+
     def test_diverged_training_exits_one_without_model(
         self, corpus_dir, tmp_path, capsys, monkeypatch
     ):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,11 @@ class TestLossAndGrad:
         report = gradient_check(tiny_gradcheck_config(), seed=7, n_draws=4)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
 
+    def test_gradient_matches_finite_differences_at_kernel_width_1(self):
+        cfg = dataclasses.replace(tiny_gradcheck_config(), kernel_width=1)
+        report = gradient_check(cfg, seed=7, n_draws=4)
+        assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
     def test_corrupted_gradient_fails_the_check(self):
         report = gradient_check(tiny_gradcheck_config(), seed=7, n_draws=1, corrupt=True)
         assert not report.passed
@@ -206,6 +213,11 @@ class TestCrossItemIndependence:
             dilations=(1, 4), embed_dim=4, attention_hidden=3,
         ),
         "tiny": tiny_gradcheck_config(),
+        # reach 0: items are packed edge to edge with no gap rows
+        "kernel-width-1": ModelConfig(
+            n_classes=7, n_speakers=3, proj_dim=5, encoder_channels=6, n_blocks=2,
+            dilations=(1, 2), kernel_width=1, embed_dim=4, attention_hidden=3,
+        ),
     }
 
     @staticmethod
