@@ -8,7 +8,6 @@ and a synthetic corpus generator for quantitative validation.
 """
 
 from .alignment import (
-    AlignedPhone,
     AlignedUtterance,
     Corpus,
     PhonemeInventory,
@@ -55,7 +54,6 @@ from .training import TrainConfig, TrainResult, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedPhone",
     "AlignedUtterance",
     "Batch",
     "Chunk",

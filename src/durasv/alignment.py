@@ -9,13 +9,17 @@ Lines of one utterance must be contiguous and in temporal order.
 Utterance ids may not contain ``,``, which trial files join them with. An
 inventory file lists one phoneme-class label per line; blank lines and
 ``#`` comments are ignored. Frame counts stay opaque positive integers,
-they are never converted to seconds.
+never converted to seconds, and at most 2^31 - 1: in memory each
+utterance holds its phones as one ``(K, 2)`` int32 array of (class
+index, frame count) rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateLabelError,
@@ -68,22 +72,36 @@ class PhonemeInventory:
         return label in self.index_of
 
 
-class AlignedPhone(NamedTuple):
-    class_index: int
-    length_frames: int
-
-
 @dataclass(frozen=True)
 class AlignedUtterance:
-    """Speaker-labeled sequence of aligned phones, in temporal order."""
+    """Speaker-labeled phones in temporal order.
+
+    ``phones`` is one read-only ``(K, 2)`` int32 array, ``K >= 1``, of
+    (class index, frame count) rows. Other integer arrays are stored as
+    int32; a value outside the int32 range is rejected, never wrapped.
+    """
 
     utterance_id: str
     speaker_id: str
-    phones: tuple[AlignedPhone, ...]
+    phones: np.ndarray  # (K, 2) int32
 
     def __post_init__(self) -> None:
-        if not self.phones:
-            raise ValueError(f"utterance {self.utterance_id!r} has no phones")
+        phones = np.asarray(self.phones)
+        if phones.size == 0 or phones.dtype.kind not in "iu" or phones.shape[1:] != (2,):
+            raise ValueError(f"utterance {self.utterance_id!r} needs (K >= 1, 2) integers")
+        stored = phones.astype(np.int32, copy=False)
+        if stored is not phones and not np.array_equal(stored, phones):
+            raise ValueError(f"utterance {self.utterance_id!r}: phones exceed int32")
+        stored.flags.writeable = False
+        object.__setattr__(self, "phones", stored)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, AlignedUtterance)
+            and self.utterance_id == other.utterance_id
+            and self.speaker_id == other.speaker_id
+            and np.array_equal(self.phones, other.phones)
+        )
 
     def __len__(self) -> int:
         return len(self.phones)
@@ -99,24 +117,25 @@ class Corpus:
     by_utterance: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.inventory.size
         by_speaker: dict[str, list[int]] = {}
         by_utterance: dict[str, int] = {}
         for i, utt in enumerate(self.utterances):
-            for phone in utt.phones:
-                if not 0 <= phone.class_index < n:
-                    raise ValueError(
-                        f"utterance {utt.utterance_id!r}: class index "
-                        f"{phone.class_index} outside inventory of size {n}"
-                    )
-                if phone.length_frames < 1:
-                    raise ValueError(
-                        f"utterance {utt.utterance_id!r}: non-positive phone length"
-                    )
             if utt.utterance_id in by_utterance:
                 raise ValueError(f"duplicate utterance id {utt.utterance_id!r}")
             by_utterance[utt.utterance_id] = i
             by_speaker.setdefault(utt.speaker_id, []).append(i)
+        if self.utterances:
+            n = self.inventory.size
+            phones = np.concatenate([u.phones for u in self.utterances])
+            bad = (phones[:, 0] < 0) | (phones[:, 0] >= n) | (phones[:, 1] < 1)
+            if bad.any():
+                ends = np.cumsum([len(u) for u in self.utterances])
+                row = int(np.argmax(bad))
+                utt = self.utterances[int(np.searchsorted(ends, row, side="right"))]
+                raise ValueError(
+                    f"utterance {utt.utterance_id!r}: phone {phones[row].tolist()} needs "
+                    f"a class index in [0, {n}) and a frame count >= 1"
+                )
         object.__setattr__(
             self, "by_speaker", {s: tuple(ix) for s, ix in by_speaker.items()}
         )
@@ -169,8 +188,6 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
             raise DuplicateLabelError(label, lineno)
         seen[label] = lineno
         labels.append(label)
-    if not labels:
-        raise EmptyInventoryError()
     return PhonemeInventory(tuple(labels))
 
 
@@ -183,20 +200,20 @@ def parse_alignment(
 
     Labels listed in ``exclude`` (e.g. silence markers) are dropped before
     the inventory lookup; utterances left empty by the exclusion are
-    omitted. Every reported error carries its 1-based line number.
+    omitted. A frame count must fit int32 (at most 2^31 - 1). Every
+    reported error carries its 1-based line number.
     """
     excluded = frozenset(exclude)
     utterances: list[AlignedUtterance] = []
-    finished: set[str] = set()
+    finished: set[str | None] = set()
     cur_utt: str | None = None
     cur_spk: str | None = None
-    cur_phones: list[AlignedPhone] = []
+    cur_phones: list[int] = []  # class index, frame count, class index, ...
 
     def flush() -> None:
-        if cur_utt is not None and cur_phones:
-            utterances.append(
-                AlignedUtterance(cur_utt, cur_spk or "", tuple(cur_phones))
-            )
+        if cur_phones:
+            phones = np.array(cur_phones, dtype=np.int32).reshape(-1, 2)
+            utterances.append(AlignedUtterance(cur_utt, cur_spk, phones))
 
     for lineno, raw in enumerate(source, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -216,6 +233,8 @@ def parse_alignment(
             ) from None
         if frames < 1:
             raise NonPositiveLengthError(lineno)
+        if frames > 2**31 - 1:
+            raise MalformedLineError(f"frame count {frames} exceeds 2^31 - 1", lineno)
 
         if utterance_id != cur_utt:
             if "," in utterance_id:
@@ -225,8 +244,7 @@ def parse_alignment(
                     f"utterance {utterance_id!r} reappears non-contiguously", lineno
                 )
             flush()
-            if cur_utt is not None:
-                finished.add(cur_utt)
+            finished.add(cur_utt)
             cur_utt, cur_spk, cur_phones = utterance_id, speaker_id, []
         elif speaker_id != cur_spk:
             raise MalformedLineError(
@@ -237,7 +255,7 @@ def parse_alignment(
             continue
         if label not in inventory:
             raise UnknownPhonemeError(label, lineno)
-        cur_phones.append(AlignedPhone(inventory.index_of[label], frames))
+        cur_phones += (inventory.index_of[label], frames)
 
     flush()
     return Corpus(inventory, tuple(utterances))
@@ -245,9 +263,9 @@ def parse_alignment(
 
 def write_alignment(corpus: Corpus, sink: IO[str]) -> None:
     """Serialize a corpus so that ``parse_alignment`` round-trips it."""
+    symbols = corpus.inventory.symbols
     for utt in corpus.utterances:
-        for phone in utt.phones:
-            label = corpus.inventory.symbols[phone.class_index]
+        for class_index, frames in utt.phones.tolist():
             sink.write(
-                f"{utt.speaker_id} {utt.utterance_id} {label} {phone.length_frames}\n"
+                f"{utt.speaker_id} {utt.utterance_id} {symbols[class_index]} {frames}\n"
             )

@@ -20,7 +20,7 @@ import numpy as np
 from . import evaluation, synth
 from .alignment import Corpus, load_inventory, parse_alignment, write_alignment
 from .embeddings import score_trials_embedding
-from .errors import DurasvError
+from .errors import ConfigError, DurasvError
 from .metric import score_trials_metric
 from .model import ModelConfig, gradient_check, tiny_gradcheck_config
 from .model_io import load_model, save_model
@@ -64,7 +64,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng([config.seed, 0])
     profiles = synth.sample_speakers(config, rng)
-    corpus = synth.generate_corpus(profiles, config, np.random.default_rng([config.seed, 1]))
+    try:
+        corpus = synth.generate_corpus(
+            profiles, config, np.random.default_rng([config.seed, 1])
+        )
+    except ValueError as exc:  # a drawn frame count beyond the int32 bound
+        raise ConfigError(f"config draws unusable durations: {exc}") from exc
 
     align_path = out_dir / "alignment.txt"
     inventory_path = out_dir / "inventory.txt"

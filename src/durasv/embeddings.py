@@ -66,7 +66,16 @@ def cosine_score(
 def score_trials_embedding(
     params: ModelParams, corpus: Corpus, trials: TrialList
 ) -> ScoreSet:
-    """Cosine-score every trial; embeddings are cached per utterance set."""
+    """Cosine-score every trial; embeddings are cached per utterance set.
+
+    Raises ``ShapeMismatchError`` when the model's phone-class count
+    differs from the size of the corpus inventory.
+    """
+    if params.config.n_classes != corpus.inventory.size:
+        raise ShapeMismatchError(
+            f"model has {params.config.n_classes} phone classes, inventory has "
+            f"{corpus.inventory.size}"
+        )
     return score_trials(
         corpus,
         trials,

@@ -100,5 +100,9 @@ class TrainingDivergedError(DurasvError):
         self.step = step
 
 
-class ConfigError(DurasvError):
-    """Invalid or unreadable run configuration."""
+class ConfigError(DurasvError, ValueError):
+    """Invalid or unreadable run configuration.
+
+    Also a ``ValueError``: it is what the config constructors raise on a
+    bad argument, so ``except ValueError`` callers keep catching it.
+    """

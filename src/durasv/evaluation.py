@@ -20,6 +20,7 @@ import numpy as np
 
 from .alignment import AlignedUtterance, Corpus
 from .errors import (
+    ConfigError,
     DegenerateScoreSetError,
     MalformedLineError,
     NoEligibleSpeakersError,
@@ -127,8 +128,8 @@ def build_trials(
     enrollment set with up to ``max_nontarget_per_speaker`` trial sets
     sampled from other speakers. Deterministic under ``seed``.
     """
-    if n_enroll < 1 or n_trial < 1:
-        raise ValueError("n_enroll and n_trial must be >= 1")
+    if n_enroll < 1 or n_trial < 1 or max_nontarget_per_speaker < 0:
+        raise ConfigError("need n_enroll >= 1, n_trial >= 1 and max_nontarget >= 0")
     rng = np.random.default_rng([seed, n_enroll, n_trial])
 
     eligible: list[str] = []

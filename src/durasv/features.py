@@ -35,6 +35,7 @@ class DurationFeatureSequence:
         return dense
 
     def slice(self, start: int, stop: int) -> "DurationFeatureSequence":
+        """Rows ``start:stop``, as views of this sequence's arrays."""
         return DurationFeatureSequence(
             self.class_indices[start:stop], self.lengths[start:stop], self.n_classes
         )
@@ -72,26 +73,16 @@ class Chunk:
         return len(self.rows)
 
 
-def _concat_arrays(
-    utterances: Sequence[AlignedUtterance],
-) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.array(
-        [p.class_index for u in utterances for p in u.phones], dtype=np.int64
-    )
-    lens = np.array(
-        [p.length_frames for u in utterances for p in u.phones], dtype=np.float64
-    )
-    return idx, lens
-
-
 def sequence_from_utterances(
     utterances: Sequence[AlignedUtterance], n_classes: int
 ) -> DurationFeatureSequence:
     """Concatenate utterances into one sparse duration feature sequence."""
     if not utterances:
         raise EmptyInputError("no utterances given")
-    idx, lens = _concat_arrays(utterances)
-    return DurationFeatureSequence(idx, lens, n_classes)
+    phones = np.concatenate([u.phones for u in utterances])
+    return DurationFeatureSequence(
+        phones[:, 0].astype(np.int64), phones[:, 1].astype(np.float64), n_classes
+    )
 
 
 def mean_duration_vector(
@@ -102,15 +93,12 @@ def mean_duration_vector(
     The fill value is the token-level mean duration over all phones in
     the input (not the mean of per-class means).
     """
-    if not utterances:
-        raise EmptyInputError("no utterances given")
-    idx, lens = _concat_arrays(utterances)
     n = inventory.size
-    counts = np.bincount(idx, minlength=n).astype(np.float64)
-    sums = np.bincount(idx, weights=lens, minlength=n)
+    seq = sequence_from_utterances(utterances, n)
+    counts = np.bincount(seq.class_indices, minlength=n).astype(np.float64)
+    sums = np.bincount(seq.class_indices, weights=seq.lengths, minlength=n)
     present = counts > 0
-    fill = lens.sum() / lens.size
-    values = np.full(n, fill)
+    values = np.full(n, seq.lengths.sum() / len(seq))
     values[present] = sums[present] / counts[present]
     return MeanDurationVector(values, present)
 
@@ -142,8 +130,8 @@ def make_chunks(
 
     order = rng.permutation(len(utterances))
     shuffled = [utterances[i] for i in order]
-    idx, lens = _concat_arrays(shuffled)
-    total = idx.size
+    stream = sequence_from_utterances(shuffled, inventory.size)
+    total = len(stream)
 
     # utterance start offsets in the concatenated stream
     utt_lengths = np.array([len(u) for u in shuffled])
@@ -155,10 +143,7 @@ def make_chunks(
 
     def cut(start: int, stop: int, shift: int, first_len: int) -> Chunk:
         sources = tuple(utt_ids[utt_at(start) : utt_at(stop - 1) + 1])
-        rows = DurationFeatureSequence(
-            idx[start:stop].copy(), lens[start:stop].copy(), inventory.size
-        )
-        return Chunk(speaker_id, rows, sources, shift, first_len)
+        return Chunk(speaker_id, stream.slice(start, stop), sources, shift, first_len)
 
     if total < min_len:
         return [cut(0, total, 0, int(utt_lengths[0]))]

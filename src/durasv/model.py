@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 from .features import Chunk, DurationFeatureSequence
 
 # keeps the pooled standard deviation differentiable at zero variance
@@ -59,13 +59,13 @@ class ModelConfig:
             self.attention_hidden,
         )
         if any(d < 1 for d in dims):
-            raise ValueError("all model dimensions must be >= 1")
+            raise ConfigError("all model dimensions must be >= 1")
         if len(self.dilations) != self.n_blocks:
-            raise ValueError("need one dilation per block")
+            raise ConfigError("need one dilation per block")
         if any(d < 1 for d in self.dilations):
-            raise ValueError("dilations must be >= 1")
+            raise ConfigError("dilations must be >= 1")
         if self.kernel_width % 2 == 0:
-            raise ValueError("kernel width must be odd for centered padding")
+            raise ConfigError("kernel width must be odd for centered padding")
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
 
     @property

@@ -15,7 +15,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .alignment import AlignedPhone, AlignedUtterance, Corpus, PhonemeInventory
+from .alignment import AlignedUtterance, Corpus, PhonemeInventory
 from .errors import ConfigError
 
 
@@ -131,12 +131,9 @@ def generate_corpus(
                 profile.log_mean[classes], profile.log_std[classes]
             )
             lengths = np.maximum(1, np.round(np.exp(log_durations))).astype(np.int64)
-            phones = tuple(
-                AlignedPhone(int(c), int(f)) for c, f in zip(classes, lengths)
-            )
-            utterances.append(
-                AlignedUtterance(f"{profile.speaker_id}-u{j:04d}", profile.speaker_id, phones)
-            )
+            phones = np.stack([classes, lengths], axis=1)
+            uid = f"{profile.speaker_id}-u{j:04d}"
+            utterances.append(AlignedUtterance(uid, profile.speaker_id, phones))
     return Corpus(inventory, tuple(utterances))
 
 

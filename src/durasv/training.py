@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import Corpus
-from .errors import InsufficientSpeakersError, ShapeMismatchError, TrainingDivergedError
+from .errors import (
+    ConfigError,
+    InsufficientSpeakersError,
+    ShapeMismatchError,
+    TrainingDivergedError,
+)
 from .features import make_chunks
 from .model import Batch, ModelConfig, ModelParams, init_model, loss_and_grad, pad_batch
 
@@ -37,7 +42,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("bad training hyperparameters")
+            raise ConfigError("need epochs >= 0, batch size >= 1 and learning rate > 0")
+        if not 1 <= self.chunk_min <= self.chunk_max:
+            raise ConfigError("chunk lengths must satisfy 1 <= chunk_min <= chunk_max")
 
 
 @dataclass

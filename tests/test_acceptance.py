@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from durasv.alignment import AlignedPhone, AlignedUtterance, PhonemeInventory
+from durasv.alignment import AlignedUtterance, PhonemeInventory
 from durasv.cli import main
 from durasv.embeddings import score_trials_embedding
 from durasv.evaluation import (
@@ -89,16 +89,15 @@ def test_c1_raw_feature_rows():
         total_rows = 0
         for u in range(1000):
             k = int(rng.integers(1, 25))
-            phones = tuple(
-                AlignedPhone(int(rng.integers(0, 17)), int(rng.integers(1, 80)))
-                for _ in range(k)
-            )
+            phones = [
+                (int(rng.integers(0, 17)), int(rng.integers(1, 80))) for _ in range(k)
+            ]
             utt = AlignedUtterance(f"u{u}", "s", phones)
             dense = sequence_from_utterances([utt], inv.size).to_dense()
             assert np.all((dense != 0).sum(axis=1) == 1)
-            for row, phone in zip(dense, phones):
-                assert row[phone.class_index] == phone.length_frames
-            assert dense.sum() == sum(p.length_frames for p in phones)
+            for row, (class_index, frames) in zip(dense, phones):
+                assert row[class_index] == frames
+            assert dense.sum() == sum(frames for _, frames in phones)
             total_rows += k
         assert total_rows >= 1000
 
@@ -176,10 +175,9 @@ def test_c5_padding_invariance():
         utts = []
         for i in range(60):
             k = int(rng.integers(40, 120))
-            phones = tuple(
-                AlignedPhone(int(rng.integers(0, 48)), int(rng.integers(1, 40)))
-                for _ in range(k)
-            )
+            phones = [
+                (int(rng.integers(0, 48)), int(rng.integers(1, 40))) for _ in range(k)
+            ]
             utts.append(AlignedUtterance(f"u{i}", "s", phones))
         chunks = []
         while len(chunks) < 100:
@@ -198,9 +196,8 @@ def test_c6_chunk_distribution():
         rng = np.random.default_rng(404)
         utts = []
         for i in range(4000):
-            phones = tuple(
-                AlignedPhone(0, int(f)) for f in rng.integers(1, 30, size=600)
-            )
+            frames = rng.integers(1, 30, size=600)
+            phones = np.stack([np.zeros_like(frames), frames], axis=1)
             utts.append(AlignedUtterance(f"u{i}", "s", phones))
         inv = PhonemeInventory(("P0",))
         chunks = make_chunks(utts, inv, np.random.default_rng(405))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv.alignment import (
-    AlignedPhone,
     AlignedUtterance,
     Corpus,
     PhonemeInventory,
@@ -27,10 +26,7 @@ from durasv.errors import (
 
 def make_corpus(inventory, rows):
     """rows: list of (speaker, utt, [(class_index, frames), ...])"""
-    utts = tuple(
-        AlignedUtterance(utt, spk, tuple(AlignedPhone(c, f) for c, f in phones))
-        for spk, utt, phones in rows
-    )
+    utts = tuple(AlignedUtterance(utt, spk, phones) for spk, utt, phones in rows)
     return Corpus(inventory, utts)
 
 
@@ -72,8 +68,8 @@ class TestParseAlignment:
         assert len(corpus) == 1
         utt = corpus.utterances[0]
         assert utt.speaker_id == "spkA"
-        assert [p.length_frames for p in utt.phones] == [12, 7]
-        assert [p.class_index for p in utt.phones] == [0, 1]
+        assert utt.phones.dtype == np.int32
+        assert utt.phones.tolist() == [[0, 12], [1, 7]]
 
     def test_unknown_phoneme(self):
         with pytest.raises(UnknownPhonemeError) as err:
@@ -113,7 +109,7 @@ class TestParseAlignment:
     def test_exclusion_list_drops_labels(self):
         lines = ["a u1 SIL 9", "a u1 AA1_B 4", "a u1 SIL 2"]
         corpus = parse_alignment(lines, self.INV, exclude=["SIL"])
-        assert [p.class_index for p in corpus.utterances[0].phones] == [1]
+        assert corpus.utterances[0].phones[:, 0].tolist() == [1]
 
     def test_exclusion_can_remove_whole_utterance(self):
         lines = ["a u1 SIL 9", "a u2 AA1_B 4"]
@@ -131,6 +127,74 @@ class TestParseAlignment:
         corpus = parse_alignment(["a u1 SIL 1"], self.INV)
         with pytest.raises(UnknownUtteranceError):
             corpus.utterance("nope")
+
+    def test_frame_count_above_int32_rejected(self):
+        corpus = parse_alignment(["a u1 SIL 2147483647"], self.INV)
+        assert corpus.utterances[0].phones.tolist() == [[0, 2**31 - 1]]
+        with pytest.raises(MalformedLineError, match="2147483648") as err:
+            parse_alignment(["a u1 SIL 2147483648"], self.INV)
+        assert err.value.line == 1
+
+
+class TestCorpusValidation:
+    INV = PhonemeInventory(("SIL", "AA1_B", "T_E"))
+
+    @pytest.mark.parametrize(
+        "rows, utt_id",
+        [
+            ([("a", "u1", [(0, 3)]), ("a", "u2", [(1, 4), (3, 2)])], "u2"),
+            ([("a", "u1", [(0, 3)]), ("b", "u2", [(-1, 2)])], "u2"),
+            ([("a", "u1", [(0, 3), (1, 0)]), ("a", "u2", [(0, 1)])], "u1"),
+            ([("a", "u1", [(0, 3)]), ("a", "u2", [(2, 1)]), ("b", "u3", [(1, -4)])], "u3"),
+            ([("a", "u1", [(0, 3)]), ("b", "u1", [(1, 2)])], "u1"),
+        ],
+        ids=["class-index-too-large", "class-index-negative", "zero-frames",
+             "negative-frames", "duplicate-id"],
+    )
+    def test_invalid_corpus_names_the_utterance(self, rows, utt_id):
+        with pytest.raises(ValueError, match=f"utterance (id )?'{utt_id}'"):
+            make_corpus(self.INV, rows)
+
+    @pytest.mark.parametrize("phones", [[], (), np.zeros((0, 2), dtype=np.int32)])
+    def test_empty_utterance_rejected(self, phones):
+        with pytest.raises(ValueError, match="utterance 'u7'"):
+            AlignedUtterance("u7", "a", phones)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", [2**31, 2**32 + 5, -(2**31) - 1, 2**63, 2**64])
+    def test_value_outside_int32_rejected_not_wrapped(self, value, column):
+        phones = [[1, 3], [1, 3]]
+        phones[1][column] = value
+        with pytest.raises(ValueError, match="utterance 'u1'"):
+            AlignedUtterance("u1", "a", np.array(phones))
+
+    @pytest.mark.parametrize(
+        "phones", [[(1, 2, 3)], [1, 2], np.array([[0, 1.5]]), np.ones((1, 2, 1), dtype=int)]
+    )
+    def test_phones_must_be_k_by_2_integers(self, phones):
+        with pytest.raises(ValueError, match="utterance 'u1'"):
+            AlignedUtterance("u1", "a", phones)
+
+    def test_phones_stored_as_int32(self):
+        utt = AlignedUtterance("u1", "a", [(2, 7), (0, 2**31 - 1)])
+        assert utt.phones.dtype == np.int32 and utt.phones.shape == (2, 2)
+        assert utt.phones.tolist() == [[2, 7], [0, 2**31 - 1]]
+        assert len(utt) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            utt.phones[0, 1] = 0
+
+    def test_equality_compares_ids_and_phone_values(self):
+        utt = AlignedUtterance("u1", "a", [(2, 7), (0, 3)])
+        assert utt == AlignedUtterance("u1", "a", np.array([[2, 7], [0, 3]], np.int64))
+        assert utt != AlignedUtterance("u1", "a", [(2, 7), (0, 4)])
+        assert utt != AlignedUtterance("u1", "a", [(2, 7)])
+        assert utt != AlignedUtterance("u1", "b", [(2, 7), (0, 3)])
+        assert utt != AlignedUtterance("u2", "a", [(2, 7), (0, 3)])
+        assert utt != ("u1", "a", [(2, 7), (0, 3)])
+
+    def test_empty_corpus_constructs(self):
+        corpus = Corpus(self.INV, ())
+        assert len(corpus) == 0 and corpus.by_speaker == {} and corpus.speakers == ()
 
 
 class TestRoundTrip:

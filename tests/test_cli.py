@@ -44,6 +44,19 @@ def run_trials(corpus_dir, out, n=1, seed=3):
     )
 
 
+def corpus_options(corpus_dir):
+    return [
+        "--align", str(corpus_dir / "alignment.txt"),
+        "--inventory", str(corpus_dir / "inventory.txt"),
+    ]
+
+
+def assert_one_line_error(capsys, out_dir, words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+    assert list(out_dir.iterdir()) == []
+
+
 class TestSynthCommand:
     def test_outputs_exist_and_parse(self, corpus_dir):
         assert (corpus_dir / "alignment.txt").exists()
@@ -66,6 +79,16 @@ class TestSynthCommand:
         bad.write_text('{"n_speakers": 0}')
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+    def test_frame_counts_beyond_int32_exit_one(self, tmp_path, synth_config, capsys):
+        config = json.loads(synth_config.read_text())
+        config["population_log_mean"] = 30.0  # e^30 frames do not fit int32
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(huge), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, out, "exceed int32")
 
 
 class TestTrialsCommand:
@@ -197,6 +220,64 @@ class TestScoreAndEval:
         )
         assert main(["eval", str(scores), "--out", str(tmp_path / "r.json")]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "options, words",
+        [
+            (["--kernel-width", "2"], "kernel width"),
+            (["--batch-size", "0"], "batch size"),
+            (["--dilations", "0"], "dilations"),
+            (["--chunk-min", "300", "--chunk-max", "256"], "chunk_min <= chunk_max"),
+            (["--chunk-min", "0"], "1 <= chunk_min"),
+        ],
+        ids=["even-kernel", "zero-batch", "zero-dilation", "min-above-max", "zero-min"],
+    )
+    def test_bad_train_option_exits_one(self, corpus_dir, tmp_path, capsys, options, words):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", *corpus_options(corpus_dir), "--out", str(out / "model.bin")]
+        assert main([*argv, "--epochs", "1", *options]) == 1
+        assert_one_line_error(capsys, out, words)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--n-enroll", "0", "--n-trial", "1"],
+            ["--n-enroll", "1", "--n-trial", "0"],
+            ["--n-enroll", "1", "--n-trial", "1", "--max-nontarget", "-1"],
+        ],
+        ids=["zero-enroll", "zero-trial", "negative-max-nontarget"],
+    )
+    def test_bad_trials_option_exits_one(self, corpus_dir, tmp_path, capsys, options):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["trials", *corpus_options(corpus_dir), "--out", str(out / "trials.txt")]
+        assert main([*argv, *options]) == 1
+        assert_one_line_error(capsys, out, "n_enroll >= 1")
+
+    def test_model_for_another_inventory_size_exits_one(
+        self, corpus_dir, synth_config, tmp_path, capsys
+    ):
+        model = tmp_path / "model.bin"
+        argv = ["train", *corpus_options(corpus_dir), "--out", str(model), "--epochs", "0"]
+        tiny = ["--proj-dim", "4", "--channels", "4", "--embed-dim", "4"]
+        assert main([*argv, *tiny, "--attention-hidden", "4"]) == 0
+        config = json.loads(synth_config.read_text())
+        config["n_classes"] = 6
+        six_config = tmp_path / "six.json"
+        six_config.write_text(json.dumps(config))
+        six = tmp_path / "six"
+        assert main(["synth", "--config", str(six_config), "--out", str(six)]) == 0
+        trials = tmp_path / "trials.txt"
+        assert run_trials(six, trials) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        argv = ["score", *corpus_options(six), "--trials", str(trials)]
+        assert main([*argv, "--model", str(model), "--out", str(out / "scores.txt")]) == 1
+        assert_one_line_error(capsys, out, "8 phone classes, inventory has 6")
 
 
 class TestTrainCommand:

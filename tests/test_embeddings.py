@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from durasv.alignment import AlignedPhone, AlignedUtterance, Corpus, PhonemeInventory
+from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.embeddings import cosine_score, embed, score_trials_embedding
 from durasv.errors import EmptyInputError, UnknownUtteranceError, ZeroNormError
 from durasv.evaluation import Trial, TrialList
@@ -9,10 +9,9 @@ from durasv.model import init_model, tiny_gradcheck_config
 
 
 def utterance(spk, uid, rng, n_classes=5, length=20):
-    phones = tuple(
-        AlignedPhone(int(rng.integers(0, n_classes)), int(rng.integers(1, 30)))
-        for _ in range(length)
-    )
+    phones = [
+        (int(rng.integers(0, n_classes)), int(rng.integers(1, 30))) for _ in range(length)
+    ]
     return AlignedUtterance(uid, spk, phones)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from durasv.alignment import AlignedPhone, AlignedUtterance, Corpus, PhonemeInventory
+from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.errors import (
     DegenerateScoreSetError,
     MalformedLineError,
@@ -146,7 +146,7 @@ def toy_corpus(n_speakers=2, n_utts=2, phones_per_utt=3):
     utts = []
     for s in range(n_speakers):
         for u in range(n_utts):
-            phones = tuple(AlignedPhone(0, 5 + s) for _ in range(phones_per_utt))
+            phones = [(0, 5 + s)] * phones_per_utt
             utts.append(AlignedUtterance(f"s{s}-u{u}", f"s{s}", phones))
     return Corpus(inv, tuple(utts))
 
@@ -165,13 +165,13 @@ class TestBuildTrials:
     def test_under_resourced_speaker_skipped(self):
         inv = PhonemeInventory(("P0",))
         utts = [
-            AlignedUtterance(f"rich-u{i}", "rich", (AlignedPhone(0, 5),))
+            AlignedUtterance(f"rich-u{i}", "rich", [(0, 5)])
             for i in range(10)
         ] + [
-            AlignedUtterance(f"poor-u{i}", "poor", (AlignedPhone(0, 5),))
+            AlignedUtterance(f"poor-u{i}", "poor", [(0, 5)])
             for i in range(3)
         ] + [
-            AlignedUtterance(f"mid-u{i}", "mid", (AlignedPhone(0, 5),))
+            AlignedUtterance(f"mid-u{i}", "mid", [(0, 5)])
             for i in range(10)
         ]
         corpus = Corpus(inv, tuple(utts))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from durasv.alignment import AlignedPhone, AlignedUtterance, PhonemeInventory
+from durasv.alignment import AlignedUtterance, PhonemeInventory
 from durasv.errors import EmptyInputError
 from durasv.features import (
     dump_chunks,
@@ -20,7 +20,7 @@ def inventory(n):
 
 
 def utterance(spk, uid, phones):
-    return AlignedUtterance(uid, spk, tuple(AlignedPhone(c, f) for c, f in phones))
+    return AlignedUtterance(uid, spk, phones)
 
 
 def random_utterances(rng, n_classes, n_utts, max_phones=40, speaker="s0"):
@@ -57,7 +57,7 @@ class TestRawDurationSequence:
         seq = sequence_from_utterances(utts, n)
         dense = seq.to_dense()
         assert np.all((dense != 0).sum(axis=1) == 1)
-        total_frames = sum(p.length_frames for u in utts for p in u.phones)
+        total_frames = sum(int(u.phones[:, 1].sum()) for u in utts)
         assert dense.sum() == total_frames
         assert len(seq) == sum(len(u) for u in utts)
 
@@ -96,10 +96,10 @@ class TestMeanDurationVector:
         n = int(rng.integers(1, 10))
         utts = random_utterances(rng, n, int(rng.integers(1, 4)))
         vec = mean_duration_vector(utts, inventory(n))
-        phones = [p for u in utts for p in u.phones]
-        fill = sum(p.length_frames for p in phones) / len(phones)
+        phones = [(c, f) for u in utts for c, f in u.phones.tolist()]
+        fill = sum(f for _, f in phones) / len(phones)
         for c in range(n):
-            observed = [p.length_frames for p in phones if p.class_index == c]
+            observed = [f for k, f in phones if k == c]
             if observed:
                 assert vec.present[c]
                 # integer frame sums are exact in float64

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from durasv.alignment import AlignedPhone, AlignedUtterance, Corpus, PhonemeInventory
+from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.errors import (
     DimensionMismatchError,
     NonPositiveComponentError,
@@ -59,7 +59,7 @@ class TestRatioDistance:
 def tiny_corpus():
     inv = PhonemeInventory(("P0", "P1"))
     def utt(spk, uid, frames):
-        phones = tuple(AlignedPhone(i % 2, f) for i, f in enumerate(frames))
+        phones = [(i % 2, f) for i, f in enumerate(frames)]
         return AlignedUtterance(uid, spk, phones)
     # speaker "fast" ~ 4 frames, speaker "slow" ~ 20 frames: disjoint regimes
     utts = []
@@ -125,9 +125,7 @@ def corpus_and_sets(draw):
                 max_size=12,
             )
         )
-        utts.append(
-            AlignedUtterance(f"u{u}", f"spk{u % 2}", tuple(AlignedPhone(c, f) for c, f in phones))
-        )
+        utts.append(AlignedUtterance(f"u{u}", f"spk{u % 2}", phones))
     corpus = Corpus(PhonemeInventory(tuple(f"P{i}" for i in range(n_classes))), tuple(utts))
     ids = draw(st.permutations([u.utterance_id for u in utts]))
     cut = draw(st.integers(1, n_utts - 1))
