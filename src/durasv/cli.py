@@ -13,6 +13,7 @@ import logging
 import sys
 from dataclasses import asdict, fields
 from importlib.metadata import PackageNotFoundError, version
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -251,19 +252,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--log", default=None, help="training log path")
-    # the options below reach ModelConfig/TrainConfig by dest name (_from_args)
+    # the options below reach ModelConfig/TrainConfig by dest name (_from_args);
+    # their defaults are the dataclass field defaults
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--proj-dim", type=int, default=128)
-    p.add_argument("--channels", dest="encoder_channels", type=int, default=128)
-    p.add_argument("--dilations", type=int, nargs="+", default=[1, 2, 3], help="one per block")
-    p.add_argument("--kernel-width", type=int, default=3)
-    p.add_argument("--embed-dim", type=int, default=128)
-    p.add_argument("--attention-hidden", type=int, default=64)
-    p.add_argument("--chunk-min", type=int, default=32)
-    p.add_argument("--chunk-max", type=int, default=256)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--proj-dim", type=int, default=ModelConfig.proj_dim)
+    p.add_argument(
+        "--channels", dest="encoder_channels", type=int, default=ModelConfig.encoder_channels
+    )
+    p.add_argument(
+        "--dilations", type=int, nargs="+", default=ModelConfig.dilations, help="one per block"
+    )
+    p.add_argument("--kernel-width", type=int, default=ModelConfig.kernel_width)
+    p.add_argument("--embed-dim", type=int, default=ModelConfig.embed_dim)
+    p.add_argument("--attention-hidden", type=int, default=ModelConfig.attention_hidden)
+    p.add_argument("--chunk-min", type=int, default=TrainConfig.chunk_min)
+    p.add_argument("--chunk-max", type=int, default=TrainConfig.chunk_max)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -272,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-enroll", type=int, required=True)
     p.add_argument("--n-trial", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nontarget", type=int, default=20)
+    p.add_argument(
+        "--max-nontarget",
+        type=int,
+        default=signature(evaluation.build_trials).parameters["max_nontarget_per_speaker"].default,
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trials)
 

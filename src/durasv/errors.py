@@ -60,6 +60,14 @@ class UnknownUtteranceError(DurasvError):
         self.utterance_id = utterance_id
 
 
+class MixedSpeakerSetError(DurasvError):
+    """A trial side's utterance set holds more than one speaker's utterances."""
+
+    def __init__(self, utterance_ids: tuple[str, ...], speakers: list[str]):
+        super().__init__(f"utterance set {','.join(utterance_ids)} mixes speakers {speakers}")
+        self.utterance_ids = utterance_ids
+
+
 class ShapeMismatchError(DurasvError):
     pass
 

@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DegenerateScoreSetError,
     MalformedLineError,
+    MixedSpeakerSetError,
     NoEligibleSpeakersError,
 )
 
@@ -130,6 +131,8 @@ def build_trials(
     """
     if n_enroll < 1 or n_trial < 1 or max_nontarget_per_speaker < 0:
         raise ConfigError("need n_enroll >= 1, n_trial >= 1 and max_nontarget >= 0")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng([seed, n_enroll, n_trial])
 
     eligible: list[str] = []
@@ -198,13 +201,19 @@ def score_trials(
     """Score every trial by comparing the vectors of its two utterance sets.
 
     ``vector_of`` runs once per distinct utterance-id set, in order of
-    first use; enrollment sets recur across their nontarget trials.
+    first use; enrollment sets recur across their nontarget trials. A set
+    holding more than one speaker's utterances raises
+    ``MixedSpeakerSetError``.
     """
     cache: dict[tuple[str, ...], V] = {}
 
     def vector_for(utt_ids: tuple[str, ...]) -> V:
         if utt_ids not in cache:
-            cache[utt_ids] = vector_of([corpus.utterance(u) for u in utt_ids])
+            utterances = [corpus.utterance(u) for u in utt_ids]
+            speakers = sorted({u.speaker_id for u in utterances})
+            if len(speakers) > 1:
+                raise MixedSpeakerSetError(utt_ids, speakers)
+            cache[utt_ids] = vector_of(utterances)
         return cache[utt_ids]
 
     scores = [

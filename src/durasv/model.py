@@ -4,17 +4,17 @@ The network maps a padded batch of sparse duration rows to fixed-size
 speaker embeddings and classification logits:
 
     sparse rows -> linear projection -> dilated temporal convolution
-    blocks (tanh, residual) -> masked attentive statistics pooling ->
+    blocks (tanh, residual) -> attentive statistics pooling ->
     linear embedding layer -> linear speaker classifier
 
 Inputs stay in (class index, frame count) form and are materialized only
-inside the projection, which is a row select-and-scale. The convolution
-blocks run on a packed layout: each item's steps are laid end to end in
-one ``(1, L, C)`` array, with zero rows between neighbouring items as
-wide as the widest convolution reaches, so padding never reaches a
-convolution and no item sees another. The block output is scattered back
-to the padded ``(B, T, C)`` grid for pooling, which excludes padded steps;
-right-padding therefore never changes an embedding. ``loss_and_grad``
+inside the projection, which is a row select-and-scale. The model works
+on one packed layout of the real steps: each item's steps are laid end
+to end in one ``(1, L, C)`` array, with zero rows between neighbouring
+items as wide as the widest convolution reaches, so no convolution sees
+padding or another item. Pooling reads the real rows alone, ``(P, C)``
+in item order, with per-item softmax and sums over each item's run of
+rows; right-padding therefore never changes an embedding. ``loss_and_grad``
 returns the exact gradient of the mean softmax cross-entropy;
 ``gradient_check`` compares it against central finite differences.
 """
@@ -118,20 +118,22 @@ class Batch:
 
 @dataclass(frozen=True)
 class PackedLayout:
-    """Where each batch cell sits when the items are laid end to end.
+    """Where each real step sits when the items are laid end to end.
 
     Item ``b`` keeps its ``n_b`` real steps, the mask's prefix, on
     consecutive rows; ``gap`` zero rows separate neighbouring items, so a
     convolution that reaches at most ``gap`` steps to either side never
     mixes two items. A ``gap`` of 0 (kernel width 1) packs items edge to
-    edge.
+    edge. The ``P`` real steps are numbered in item order, so item ``b``
+    owns the run ``starts[b] : starts[b] + n_b``.
     """
 
     rows: int  # packed length L
-    cells: np.ndarray  # (P,) flat index of each real cell in the (B*T) grid
-    slots: np.ndarray  # (P,) its packed row
+    slots: np.ndarray  # (P,) packed row of each real step
     classes: np.ndarray  # (P,) its phone class
     coef: np.ndarray  # (P, 1) its frame count
+    items: np.ndarray  # (P,) its batch item
+    starts: np.ndarray  # (B,) first real step of each item
     mask: np.ndarray  # (1, L, 1) 1 on real rows, 0 in the gaps
 
     @classmethod
@@ -139,15 +141,17 @@ class PackedLayout:
         b = batch.size
         n = batch.mask.sum(axis=1).astype(np.int64)
         cells = np.flatnonzero(batch.mask)
-        slots = np.arange(cells.size) + np.repeat(np.arange(b) * gap, n)
+        items = np.repeat(np.arange(b), n)
+        slots = np.arange(cells.size) + gap * items
         mask = np.zeros((1, cells.size + gap * (b - 1), 1))
         mask[0, slots] = 1.0
         return cls(
             rows=mask.shape[1],
-            cells=cells,
             slots=slots,
             classes=batch.class_idx.reshape(-1)[cells],
             coef=batch.lengths.reshape(-1, 1)[cells],
+            items=items,
+            starts=np.cumsum(n) - n,
             mask=mask,
         )
 
@@ -278,20 +282,19 @@ class ForwardCache:
     """Intermediates needed for the backward pass (and for inspection).
 
     The block fields hold the packed ``(1, L, C)`` arrays the convolution
-    blocks ran on (see ``layout``); padding never reaches a convolution.
-    Every field from ``encoded`` on is on the padded ``(B, T)`` grid, and
-    ``encoded`` is 0 at padded steps.
+    blocks ran on (see ``layout``). The fields from ``encoded`` to
+    ``centered`` hold one row per real step, ``(P, .)`` in item order; the
+    rest hold one row per item. No field holds a padded step.
     """
 
-    batch: Batch
     layout: PackedLayout
     block_inputs: list[np.ndarray] = field(default_factory=list)  # masked, packed
     block_acts: list[np.ndarray] = field(default_factory=list)  # tanh outputs, packed
-    encoded: np.ndarray | None = None  # (B,T,C) last block output
-    att_hidden: np.ndarray | None = None  # (B,T,A) tanh of attention layer
-    attention: np.ndarray | None = None  # (B,T) pooling weights, rows sum to 1
-    mean: np.ndarray | None = None
-    centered: np.ndarray | None = None
+    encoded: np.ndarray | None = None  # (P,C) last block output
+    att_hidden: np.ndarray | None = None  # (P,A) tanh of attention layer
+    attention: np.ndarray | None = None  # (P,) pooling weights, summing to 1 per item
+    centered: np.ndarray | None = None  # (P,C) encoded minus its item's mean
+    mean: np.ndarray | None = None  # (B,C)
     std: np.ndarray | None = None
     pooled: np.ndarray | None = None
     embeddings: np.ndarray | None = None
@@ -317,16 +320,14 @@ def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
     cfg = params.config
     _validate_batch(cfg, batch)
     tensors = params.tensors
-    m = batch.mask
     layout = batch.packed(cfg.conv_reach)
-    m3 = layout.mask
 
-    cache = ForwardCache(batch, layout)
+    cache = ForwardCache(layout)
     h = np.zeros((1, layout.rows, cfg.proj_dim))
     h[0, layout.slots] = layout.coef * tensors["proj"][layout.classes]
     c = cfg.encoder_channels
     for i in range(cfg.n_blocks):
-        xm = h * m3
+        xm = h * layout.mask
         z = _conv_same(xm, tensors[f"block{i}_w"], cfg.dilations[i])
         z += tensors[f"block{i}_b"]
         act = np.tanh(z)
@@ -334,22 +335,21 @@ def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
         h = act + res
         cache.block_inputs.append(xm)
         cache.block_acts.append(act)
-    b, t = m.shape
-    encoded = np.zeros((b * t, c))
-    encoded[layout.cells] = h[0, layout.slots]
-    h = cache.encoded = encoded.reshape(b, t, c)
+    h = cache.encoded = h[0, layout.slots]
 
-    s1 = h @ tensors["att_w"] + tensors["att_b"]
-    u = np.tanh(s1)
+    # softmax over each item's run of real steps
+    items, starts = layout.items, layout.starts
+    u = np.tanh(h @ tensors["att_w"] + tensors["att_b"])
     e = u @ tensors["att_v"] + tensors["att_v0"]
-    e_max = np.max(np.where(m > 0, e, -np.inf), axis=1, keepdims=True)
-    w = np.exp(e - e_max) * m
-    alpha = w / w.sum(axis=1, keepdims=True)
+    w = np.exp(e - np.maximum.reduceat(e, starts)[items])
+    alpha = w / np.add.reduceat(w, starts)[items]
 
-    mu = np.einsum("bt,btc->bc", alpha, h)
-    cen = h - mu[:, None, :]
-    var = np.einsum("bt,btc->bc", alpha, cen * cen)
-    std = np.sqrt(var + STD_EPS)
+    # per-item weighted sums as one product with the (B, P) weight matrix
+    weights = np.zeros((starts.size, alpha.size))
+    weights[items, np.arange(alpha.size)] = alpha
+    mu = weights @ h
+    cen = h - mu[items]
+    std = np.sqrt(weights @ (cen * cen) + STD_EPS)
     pooled = np.concatenate([mu, std], axis=1)
 
     emb = pooled @ tensors["emb_w"] + tensors["emb_b"]
@@ -404,7 +404,6 @@ def loss_and_grad(
     tensors = params.tensors
     cache = forward_with_cache(params, batch)
     layout = cache.layout
-    m3 = layout.mask
 
     loss, dlogits = _cross_entropy(cache.logits, batch.labels)
     grads: dict[str, np.ndarray] = {}
@@ -418,33 +417,30 @@ def loss_and_grad(
     dpooled = demb @ tensors["emb_w"].T
 
     c = cfg.encoder_channels
+    items, starts = layout.items, layout.starts
     alpha, h = cache.attention, cache.encoded
     cen, std = cache.centered, cache.std
-    dmu = dpooled[:, :c]
-    dvar = dpooled[:, c:] * 0.5 / std
+    dmu = dpooled[:, :c][items]
+    dvar = (dpooled[:, c:] * 0.5 / std)[items]
 
-    # variance path; the direct mean term vanishes since sum_t alpha*cen == 0
-    dalpha = np.einsum("btc,bc->bt", cen * cen, dvar)
-    dh = 2.0 * alpha[:, :, None] * cen * dvar[:, None, :]
-    # mean path
-    dalpha += np.einsum("btc,bc->bt", h, dmu)
-    dh += alpha[:, :, None] * dmu[:, None, :]
+    # variance path; the direct mean term vanishes since each item's
+    # sum of alpha*cen is 0; then the mean path
+    dalpha = np.einsum("pc,pc->p", cen * cen, dvar) + np.einsum("pc,pc->p", h, dmu)
+    denc = alpha[:, None] * (2.0 * cen * dvar + dmu)
 
-    # masked softmax over time; padded steps have alpha == 0, so de == 0 there
-    de = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+    # softmax over each item's run of real steps
+    de = alpha * (dalpha - np.add.reduceat(dalpha * alpha, starts)[items])
 
     u = cache.att_hidden
-    grads["att_v"] = np.einsum("bta,bt->a", u, de)
+    grads["att_v"] = de @ u
     grads["att_v0"] = np.asarray(de.sum())
-    ds1 = de[:, :, None] * tensors["att_v"] * (1.0 - u * u)
-    grads["att_w"] = h.reshape(-1, c).T @ ds1.reshape(-1, cfg.attention_hidden)
-    grads["att_b"] = ds1.sum(axis=(0, 1))
-    dh += ds1 @ tensors["att_w"].T
+    ds1 = de[:, None] * tensors["att_v"] * (1.0 - u * u)
+    grads["att_w"] = h.T @ ds1
+    grads["att_b"] = ds1.sum(axis=0)
+    denc += ds1 @ tensors["att_w"].T
 
-    # padded steps get no gradient: alpha, and with it de and ds1, is 0 there
-    dh_packed = np.zeros((1, layout.rows, c))
-    dh_packed[0, layout.slots] = dh.reshape(-1, c)[layout.cells]
-    dh = dh_packed
+    dh = np.zeros((1, layout.rows, c))
+    dh[0, layout.slots] = denc
     for i in reversed(range(cfg.n_blocks)):
         xm = cache.block_inputs[i]
         act = cache.block_acts[i]
@@ -457,7 +453,7 @@ def loss_and_grad(
         else:
             grads[f"block{i}_res"] = np.tensordot(xm, dh, axes=([0, 1], [0, 1]))
             dxm += dh @ tensors[f"block{i}_res"].T
-        dh = dxm * m3
+        dh = dxm * layout.mask
 
     grads["proj"] = layout.class_sums(dh, cfg.n_classes)
 
@@ -515,6 +511,8 @@ def gradient_check(
     near-zero gradients are judged on absolute error. ``corrupt``
     deliberately biases one gradient tensor; the check must then fail.
     """
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     errors: list[float] = []
     n_params = 0
     for draw in range(n_draws):

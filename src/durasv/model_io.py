@@ -4,8 +4,8 @@ Layout: 8 magic bytes, u16 format version, u32-length-prefixed JSON
 config, u32 tensor count, then per tensor a u16-length-prefixed name, a
 u8 rank, u64 dimensions, and raw little-endian float64 data, all in
 declaration order. Loading is bitwise lossless, and checks the config
-keys against ``ModelConfig`` and every tensor's name, order and shape
-against ``parameter_shapes(config)``.
+keys against ``ModelConfig``, every tensor's name, order and shape
+against ``parameter_shapes(config)``, and that every value is finite.
 """
 
 from __future__ import annotations
@@ -92,4 +92,7 @@ def load_model(path: str | Path) -> ModelParams:
         ).reshape(shape)
     if pos != len(view):
         raise CorruptPayloadError(f"{len(view) - pos} trailing bytes after payload")
-    return ModelParams(config, tensors)
+    params = ModelParams(config, tensors)
+    if not params.all_finite():
+        raise CorruptPayloadError("model tensors hold non-finite values")
+    return params

@@ -48,6 +48,8 @@ class SynthConfig:
             raise ConfigError("sigma_token must be > 0")
         if np.asarray(self.population_log_mean).ndim != 1:
             raise ConfigError("population_log_mean must be a 1-d array")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def n_classes(self) -> int:

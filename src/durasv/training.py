@@ -45,6 +45,8 @@ class TrainConfig:
             raise ConfigError("need epochs >= 0, batch size >= 1 and learning rate > 0")
         if not 1 <= self.chunk_min <= self.chunk_max:
             raise ConfigError("chunk lengths must satisfy 1 <= chunk_min <= chunk_max")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -74,11 +75,21 @@ class TestSynthCommand:
         assert (a / "alignment.txt").read_bytes() == (b / "alignment.txt").read_bytes()
         assert (a / "profiles.json").read_bytes() == (b / "profiles.json").read_bytes()
 
-    def test_bad_config_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "changes, words",
+        [(None, "bad synthesis config"), ({"seed": -1}, "seed must be >= 0")],
+        ids=["missing-keys", "negative-seed"],
+    )
+    def test_bad_config_exits_one(self, tmp_path, synth_config, capsys, changes, words):
+        config = {"n_speakers": 0}
+        if changes is not None:
+            config = {**json.loads(synth_config.read_text()), **changes}
         bad = tmp_path / "bad.json"
-        bad.write_text('{"n_speakers": 0}')
+        bad.write_text(json.dumps(config))
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+        assert not (tmp_path / "x").exists()
 
 
     def test_frame_counts_beyond_int32_exit_one(self, tmp_path, synth_config, capsys):
@@ -211,6 +222,25 @@ class TestScoreAndEval:
         assert err.count("\n") == 1
         assert not (tmp_path / "s.txt").exists()
 
+    @pytest.mark.parametrize("model", ["metric", "model.bin"])
+    def test_mixed_speaker_set_exits_one(self, corpus_dir, tmp_path, capsys, model):
+        if model != "metric":
+            model = str(tmp_path / model)
+            argv = ["train", *corpus_options(corpus_dir), "--out", model, "--epochs", "0"]
+            tiny = ["--proj-dim", "4", "--channels", "4", "--embed-dim", "4"]
+            assert main([*argv, *tiny, "--attention-hidden", "4"]) == 0
+            capsys.readouterr()
+        trials = tmp_path / "trials.txt"
+        trials.write_text(
+            "# trials n_enroll=2 n_trial=1 seed=0\n"
+            "S000 S000-u0000,S001-u0000 S000-u0001 target\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["score", *corpus_options(corpus_dir), "--trials", str(trials)]
+        assert main([*argv, "--model", model, "--out", str(out / "scores.txt")]) == 1
+        assert_one_line_error(capsys, out, "S000-u0000,S001-u0000 mixes speakers")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_score_exits_one(self, tmp_path, capsys, value):
         scores = tmp_path / "scores.txt"
@@ -231,8 +261,16 @@ class TestConfigErrors:
             (["--dilations", "0"], "dilations"),
             (["--chunk-min", "300", "--chunk-max", "256"], "chunk_min <= chunk_max"),
             (["--chunk-min", "0"], "1 <= chunk_min"),
+            (["--seed", "-1"], "seed must be >= 0"),
         ],
-        ids=["even-kernel", "zero-batch", "zero-dilation", "min-above-max", "zero-min"],
+        ids=[
+            "even-kernel",
+            "zero-batch",
+            "zero-dilation",
+            "min-above-max",
+            "zero-min",
+            "negative-seed",
+        ],
     )
     def test_bad_train_option_exits_one(self, corpus_dir, tmp_path, capsys, options, words):
         out = tmp_path / "out"
@@ -242,20 +280,21 @@ class TestConfigErrors:
         assert_one_line_error(capsys, out, words)
 
     @pytest.mark.parametrize(
-        "options",
+        "options, words",
         [
-            ["--n-enroll", "0", "--n-trial", "1"],
-            ["--n-enroll", "1", "--n-trial", "0"],
-            ["--n-enroll", "1", "--n-trial", "1", "--max-nontarget", "-1"],
+            (["--n-enroll", "0", "--n-trial", "1"], "n_enroll >= 1"),
+            (["--n-enroll", "1", "--n-trial", "0"], "n_enroll >= 1"),
+            (["--n-enroll", "1", "--n-trial", "1", "--max-nontarget", "-1"], "n_enroll >= 1"),
+            (["--n-enroll", "1", "--n-trial", "1", "--seed", "-1"], "seed must be >= 0"),
         ],
-        ids=["zero-enroll", "zero-trial", "negative-max-nontarget"],
+        ids=["zero-enroll", "zero-trial", "negative-max-nontarget", "negative-seed"],
     )
-    def test_bad_trials_option_exits_one(self, corpus_dir, tmp_path, capsys, options):
+    def test_bad_trials_option_exits_one(self, corpus_dir, tmp_path, capsys, options, words):
         out = tmp_path / "out"
         out.mkdir()
         argv = ["trials", *corpus_options(corpus_dir), "--out", str(out / "trials.txt")]
         assert main([*argv, *options]) == 1
-        assert_one_line_error(capsys, out, "n_enroll >= 1")
+        assert_one_line_error(capsys, out, words)
 
     def test_model_for_another_inventory_size_exits_one(
         self, corpus_dir, synth_config, tmp_path, capsys
@@ -353,6 +392,20 @@ class TestTrainCommand:
         for name in reference.tensors:
             assert np.array_equal(loaded.tensors[name], reference.tensors[name])
 
+    def test_default_options_are_the_config_defaults(self, corpus_dir, tmp_path):
+        from durasv.model import ModelConfig
+        from durasv.training import TrainConfig
+
+        model = tmp_path / "model.bin"
+        argv = ["train", *corpus_options(corpus_dir), "--out", str(model), "--epochs", "0"]
+        assert main(argv) == 0
+        resolved = json.loads((tmp_path / "model.bin.manifest.json").read_text())["resolved"]
+        # the manifest is JSON, so tuples come back as lists
+        expected = json.loads(json.dumps(asdict(ModelConfig(n_classes=8, n_speakers=4))))
+        assert resolved["model_config"] == expected
+        hyper = asdict(TrainConfig(epochs=0))
+        assert {k: resolved[k] for k in hyper} == hyper
+
     def test_kernel_width_1_trains(self, corpus_dir, tmp_path):
         from durasv.model_io import load_model
 
@@ -428,3 +481,6 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "3", "--draws", "2"]) == 0
         second = capsys.readouterr().out
         assert first == second
+        # no generator takes a negative seed
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"

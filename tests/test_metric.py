@@ -113,9 +113,15 @@ class TestScoreTrialsMetric:
 
 @st.composite
 def corpus_and_sets(draw):
-    """A small corpus, two disjoint utterance-id sets of it, and their reorderings."""
+    """A small corpus, two disjoint utterance-id sets of it, and their reorderings.
+
+    The two sets belong to two speakers, ``spk0`` and ``spk1``.
+    """
     n_classes = draw(st.integers(1, 5))
     n_utts = draw(st.integers(2, 8))
+    ids = draw(st.permutations([f"u{u}" for u in range(n_utts)]))
+    cut = draw(st.integers(1, n_utts - 1))
+    enroll, trial = tuple(ids[:cut]), tuple(ids[cut:])
     utts = []
     for u in range(n_utts):
         phones = draw(
@@ -125,11 +131,8 @@ def corpus_and_sets(draw):
                 max_size=12,
             )
         )
-        utts.append(AlignedUtterance(f"u{u}", f"spk{u % 2}", phones))
+        utts.append(AlignedUtterance(f"u{u}", "spk0" if f"u{u}" in enroll else "spk1", phones))
     corpus = Corpus(PhonemeInventory(tuple(f"P{i}" for i in range(n_classes))), tuple(utts))
-    ids = draw(st.permutations([u.utterance_id for u in utts]))
-    cut = draw(st.integers(1, n_utts - 1))
-    enroll, trial = tuple(ids[:cut]), tuple(ids[cut:])
     return corpus, enroll, trial, tuple(draw(st.permutations(enroll))), tuple(
         draw(st.permutations(trial))
     )

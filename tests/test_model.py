@@ -123,9 +123,10 @@ class TestForward:
         rng = np.random.default_rng(5)
         batch = random_batch(rng, cfg, [4, 11, 30])
         cache = forward_with_cache(params, batch)
-        sums = cache.attention.sum(axis=1)
+        sums = np.bincount(cache.layout.items, weights=cache.attention)
         assert np.abs(sums - 1.0).max() <= 1e-9
-        assert np.all(cache.attention[batch.mask == 0.0] == 0.0)
+        # one weight per real step: no padded step holds a weight
+        assert cache.attention.shape == (int(batch.mask.sum()),)
 
     def test_class_index_out_of_range_rejected(self):
         cfg = tiny_gradcheck_config()

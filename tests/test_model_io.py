@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from durasv.errors import CorruptPayloadError, FormatVersionError
 from durasv.model import init_model, tiny_gradcheck_config
@@ -84,6 +86,16 @@ def _set_emb_w(tensors, shape, data):
     tensors[i] = ("emb_w", shape, data)
 
 
+def _emb_w_holding(value):
+    def corrupt(config, tensors):
+        shape = tensors[[t[0] for t in tensors].index("emb_w")][1]
+        data = np.zeros(shape)
+        data[1, 2] = value
+        _set_emb_w(tensors, shape, data.tobytes())
+
+    return corrupt
+
+
 def _huge_proj(config, tensors):
     config.update(n_classes=2**62, proj_dim=2**62)
     tensors[0] = ("proj", (2**62, 2**62), tensors[0][2])
@@ -103,6 +115,8 @@ def _huge_proj(config, tensors):
         lambda config, tensors: tensors.pop(),
         lambda config, tensors: tensors.append(("extra", (1,), bytes(8))),
         lambda config, tensors: tensors.__setitem__(0, ("PROJ", *tensors[0][1:])),
+        _emb_w_holding(np.nan),
+        _emb_w_holding(-np.inf),
     ],
     ids=[
         "missing-key",
@@ -116,6 +130,8 @@ def _huge_proj(config, tensors):
         "missing-tensor",
         "extra-tensor",
         "renamed-tensor",
+        "nan-value",
+        "inf-value",
     ],
 )
 def test_inconsistent_payload_detected(params, tmp_path, corrupt):
@@ -128,3 +144,29 @@ def test_inconsistent_payload_detected(params, tmp_path, corrupt):
     path.write_bytes(encode(config, tensors))
     with pytest.raises(CorruptPayloadError):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    save_model(init_model(tiny_gradcheck_config(), np.random.default_rng(11)), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_or_bit_flipped_file_loads_or_raises(saved_model, data):
+    path, original = saved_model
+    offset = data.draw(st.integers(0, len(original) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = original[:offset]
+    else:
+        flipped = bytearray(original)
+        flipped[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        damaged = bytes(flipped)
+    path.with_name("damaged.bin").write_bytes(damaged)
+    try:
+        loaded = load_model(path.with_name("damaged.bin"))
+    except (CorruptPayloadError, FormatVersionError):
+        return
+    assert loaded.all_finite()

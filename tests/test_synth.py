@@ -133,6 +133,8 @@ class TestConfig:
             config(sigma_token=0.0)
         with pytest.raises(ConfigError):
             config(phones_per_utt=(9, 5))
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config(seed=-1)
 
     def test_profiles_json_serializable(self):
         cfg = config()
