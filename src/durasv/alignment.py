@@ -8,20 +8,29 @@ line, whitespace separated::
 Lines of one utterance must be contiguous and in temporal order.
 Utterance ids may not contain ``,``, which trial files join them with. An
 inventory file lists one phoneme-class label per line; blank lines and
-``#`` comments are ignored. Frame counts stay opaque positive integers,
-never converted to seconds, and at most 2^31 - 1: in memory each
-utterance holds its phones as one ``(K, 2)`` int32 array of (class
-index, frame count) rows.
+``#`` comments are ignored, and a label may not hold whitespace. Frame
+counts stay opaque positive integers, never converted to seconds, and at
+most 2^31 - 1: in memory each utterance holds its phones as one
+``(K, 2)`` int32 array of (class index, frame count) rows.
+
+``parse_alignment`` reads its source in blocks of whole lines and works on
+each block's code points in numpy: whitespace and comments are masked,
+tokens counted per line, frame counts converted, labels looked up in one
+sorted table, and utterance runs found by comparing adjacent ids. It
+reports the same errors, with the same line numbers, as checking the
+lines one by one would.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    AlignmentParseError,
     DuplicateLabelError,
     EmptyInventoryError,
     MalformedLineError,
@@ -56,6 +65,8 @@ class PhonemeInventory:
         for i, label in enumerate(self.symbols):
             if not label:
                 raise ValueError("empty phoneme label")
+            if label.split() != [label]:
+                raise ValueError(f"phoneme label {label!r} holds whitespace")
             if label in index:
                 raise DuplicateLabelError(label)
             index[label] = i
@@ -175,8 +186,10 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     """Read one phoneme label per line, keeping file order.
 
     Blank lines and ``#`` comments are skipped. Raises
-    :class:`DuplicateLabelError` with the offending 1-based line number,
-    or :class:`EmptyInventoryError` when no labels remain.
+    :class:`DuplicateLabelError` or, for a label holding whitespace, which
+    no alignment token can match, :class:`MalformedLineError`, each with
+    the offending 1-based line number; or :class:`EmptyInventoryError`
+    when no labels remain.
     """
     labels: list[str] = []
     seen: dict[str, int] = {}
@@ -184,11 +197,238 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
         label = raw.split("#", 1)[0].strip()
         if not label:
             continue
+        if label.split() != [label]:
+            raise MalformedLineError(f"phoneme label {label!r} holds whitespace", lineno)
         if label in seen:
             raise DuplicateLabelError(label, lineno)
         seen[label] = lineno
         labels.append(label)
     return PhonemeInventory(tuple(labels))
+
+
+# Lines parsed per block: bounds the code-point and token arrays held at once.
+_BLOCK_LINES = 1 << 12
+# Code points of an id token compared as array columns; two longer ids that
+# agree on these are compared as strings.
+_ID_WIDTH = 64
+# Whether a code point can be part of a token: it is none of those
+# ``str.split()`` splits on and ``str.strip()`` strips. No code point above
+# U+3000 is, so the last entry stands for all of them.
+_IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
+_PAD = np.uint32(0xFFFFFFFF)  # above every code point: fills a token row past its end
+_COMMENT = ord("#")
+_MAX_FRAMES = 2**31 - 1
+# the vectorized checks a line can fail, numbered in the order they are made;
+# the field count is check 1, and a new utterance id's checks are 5 and 6
+_NOT_INT, _NOT_POSITIVE, _TOO_LARGE, _SPEAKER, _UNKNOWN = 2, 3, 4, 7, 8
+
+
+def _tokenize(lines: list[str]) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A block's text, its code points, each token's start and end, tokens per line.
+
+    The lines are joined with newlines, so no token spans two of them, and
+    code point ``i`` is character ``i`` of the text. A ``#`` hides the rest
+    of its line.
+    """
+    text = "\n".join(lines)
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    line_ends = np.cumsum(lengths + 1) - 1
+    line_starts = line_ends - lengths
+    solid = np.zeros(codes.size + 2, dtype=bool)  # one non-token cell at each end
+    _IN_TOKEN.take(codes, out=solid[1:-1], mode="clip")
+    marks = np.flatnonzero(codes == _COMMENT)
+    if marks.size:
+        line = np.searchsorted(line_starts, marks, side="right") - 1
+        first = np.ones(marks.size, dtype=bool)
+        first[1:] = line[1:] != line[:-1]
+        inside = np.zeros(codes.size + 1, dtype=np.int8)
+        inside[marks[first]] = 1
+        inside[line_ends[line[first]]] = -1
+        solid[1:-1] &= np.cumsum(inside[:-1], dtype=np.int8) == 0
+    edges = np.flatnonzero(solid[1:] != solid[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    first_token = np.searchsorted(starts, line_starts)
+    counts = np.diff(first_token, append=starts.size)
+    return text, codes, starts, ends, counts
+
+
+def _rows(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """Each token's first ``width`` code points as one row, ``_PAD`` past its end."""
+    column = np.arange(width)
+    rows = codes.take(starts[:, None] + column, mode="clip")
+    rows[column >= lengths[:, None]] = _PAD
+    return rows
+
+
+def _same_as_previous(
+    text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, previous: str | None
+) -> np.ndarray:
+    """Whether each token equals the one before it; the first is compared with ``previous``."""
+    lengths = ends - starts
+    width = min(int(lengths.max()), _ID_WIDTH)
+    keys = _rows(codes, starts, lengths, width).view(f"V{4 * width}").ravel()
+    same = np.empty(starts.size, dtype=bool)
+    same[0] = text[starts[0] : ends[0]] == previous
+    same[1:] = (keys[1:] == keys[:-1]) & (lengths[1:] == lengths[:-1])
+    for i in np.flatnonzero(same[1:] & (lengths[1:] > width)) + 1:
+        same[i] = text[starts[i] : ends[i]] == text[starts[i - 1] : ends[i - 1]]
+    return same
+
+
+def _frame_counts(
+    text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame-count token's value and the first check it fails (0 for none).
+
+    A token of at most ten ASCII digits is converted arithmetically. Any
+    other goes through ``int()``, which also takes a sign, underscores and
+    non-ASCII digits; its value is clamped to ``[0, 2^31]``.
+    """
+    lengths = ends - starts
+    width = min(int(lengths.max()), 10)
+    column = np.arange(width)
+    digits = codes.take(ends[:, None] - width + column, mode="clip").astype(np.int64) - ord("0")
+    inside = column >= width - lengths[:, None]
+    is_digit = (digits >= 0) & (digits <= 9)
+    arithmetic = (lengths <= width) & (is_digit | ~inside).all(axis=1)
+    values = np.where(inside & is_digit, digits, 0) @ 10 ** (width - 1 - column)
+    not_int = []
+    for i in np.flatnonzero(~arithmetic):
+        try:
+            values[i] = min(max(int(text[starts[i] : ends[i]]), 0), _MAX_FRAMES + 1)
+        except ValueError:
+            not_int.append(i)
+    failed = np.select([values < 1, values > _MAX_FRAMES], [_NOT_POSITIVE, _TOO_LARGE], 0)
+    failed[not_int] = _NOT_INT
+    return values, failed
+
+
+class _LabelTable:
+    """Exact lookup of label tokens: a class index, or -1 for an excluded label.
+
+    Labels are held as rows of ``width`` code points, one more than the
+    longest label, so a longer token matches none. A token row's hash finds
+    its one candidate in the sorted hashes of the labels, and the candidate
+    counts only if its row equals the token's.
+    """
+
+    EXCLUDED, UNKNOWN = -1, -2
+
+    def __init__(self, inventory: PhonemeInventory, exclude: Sequence[str]) -> None:
+        entries = dict(inventory.index_of)
+        entries.update(dict.fromkeys(exclude, self.EXCLUDED))
+        lengths = np.array([len(label) for label in entries])
+        self.width = int(lengths.max()) + 1
+        codes = np.frombuffer("".join(entries).encode("utf-32-le", "surrogatepass"), np.uint32)
+        rows = _rows(codes, np.cumsum(lengths) - lengths, lengths, self.width)
+        for odd in itertools.count(1, 2):  # until no two labels share a hash
+            step = np.uint64(odd * 0x9E3779B97F4A7C15 % 2**64)
+            self.multipliers = np.arange(1, self.width + 1, dtype=np.uint64) * step | 1
+            hashes = rows.astype(np.uint64) @ self.multipliers
+            if np.unique(hashes).size == hashes.size:
+                break
+        order = np.argsort(hashes)
+        self.hashes = hashes[order]
+        self.keys = rows[order].view(f"V{4 * self.width}").ravel()
+        self.values = np.array(list(entries.values()), dtype=np.int64)[order]
+
+    def classes(self, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        rows = _rows(codes, starts, ends - starts, self.width)
+        at = np.searchsorted(self.hashes, rows.astype(np.uint64) @ self.multipliers)
+        at = np.minimum(at, self.hashes.size - 1)
+        found = self.keys[at] == rows.view(self.keys.dtype).ravel()
+        return np.where(found, self.values[at], self.UNKNOWN)
+
+
+class _Parser:
+    """Block-by-block parse state: the utterances so far and the open one."""
+
+    def __init__(self, inventory: PhonemeInventory, exclude: Sequence[str]) -> None:
+        self.labels = _LabelTable(inventory, exclude)
+        self.utterances: list[AlignedUtterance] = []
+        self.finished: set[str] = set()  # every utterance id seen so far
+        self.utt: str | None = None
+        self.spk: str | None = None
+        self.pieces: list[np.ndarray] = []  # the open utterance's kept rows, per block
+
+    def flush(self) -> None:
+        pieces = [p for p in self.pieces if len(p)]
+        if pieces:
+            phones = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            self.utterances.append(AlignedUtterance(self.utt, self.spk, phones))
+
+    def feed(self, lines: list[str], first_line: int) -> None:
+        """Parse one block; raise for its first bad line, checks in the documented order."""
+        text, codes, starts, ends, counts = _tokenize(lines)
+        miscounted = np.flatnonzero((counts != 0) & (counts != 4))
+        cut = int(miscounted[0]) if miscounted.size else len(lines)
+        line_of = np.flatnonzero(counts[:cut]) + first_line  # each row's line number
+        n = line_of.size
+        if n:
+            spk, utt, label, frames = (
+                np.stack((starts[: 4 * n], ends[: 4 * n])).reshape(2, n, 4).transpose(2, 0, 1)
+            )
+            values, failed = _frame_counts(text, codes, *frames)
+            same_utt = _same_as_previous(text, codes, *utt, self.utt)
+            same_spk = _same_as_previous(text, codes, *spk, self.spk)
+            classes = self.labels.classes(codes, *label)
+            failed[(failed == 0) & same_utt & ~same_spk] = _SPEAKER
+            failed[(failed == 0) & (classes == _LabelTable.UNKNOWN)] = _UNKNOWN
+            bad = np.flatnonzero(failed)
+            first_bad = int(bad[0]) if bad.size else n
+
+            new = np.flatnonzero(~same_utt)  # rows that start an utterance
+            # a new id's checks come after its line's frame count checks and
+            # before its label check
+            checked = new[(new < first_bad) | ((new == first_bad) & (failed[new] == _UNKNOWN))]
+            utt_ids = [text[a:b] for a, b in zip(*utt[:, checked].tolist())]
+            for utt_id, line in zip(utt_ids, line_of[checked].tolist()):
+                if "," in utt_id:
+                    raise MalformedLineError(f"',' in utterance id {utt_id!r}", line)
+                if utt_id in self.finished:
+                    raise MalformedLineError(
+                        f"utterance {utt_id!r} reappears non-contiguously", line
+                    )
+                self.finished.add(utt_id)
+            if first_bad < n:
+                row = slice(4 * first_bad, 4 * first_bad + 4)
+                fields = [text[a:b] for a, b in zip(starts[row].tolist(), ends[row].tolist())]
+                raise _line_error(failed[first_bad], fields, int(line_of[first_bad]))
+
+            kept = classes >= 0
+            phones = np.empty((int(kept.sum()), 2), dtype=np.int32)
+            phones[:, 0] = classes[kept]
+            phones[:, 1] = values[kept]
+            bounds = np.concatenate(([0], np.cumsum(kept)))[np.append(new, n)].tolist()
+            self.pieces.append(phones[: bounds[0]])  # rows continuing the open utterance
+            if new.size:
+                spk_ids = [text[a:b] for a, b in zip(*spk[:, new].tolist())]
+                self.flush()
+                self.utterances.extend(
+                    AlignedUtterance(utt_id, spk_id, phones[lo:hi])
+                    for utt_id, spk_id, lo, hi in zip(utt_ids, spk_ids, bounds, bounds[1:-1])
+                    if hi > lo
+                )
+                self.utt, self.spk = utt_ids[-1], spk_ids[-1]
+                self.pieces = [phones[bounds[-2] :]]
+        if cut < len(lines):
+            raise MalformedLineError(
+                f"expected 4 whitespace-separated fields, got {counts[cut]}", first_line + cut
+            )
+
+
+def _line_error(check: int, fields: list[str], line: int) -> AlignmentParseError:
+    _, utt_id, label, frames = fields
+    if check == _NOT_INT:
+        return MalformedLineError(f"frame count {frames!r} is not an integer", line)
+    if check == _NOT_POSITIVE:
+        return NonPositiveLengthError(line)
+    if check == _TOO_LARGE:
+        return MalformedLineError(f"frame count {int(frames)} exceeds 2^31 - 1", line)
+    if check == _SPEAKER:
+        return MalformedLineError(f"utterance {utt_id!r} changes speaker mid-stream", line)
+    return UnknownPhonemeError(label, line)
 
 
 def parse_alignment(
@@ -202,63 +442,22 @@ def parse_alignment(
     the inventory lookup; utterances left empty by the exclusion are
     omitted. A frame count must fit int32 (at most 2^31 - 1). Every
     reported error carries its 1-based line number.
+
+    The source is read in blocks of whole lines, each element of it being
+    one line, and each block is tokenized and checked in numpy. The first
+    bad line in file order raises. Within a line the checks run in this
+    order: field count, integer frame count, frame count >= 1, frame count
+    <= 2^31 - 1, then ``,`` in and reappearance of a new utterance's id or
+    a speaker change inside an utterance, then the label.
     """
-    excluded = frozenset(exclude)
-    utterances: list[AlignedUtterance] = []
-    finished: set[str | None] = set()
-    cur_utt: str | None = None
-    cur_spk: str | None = None
-    cur_phones: list[int] = []  # class index, frame count, class index, ...
-
-    def flush() -> None:
-        if cur_phones:
-            phones = np.array(cur_phones, dtype=np.int32).reshape(-1, 2)
-            utterances.append(AlignedUtterance(cur_utt, cur_spk, phones))
-
-    for lineno, raw in enumerate(source, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if len(fields) != 4:
-            raise MalformedLineError(
-                f"expected 4 whitespace-separated fields, got {len(fields)}", lineno
-            )
-        speaker_id, utterance_id, label, frames_text = fields
-        try:
-            frames = int(frames_text)
-        except ValueError:
-            raise MalformedLineError(
-                f"frame count {frames_text!r} is not an integer", lineno
-            ) from None
-        if frames < 1:
-            raise NonPositiveLengthError(lineno)
-        if frames > 2**31 - 1:
-            raise MalformedLineError(f"frame count {frames} exceeds 2^31 - 1", lineno)
-
-        if utterance_id != cur_utt:
-            if "," in utterance_id:
-                raise MalformedLineError(f"',' in utterance id {utterance_id!r}", lineno)
-            if utterance_id in finished:
-                raise MalformedLineError(
-                    f"utterance {utterance_id!r} reappears non-contiguously", lineno
-                )
-            flush()
-            finished.add(cur_utt)
-            cur_utt, cur_spk, cur_phones = utterance_id, speaker_id, []
-        elif speaker_id != cur_spk:
-            raise MalformedLineError(
-                f"utterance {utterance_id!r} changes speaker mid-stream", lineno
-            )
-
-        if label in excluded:
-            continue
-        if label not in inventory:
-            raise UnknownPhonemeError(label, lineno)
-        cur_phones += (inventory.index_of[label], frames)
-
-    flush()
-    return Corpus(inventory, tuple(utterances))
+    parser = _Parser(inventory, exclude)
+    lines = iter(source)
+    first_line = 1
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        parser.feed(block, first_line)
+        first_line += len(block)
+    parser.flush()
+    return Corpus(inventory, tuple(parser.utterances))
 
 
 def write_alignment(corpus: Corpus, sink: IO[str]) -> None:

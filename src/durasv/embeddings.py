@@ -66,7 +66,7 @@ def cosine_score(
 def score_trials_embedding(
     params: ModelParams, corpus: Corpus, trials: TrialList
 ) -> ScoreSet:
-    """Cosine-score every trial; embeddings are cached per utterance set.
+    """Cosine-score every trial: one batch-1 forward per distinct utterance set.
 
     Raises ``ShapeMismatchError`` when the model's phone-class count
     differs from the size of the corpus inventory.
@@ -76,11 +76,14 @@ def score_trials_embedding(
             f"model has {params.config.n_classes} phone classes, inventory has "
             f"{corpus.inventory.size}"
         )
-    return score_trials(
-        corpus,
-        trials,
-        lambda utts: embed(params, utts).vector,
-        cosine_score,
-        "larger-is-similar",
-        "embedding",
-    )
+
+    def embeddings(sets: list[list[AlignedUtterance]]) -> np.ndarray:
+        vectors = np.empty((len(sets), params.config.embed_dim))
+        for row, utterances in zip(vectors, sets):
+            row[:] = embed(params, utterances).vector
+        return vectors
+
+    def cosines(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.array([cosine_score(vectors[i], vectors[j]) for i, j in zip(a, b)])
+
+    return score_trials(corpus, trials, embeddings, cosines, "larger-is-similar", "embedding")

@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import IO, Callable, Iterable, Literal, TypeVar, get_args
+from typing import IO, Callable, Iterable, Literal, get_args
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 Polarity = Literal["larger-is-similar", "smaller-is-similar"]
-V = TypeVar("V")
 
 CI_CONVENTION = "normal-approximation: z * sqrt(eer*(1-eer)/n), n = total trials"
 
@@ -45,7 +44,13 @@ class Trial:
     is_target: bool
 
     def __post_init__(self) -> None:
-        if set(self.enroll_utts) & set(self.trial_utts):
+        enroll, trial = set(self.enroll_utts), set(self.trial_utts)
+        for utts, distinct in ((self.enroll_utts, enroll), (self.trial_utts, trial)):
+            if "" in distinct:
+                raise ValueError(f"empty utterance id in set {','.join(utts)!r}")
+            if len(distinct) < len(utts):
+                raise ValueError(f"utterance set {','.join(utts)!r} repeats an id")
+        if enroll & trial:
             raise ValueError("enrollment and trial utterance sets overlap")
 
 
@@ -153,36 +158,39 @@ def build_trials(
             f"no speaker has the {n_enroll}+{n_trial} utterances this setup needs"
         )
 
-    enroll_sets: dict[str, tuple[str, ...]] = {}
-    trial_sets: dict[str, list[tuple[str, ...]]] = {}
+    # every eligible speaker's trial sets, speaker after speaker; speaker k
+    # owns trial_sets[runs[k][0]:runs[k][1]]
+    enroll_sets: list[tuple[str, ...]] = []
+    trial_sets: list[tuple[str, ...]] = []
+    runs: list[tuple[int, int]] = []
     for speaker in eligible:
         utt_ids = [corpus.utterances[i].utterance_id for i in corpus.by_speaker[speaker]]
         order = rng.permutation(len(utt_ids))
         shuffled = [utt_ids[i] for i in order]
-        enroll_sets[speaker] = tuple(shuffled[:n_enroll])
+        enroll_sets.append(tuple(shuffled[:n_enroll]))
         rest = shuffled[n_enroll:]
-        trial_sets[speaker] = [
-            tuple(rest[i : i + n_trial])
-            for i in range(0, len(rest) - n_trial + 1, n_trial)
-        ]
+        start = len(trial_sets)
+        trial_sets.extend(
+            tuple(rest[i : i + n_trial]) for i in range(0, len(rest) - n_trial + 1, n_trial)
+        )
+        runs.append((start, len(trial_sets)))
 
-    trials: list[Trial] = []
-    for speaker in eligible:
-        for utts in trial_sets[speaker]:
-            trials.append(Trial(speaker, enroll_sets[speaker], utts, True))
-    for speaker in eligible:
-        pool = [
-            (other, utts)
-            for other in eligible
-            if other != speaker
-            for utts in trial_sets[other]
-        ]
-        n_take = min(max_nontarget_per_speaker, len(pool))
+    trials: list[Trial] = [
+        Trial(speaker, enroll, trial_sets[i], True)
+        for speaker, enroll, (start, stop) in zip(eligible, enroll_sets, runs)
+        for i in range(start, stop)
+    ]
+    for speaker, enroll, (start, stop) in zip(eligible, enroll_sets, runs):
+        # the pool is every other speaker's trial sets: all of trial_sets
+        # but this speaker's run, so a pick at or past the run's start
+        # shifts past it
+        pool_size = len(trial_sets) - (stop - start)
+        n_take = min(max_nontarget_per_speaker, pool_size)
         if n_take == 0:
             continue
-        picks = rng.choice(len(pool), size=n_take, replace=False)
-        for p in sorted(int(i) for i in picks):
-            trials.append(Trial(speaker, enroll_sets[speaker], pool[p][1], False))
+        picks = np.sort(rng.choice(pool_size, size=n_take, replace=False))
+        picks[picks >= start] += stop - start
+        trials.extend(Trial(speaker, enroll, trial_sets[p], False) for p in picks.tolist())
 
     flags = [t.is_target for t in trials]
     if not any(flags) or all(flags):
@@ -193,34 +201,38 @@ def build_trials(
 def score_trials(
     corpus: Corpus,
     trials: TrialList,
-    vector_of: Callable[[list[AlignedUtterance]], V],
-    compare: Callable[[V, V], float],
+    vectors_of: Callable[[list[list[AlignedUtterance]]], np.ndarray],
+    compare: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     polarity: Polarity,
     model: str,
 ) -> ScoreSet:
     """Score every trial by comparing the vectors of its two utterance sets.
 
-    ``vector_of`` runs once per distinct utterance-id set, in order of
-    first use; enrollment sets recur across their nontarget trials. A set
-    holding more than one speaker's utterances raises
-    ``MixedSpeakerSetError``.
+    The distinct utterance-id sets are collected in order of first use;
+    enrollment sets recur across their nontarget trials. An unknown id
+    raises ``UnknownUtteranceError`` and a set holding more than one
+    speaker's utterances ``MixedSpeakerSetError``, for the first such set.
+    ``vectors_of`` then maps the sets to one ``(S, D)`` array, a row per
+    set, and ``compare(vectors, a, b)`` gives the ``(n,)`` scores of the
+    trials whose sides are rows ``a`` and ``b``.
     """
-    cache: dict[tuple[str, ...], V] = {}
+    rows: dict[tuple[str, ...], int] = {}
+    sets: list[list[AlignedUtterance]] = []
 
-    def vector_for(utt_ids: tuple[str, ...]) -> V:
-        if utt_ids not in cache:
+    def row_of(utt_ids: tuple[str, ...]) -> int:
+        if utt_ids not in rows:
             utterances = [corpus.utterance(u) for u in utt_ids]
             speakers = sorted({u.speaker_id for u in utterances})
             if len(speakers) > 1:
                 raise MixedSpeakerSetError(utt_ids, speakers)
-            cache[utt_ids] = vector_of(utterances)
-        return cache[utt_ids]
+            rows[utt_ids] = len(sets)
+            sets.append(utterances)
+        return rows[utt_ids]
 
-    scores = [
-        compare(vector_for(t.enroll_utts), vector_for(t.trial_utts)) for t in trials.trials
-    ]
+    sides = [(row_of(t.enroll_utts), row_of(t.trial_utts)) for t in trials.trials]
+    a, b = np.array(sides, dtype=np.intp).reshape(-1, 2).T
     return ScoreSet(
-        np.array(scores, dtype=np.float64),
+        np.asarray(compare(vectors_of(sets), a, b), dtype=np.float64),
         np.array([t.is_target for t in trials.trials], dtype=bool),
         polarity,
         tuple(",".join(t.enroll_utts) for t in trials.trials),
@@ -365,7 +377,7 @@ def read_trials(source: IO[str] | Iterable[str]) -> TrialList:
             trials.append(
                 Trial(f[0], tuple(f[1].split(",")), tuple(f[2].split(",")), f[3] == "target")
             )
-        except ValueError as exc:  # the utterance sets overlap
+        except ValueError as exc:  # an empty or repeated id, or overlapping sets
             raise MalformedLineError(str(exc), lineno) from None
     return TrialList(
         tuple(trials), header.get("n_enroll", 0), header.get("n_trial", 0), header.get("seed", 0)

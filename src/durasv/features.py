@@ -9,7 +9,7 @@ demand; at N in the hundreds the dense rows are almost entirely zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -166,17 +166,3 @@ def make_chunks(
         return [cut(0, min(total, max_len), 0, int(utt_lengths[0]))]
     return chunks
 
-
-def dump_chunks(
-    chunks: Sequence[Chunk], inventory: PhonemeInventory, sink: IO[str]
-) -> None:
-    """Debug dump in the alignment text format, one header line per chunk."""
-    for i, chunk in enumerate(chunks):
-        sink.write(
-            f"# chunk {i} speaker={chunk.speaker_id} len={len(chunk)} "
-            f"shift={chunk.shift} first_utt_len={chunk.first_utt_len} "
-            f"sources={','.join(chunk.source_utterances)}\n"
-        )
-        for class_index, length in zip(chunk.rows.class_indices, chunk.rows.lengths):
-            label = inventory.symbols[int(class_index)]
-            sink.write(f"{chunk.speaker_id} chunk{i} {label} {int(length)}\n")

@@ -1,10 +1,13 @@
 import io
+import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from durasv import alignment
 from durasv.alignment import (
     AlignedUtterance,
     Corpus,
@@ -15,6 +18,7 @@ from durasv.alignment import (
     write_alignment,
 )
 from durasv.errors import (
+    AlignmentParseError,
     DuplicateLabelError,
     EmptyInventoryError,
     MalformedLineError,
@@ -22,6 +26,71 @@ from durasv.errors import (
     UnknownPhonemeError,
     UnknownUtteranceError,
 )
+
+
+def reference_parse(source, inventory, exclude=()):
+    """The line-by-line parser ``parse_alignment`` must agree with."""
+    excluded = frozenset(exclude)
+    utterances = []
+    finished = set()
+    cur_utt = cur_spk = None
+    cur_phones = []
+
+    def flush():
+        if cur_phones:
+            phones = np.array(cur_phones, dtype=np.int32).reshape(-1, 2)
+            utterances.append(AlignedUtterance(cur_utt, cur_spk, phones))
+
+    for lineno, raw in enumerate(source, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        fields = text.split()
+        if len(fields) != 4:
+            raise MalformedLineError(
+                f"expected 4 whitespace-separated fields, got {len(fields)}", lineno
+            )
+        speaker_id, utterance_id, label, frames_text = fields
+        try:
+            frames = int(frames_text)
+        except ValueError:
+            raise MalformedLineError(
+                f"frame count {frames_text!r} is not an integer", lineno
+            ) from None
+        if frames < 1:
+            raise NonPositiveLengthError(lineno)
+        if frames > 2**31 - 1:
+            raise MalformedLineError(f"frame count {frames} exceeds 2^31 - 1", lineno)
+        if utterance_id != cur_utt:
+            if "," in utterance_id:
+                raise MalformedLineError(f"',' in utterance id {utterance_id!r}", lineno)
+            if utterance_id in finished:
+                raise MalformedLineError(
+                    f"utterance {utterance_id!r} reappears non-contiguously", lineno
+                )
+            flush()
+            finished.add(cur_utt)
+            cur_utt, cur_spk, cur_phones = utterance_id, speaker_id, []
+        elif speaker_id != cur_spk:
+            raise MalformedLineError(
+                f"utterance {utterance_id!r} changes speaker mid-stream", lineno
+            )
+        if label in excluded:
+            continue
+        if label not in inventory:
+            raise UnknownPhonemeError(label, lineno)
+        cur_phones += (inventory.index_of[label], frames)
+
+    flush()
+    return Corpus(inventory, tuple(utterances))
+
+
+def outcome(parse):
+    """A parse's corpus, or its error's type, message and line."""
+    try:
+        return parse()
+    except AlignmentParseError as exc:
+        return type(exc), str(exc), exc.line
 
 
 def make_corpus(inventory, rows):
@@ -53,6 +122,14 @@ class TestInventory:
     def test_empty_inventory(self):
         with pytest.raises(EmptyInventoryError):
             load_inventory(["# nothing"])
+
+    @pytest.mark.parametrize("label", ["B 1", "B\t1", "B\u20031", "B\x1c1"])
+    def test_label_with_whitespace_rejected(self, label):
+        with pytest.raises(MalformedLineError, match="whitespace") as err:
+            load_inventory(["AA", label])
+        assert err.value.line == 2
+        with pytest.raises(ValueError, match="whitespace"):
+            PhonemeInventory(("AA", label))
 
     def test_index_matches_order(self):
         inv = arpabet_positional_inventory()
@@ -250,3 +327,94 @@ class TestRoundTrip:
         sink = io.StringIO()
         write_alignment(corpus, sink)
         assert parse_alignment(io.StringIO(sink.getvalue()), self.INV) == corpus
+
+
+# ids built on it agree on more code points than the parser compares as
+# array columns, so only the string comparison tells them apart
+LONG_ID = "L" * (alignment._ID_WIDTH + 6)
+SEPARATORS = (" ", "\t", "  ", "\xa0", "\u2003", "\u0085", "\x1c")
+# fault codes, drawn uniformly; most runs get a code with no case, and a
+# faulty line gets two codes so that faults meet on one line
+RUN_FAULT = st.sampled_from(range(12))
+FAULTY_LINE = st.sampled_from((False,) * 3 + (True,))
+LINE_FAULT = st.sampled_from(range(1, 10))
+ODD_FRAMES = ("+5", "٥", "1_0", "0", "2147483648", "2147483647", "x", "-3", "007", "00000000012")
+
+
+@st.composite
+def alignment_lines(draw):
+    """Alignment lines, mostly well formed, with every kind of fault mixed in.
+
+    Utterance runs get fresh ids unless one is drawn to reappear or to hold
+    a ``,``; a run may hold only ``SIL``, which excluding it empties.
+    Single lines may lose or gain a field, change speaker, take an odd
+    frame count or an unknown label, hold a comment, a blank line after
+    them or unusual whitespace.
+    """
+    lines = []
+    utt_ids = []
+    for run in range(draw(st.integers(0, 8))):
+        fault = draw(RUN_FAULT)
+        if utt_ids and fault == 1:
+            utt_id = draw(st.sampled_from(utt_ids))
+        else:
+            utt_id = draw(st.sampled_from((f"u{run}", f"{LONG_ID}{run}", f"ß{run}")))
+            utt_id = f"u,{run}" if fault == 2 else utt_id
+        utt_ids.append(utt_id)
+        speaker, other = draw(st.permutations(("s1", "s2", "š")))[:2]
+        for _ in range(draw(st.integers(1, 6))):
+            faults = {draw(LINE_FAULT), draw(LINE_FAULT)} if draw(FAULTY_LINE) else set()
+            fields = [
+                other if 1 in faults else speaker,
+                utt_id,
+                draw(st.sampled_from(("ZZ", "A1", "SIL", "ŋ")))
+                if 2 in faults
+                else "SIL"
+                if fault == 3
+                else draw(st.sampled_from(("A", "B1", "ŋ", "SIL"))),
+                draw(st.sampled_from(ODD_FRAMES)) if 3 in faults
+                else str(draw(st.integers(1, 999))),
+            ]
+            if 4 in faults:
+                del fields[draw(st.integers(0, 3))]
+            elif 5 in faults:
+                fields.append("extra")
+            seps = [draw(st.sampled_from(SEPARATORS)) for _ in range(len(fields) + 1)]
+            line = seps[0] * (6 in faults) + "".join(f + s for f, s in zip(fields, seps[1:]))
+            if 7 in faults:
+                line += draw(st.sampled_from(("# note", "#", "#x y z w")))
+            elif 8 in faults:
+                cut = draw(st.integers(0, len(line)))
+                line = line[:cut] + "#" + line[cut:]
+            lines.append(line)
+            if 9 in faults:
+                lines.append(draw(st.sampled_from(("", "   ", "# only a comment", "\u2003"))))
+    return lines
+
+
+class TestParserMatchesLineByLineReference:
+    INV = PhonemeInventory(("A", "B1", "ŋ", "SIL"))
+
+    def test_whitespace_table_matches_str_split(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        expected = [c.isspace() for c in chars]
+        in_token = alignment._IN_TOKEN
+        assert (~in_token).tolist() == expected[: in_token.size]
+        assert in_token[-1] and not any(expected[in_token.size :])
+        assert all(f"a{c}b".split() == ["a", "b"] for c, space in zip(chars, expected) if space)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        alignment_lines(),
+        st.sampled_from(((), ("SIL",), ("SIL", "ZZ"))),
+        st.integers(1, 5),
+        st.booleans(),
+    )
+    def test_same_corpus_or_same_error(self, lines, exclude, block_lines, as_stream):
+        def source():
+            return io.StringIO("\n".join(lines)) if as_stream else list(lines)
+
+        want = outcome(lambda: reference_parse(source(), self.INV, exclude))
+        with patch.object(alignment, "_BLOCK_LINES", block_lines):
+            got = outcome(lambda: parse_alignment(source(), self.INV, exclude))
+        assert got == want

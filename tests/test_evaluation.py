@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.errors import (
+    ConfigError,
     DegenerateScoreSetError,
+    DurasvError,
     MalformedLineError,
     NoEligibleSpeakersError,
 )
@@ -198,6 +200,81 @@ class TestBuildTrials:
             assert t.is_target == (owners.pop() == t.enroll_speaker)
 
 
+def reference_build_trials(corpus, n_enroll, n_trial, seed, max_nontarget_per_speaker=20):
+    """The pool-list construction ``build_trials`` must agree with."""
+    if n_enroll < 1 or n_trial < 1 or max_nontarget_per_speaker < 0:
+        raise ConfigError("need n_enroll >= 1, n_trial >= 1 and max_nontarget >= 0")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    rng = np.random.default_rng([seed, n_enroll, n_trial])
+    eligible = [s for s in corpus.speakers if len(corpus.by_speaker[s]) >= n_enroll + n_trial]
+    skipped = [s for s in corpus.speakers if s not in eligible]
+    if not eligible:
+        raise NoEligibleSpeakersError(
+            f"no speaker has the {n_enroll}+{n_trial} utterances this setup needs"
+        )
+    enroll_sets = {}
+    trial_sets = {}
+    for speaker in eligible:
+        utt_ids = [corpus.utterances[i].utterance_id for i in corpus.by_speaker[speaker]]
+        order = rng.permutation(len(utt_ids))
+        shuffled = [utt_ids[i] for i in order]
+        enroll_sets[speaker] = tuple(shuffled[:n_enroll])
+        rest = shuffled[n_enroll:]
+        trial_sets[speaker] = [
+            tuple(rest[i : i + n_trial]) for i in range(0, len(rest) - n_trial + 1, n_trial)
+        ]
+    trials = []
+    for speaker in eligible:
+        for utts in trial_sets[speaker]:
+            trials.append(Trial(speaker, enroll_sets[speaker], utts, True))
+    for speaker in eligible:
+        pool = [
+            (other, utts) for other in eligible if other != speaker for utts in trial_sets[other]
+        ]
+        n_take = min(max_nontarget_per_speaker, len(pool))
+        if n_take == 0:
+            continue
+        picks = rng.choice(len(pool), size=n_take, replace=False)
+        for p in sorted(int(i) for i in picks):
+            trials.append(Trial(speaker, enroll_sets[speaker], pool[p][1], False))
+    flags = [t.is_target for t in trials]
+    if not any(flags) or all(flags):
+        raise DegenerateScoreSetError("trial list needs both target and nontarget trials")
+    return TrialList(tuple(trials), n_enroll, n_trial, seed, tuple(skipped))
+
+
+@st.composite
+def speaker_corpora(draw):
+    """Up to six speakers of 1-12 one-phone utterances, in drawn order."""
+    counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    utts = [
+        AlignedUtterance(f"s{s}-u{u}", f"s{s}", [(0, 5)])
+        for s, n in enumerate(counts)
+        for u in range(n)
+    ]
+    return Corpus(PhonemeInventory(("P0",)), tuple(draw(st.permutations(utts))))
+
+
+class TestBuildTrialsMatchesPoolListReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        speaker_corpora(),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32),
+        st.sampled_from((0, 1, 3, 20, 10**6)),
+    )
+    def test_same_trial_list_or_same_error(self, corpus, n_enroll, n_trial, seed, max_nontarget):
+        def run(build):
+            try:
+                return build(corpus, n_enroll, n_trial, seed, max_nontarget)
+            except DurasvError as exc:
+                return type(exc), str(exc)
+
+        assert run(build_trials) == run(reference_build_trials)
+
+
 class TestEvaluateAndIo:
     def test_single_cell_table(self):
         s = score_set([0.9, 0.8], [0.1, 0.2])
@@ -252,6 +329,20 @@ class TestEvaluateAndIo:
     def test_enroll_trial_overlap_rejected(self):
         with pytest.raises(ValueError):
             Trial("s", ("u1",), ("u1",), True)
+
+    @pytest.mark.parametrize(
+        "record, words",
+        [
+            ("s u1,u1 u2 target", "repeats"),
+            ("s u1 u2,u3,u2 nontarget", "repeats"),
+            ("s u1,,u2 u3 target", "empty"),
+            ("s u1 ,u3 target", "empty"),
+        ],
+    )
+    def test_repeated_or_empty_utterance_id_names_its_line(self, record, words):
+        with pytest.raises(MalformedLineError, match=words) as info:
+            read_trials(io.StringIO(f"# trials n_enroll=2 n_trial=1\ns u7 u8 target\n{record}\n"))
+        assert info.value.line == 3
 
     def test_overlapping_trial_record_names_its_line(self):
         text = "# trials n_enroll=2 n_trial=1\n\ns u1,u2 u3 target\ns u1,u2 u2 target\n"

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,6 @@ from hypothesis import strategies as st
 from durasv.alignment import AlignedUtterance, PhonemeInventory
 from durasv.errors import EmptyInputError
 from durasv.features import (
-    dump_chunks,
     make_chunks,
     mean_duration_vector,
     sequence_from_utterances,
@@ -174,12 +171,3 @@ class TestMakeChunks:
             assert c.speaker_id == "sp"
             assert c.source_utterances
             assert all(src in by_id for src in c.source_utterances)
-
-    def test_dump_chunks_format(self):
-        utts = [utterance("sp", "u0", [(0, 3)] * 40)]
-        chunks = make_chunks(utts, inventory(1), np.random.default_rng(0))
-        sink = io.StringIO()
-        dump_chunks(chunks, inventory(1), sink)
-        lines = sink.getvalue().splitlines()
-        assert lines[0].startswith("# chunk 0 speaker=sp")
-        assert lines[1].split() == ["sp", "chunk0", "P0", "3"]

@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from durasv import metric
 from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.errors import (
     DimensionMismatchError,
@@ -10,6 +13,7 @@ from durasv.errors import (
     UnknownUtteranceError,
 )
 from durasv.evaluation import Trial, TrialList, build_trials, compute_eer
+from durasv.features import mean_duration_vector
 from durasv.metric import duration_ratio_distance, score_trials_metric
 
 positive_vectors = st.lists(
@@ -150,3 +154,36 @@ def test_metric_score_ignores_utterance_order_within_a_set(drawn):
     )
     scores = score_trials_metric(corpus, trials).scores
     assert scores[0] == scores[1]
+
+
+@st.composite
+def speaker_corpora(draw):
+    """2-4 speakers of 4-6 utterances, frame counts up to 2^31 - 1."""
+    n_classes = draw(st.integers(1, 12))
+    frames = st.integers(1, 50) | st.integers(1, 2**31 - 1)
+    utts = []
+    for s in range(draw(st.integers(2, 4))):
+        for u in range(draw(st.integers(4, 6))):
+            phones = draw(
+                st.lists(
+                    st.tuples(st.integers(0, n_classes - 1), frames), min_size=1, max_size=30
+                )
+            )
+            utts.append(AlignedUtterance(f"s{s}-u{u}", f"s{s}", phones))
+    return Corpus(PhonemeInventory(tuple(f"P{i}" for i in range(n_classes))), tuple(utts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(speaker_corpora(), st.integers(1, 2), st.integers(0, 2**16), st.integers(1, 64))
+def test_batched_scores_equal_per_trial_reference(corpus, n_per_side, seed, chunk_cells):
+    trials = build_trials(corpus, n_per_side, n_per_side, seed)
+    with patch.object(metric, "_CHUNK_CELLS", chunk_cells):
+        scores = score_trials_metric(corpus, trials).scores
+
+    def vector(utt_ids):
+        return mean_duration_vector([corpus.utterance(u) for u in utt_ids], corpus.inventory)
+
+    expected = [
+        duration_ratio_distance(vector(t.enroll_utts), vector(t.trial_utts)) for t in trials.trials
+    ]
+    assert scores.tolist() == expected
