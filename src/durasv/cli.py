@@ -101,11 +101,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.align, args.inventory, args.exclude)
     config = _from_args(
-        ModelConfig,
-        args,
-        n_classes=corpus.inventory.size,
-        n_speakers=len(corpus.by_speaker),
-        n_blocks=len(args.dilations),
+        ModelConfig, args, n_classes=corpus.inventory.size, n_speakers=len(corpus.by_speaker)
     )
     hyper = _from_args(TrainConfig, args)
     result = train(corpus, config, hyper)

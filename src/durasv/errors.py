@@ -96,7 +96,10 @@ class NoEligibleSpeakersError(DurasvError):
 
 
 class DegenerateScoreSetError(DurasvError):
-    """Score or trial set unfit for an EER: a class missing or a score non-finite."""
+    """Score or trial set unfit for an EER.
+
+    A class or the score polarity is missing, or a score is non-finite.
+    """
 
 
 class TrainingDivergedError(DurasvError):

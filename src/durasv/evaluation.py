@@ -413,6 +413,8 @@ def read_scores(source: IO[str] | Iterable[str]) -> ScoreSet:
     header, records = _read_records(
         source, {"polarity": _polarity, "model": str, "n_enroll": int, "n_trial": int}
     )
+    if "polarity" not in header:
+        raise DegenerateScoreSetError("score file has no polarity= header")
     if not records:
         raise DegenerateScoreSetError("score file holds no scores")
     values = []
@@ -424,7 +426,7 @@ def read_scores(source: IO[str] | Iterable[str]) -> ScoreSet:
     return ScoreSet(
         np.array(values),
         np.array([f[3] == "target" for _, f in records], dtype=bool),
-        header.get("polarity", "larger-is-similar"),
+        header["polarity"],
         tuple(f[0] for _, f in records),
         tuple(f[1] for _, f in records),
         header.get("n_enroll"),

@@ -22,7 +22,8 @@ returns the exact gradient of the mean softmax cross-entropy;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -37,36 +38,44 @@ STD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Encoder dimensions; one dilated convolution block per dilation."""
+
     n_classes: int
     n_speakers: int
     proj_dim: int = 128
     encoder_channels: int = 128
-    n_blocks: int = 3
     dilations: tuple[int, ...] = (1, 2, 3)
     kernel_width: int = 3
     embed_dim: int = 128
     attention_hidden: int = 64
 
     def __post_init__(self) -> None:
-        dims = (
-            self.n_classes,
-            self.n_speakers,
-            self.proj_dim,
-            self.encoder_channels,
-            self.n_blocks,
-            self.kernel_width,
-            self.embed_dim,
-            self.attention_hidden,
-        )
-        if any(d < 1 for d in dims):
+        # operator.index takes numpy integers but no float or string, so
+        # a config never rounds or keeps a non-integer value
+        try:
+            dims = {
+                f.name: operator.index(getattr(self, f.name))
+                for f in fields(self)
+                if f.name != "dilations"
+            }
+            dilations = tuple(operator.index(d) for d in self.dilations)
+        except TypeError as exc:
+            raise ConfigError(f"model dimensions and dilations must be integers: {exc}") from None
+        for name, value in dims.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "dilations", dilations)
+        if any(d < 1 for d in dims.values()):
             raise ConfigError("all model dimensions must be >= 1")
-        if len(self.dilations) != self.n_blocks:
-            raise ConfigError("need one dilation per block")
-        if any(d < 1 for d in self.dilations):
+        if not dilations:
+            raise ConfigError("need at least one dilation")
+        if any(d < 1 for d in dilations):
             raise ConfigError("dilations must be >= 1")
         if self.kernel_width % 2 == 0:
             raise ConfigError("kernel width must be odd for centered padding")
-        object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.dilations)
 
     @property
     def conv_reach(self) -> int:
@@ -513,6 +522,8 @@ def gradient_check(
     """
     if seed < 0:
         raise ConfigError("seed must be >= 0")
+    if n_draws < 1:
+        raise ConfigError("n_draws must be >= 1")
     errors: list[float] = []
     n_params = 0
     for draw in range(n_draws):
@@ -560,7 +571,6 @@ def tiny_gradcheck_config(n_speakers: int = 3) -> ModelConfig:
         n_speakers=n_speakers,
         proj_dim=4,
         encoder_channels=4,
-        n_blocks=3,
         dilations=(1, 2, 3),
         kernel_width=3,
         embed_dim=4,

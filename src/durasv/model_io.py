@@ -1,11 +1,13 @@
 """Versioned binary container for model parameters.
 
-Layout: 8 magic bytes, u16 format version, u32-length-prefixed JSON
-config, u32 tensor count, then per tensor a u16-length-prefixed name, a
-u8 rank, u64 dimensions, and raw little-endian float64 data, all in
-declaration order. Loading is bitwise lossless, and checks the config
-keys against ``ModelConfig``, every tensor's name, order and shape
-against ``parameter_shapes(config)``, and that every value is finite.
+Layout, format version 2: 8 magic bytes; a u16 format version; a
+u32-length-prefixed JSON config; every tensor's raw little-endian float64
+data in ``parameter_shapes(config)`` order, with no per-tensor header, as
+the config alone fixes every name and shape; then a u32 ``zlib.crc32``
+over everything after the magic bytes. Loading is bitwise lossless. It
+checks, in order: the magic, the version, the checksum, the config keys
+against the ``ModelConfig`` fields, the exact data length the config
+needs, and that every value is finite.
 """
 
 from __future__ import annotations
@@ -13,58 +15,56 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptPayloadError, FormatVersionError
+from .errors import CorruptPayloadError, FormatVersionError, ShapeMismatchError
 from .model import ModelConfig, ModelParams, parameter_shapes
 
 MAGIC = b"DURASVM\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_HEAD = struct.Struct("<HI")  # format version, config length
+_CRC = struct.Struct("<I")
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
+    # the file holds no shapes, so a tensor that disagrees with the config
+    # must be caught here, not reshaped into the config's shape at load
+    shapes = parameter_shapes(params.config)
+    if {name: tensor.shape for name, tensor in params.tensors.items()} != shapes:
+        raise ShapeMismatchError("model tensors differ from the shapes their config needs")
     config_json = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
-
+    parts = [_HEAD.pack(FORMAT_VERSION, len(config_json)), config_json]
+    parts += [np.ascontiguousarray(params.tensors[name], dtype="<f8") for name in shapes]
+    crc = 0
     with open(path, "wb") as sink:
         sink.write(MAGIC)
-        sink.write(struct.pack("<H", FORMAT_VERSION))
-        sink.write(struct.pack("<I", len(config_json)))
-        sink.write(config_json)
-        sink.write(struct.pack("<I", len(params.tensors)))
-        for name, tensor in params.tensors.items():
-            encoded = name.encode("utf-8")
-            sink.write(struct.pack("<H", len(encoded)))
-            sink.write(encoded)
-            sink.write(struct.pack("<B", tensor.ndim))
-            for dim in tensor.shape:
-                sink.write(struct.pack("<Q", dim))
-            sink.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+            sink.write(part)
+        sink.write(_CRC.pack(crc))
 
 
 def load_model(path: str | Path) -> ModelParams:
-    data = Path(path).read_bytes()
-    view = memoryview(data)
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise CorruptPayloadError(f"model file truncated at byte {pos}")
-        out = view[pos : pos + n]
-        pos += n
-        return out
-
-    if bytes(take(len(MAGIC))) != MAGIC:
+    view = memoryview(Path(path).read_bytes())
+    if view[: len(MAGIC)] != MAGIC:
         raise CorruptPayloadError("bad magic bytes, not a model file")
-    (version,) = struct.unpack("<H", take(2))
+    if len(view) < len(MAGIC) + _HEAD.size + _CRC.size:
+        raise CorruptPayloadError(f"model file truncated at {len(view)} bytes")
+    version, config_len = _HEAD.unpack_from(view, len(MAGIC))
     if version != FORMAT_VERSION:
         raise FormatVersionError(version, FORMAT_VERSION)
-    (config_len,) = struct.unpack("<I", take(4))
+    body = view[len(MAGIC) : -_CRC.size]
+    if zlib.crc32(body) != _CRC.unpack_from(view, len(view) - _CRC.size)[0]:
+        raise CorruptPayloadError("model file checksum mismatch: truncated or corrupted")
+
+    config_end = _HEAD.size + config_len
     try:
-        config_data = json.loads(bytes(take(config_len)).decode("utf-8"))
+        config_data = json.loads(bytes(body[_HEAD.size : config_end]))
         # ModelConfig(**config_data) would fill a missing key with its default
         if set(config_data) != {f.name for f in fields(ModelConfig)}:
             raise ValueError(f"keys {sorted(config_data)} are not the ModelConfig fields")
@@ -72,27 +72,17 @@ def load_model(path: str | Path) -> ModelParams:
     except (TypeError, ValueError) as exc:
         raise CorruptPayloadError(f"unreadable model config: {exc}") from exc
 
-    expected = parameter_shapes(config)
-    (n_tensors,) = struct.unpack("<I", take(4))
-    if n_tensors != len(expected):
-        raise CorruptPayloadError(f"{n_tensors} tensors, config needs {len(expected)}")
-    tensors: dict[str, np.ndarray] = {}
-    for want_name, want_shape in expected.items():
-        (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8", errors="replace")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        if (name, shape) != (want_name, want_shape):
-            raise CorruptPayloadError(
-                f"tensor {name!r} {shape}, config needs {want_name!r} {want_shape}"
-            )
-        raw = take(math.prod(shape) * 8)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").astype(
-            np.float64, copy=True
-        ).reshape(shape)
-    if pos != len(view):
-        raise CorruptPayloadError(f"{len(view) - pos} trailing bytes after payload")
-    params = ModelParams(config, tensors)
-    if not params.all_finite():
+    shapes = parameter_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    data, needed = body[config_end:], 8 * sum(sizes)
+    if len(data) != needed:
+        raise CorruptPayloadError(f"{len(data)} bytes of tensor data, config needs {needed}")
+    values = np.frombuffer(data, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
         raise CorruptPayloadError("model tensors hold non-finite values")
-    return params
+    offsets = list(accumulate(sizes, initial=0))
+    tensors = {
+        name: values[start:stop].reshape(shape)
+        for (name, shape), start, stop in zip(shapes.items(), offsets, offsets[1:])
+    }
+    return ModelParams(config, tensors)

@@ -164,6 +164,23 @@ class TestScoreAndEval:
         assert main(["eval", str(empty), "--out", str(tmp_path / "r.json")]) == 1
         capsys.readouterr()
 
+    def test_score_file_without_polarity_exits_one(self, corpus_dir, tmp_path, capsys):
+        trials = tmp_path / "trials.txt"
+        scores = tmp_path / "metric.scores"
+        assert run_trials(corpus_dir, trials, n=2) == 0
+        argv = ["score", *corpus_options(corpus_dir), "--trials", str(trials)]
+        assert main([*argv, "--model", "metric", "--out", str(scores)]) == 0
+        lines = scores.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("# scores polarity=smaller-is-similar")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metric.scores").write_text("".join(lines[1:]))
+        capsys.readouterr()
+        assert main(["eval", str(out / "metric.scores"), "--out", str(out / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "polarity" in err
+        assert list(out.iterdir()) == [out / "metric.scores"]
+
     def test_unknown_utterance_in_trials_exits_one(self, corpus_dir, tmp_path, capsys):
         trials = tmp_path / "trials.txt"
         trials.write_text(
@@ -296,6 +313,28 @@ class TestConfigErrors:
         assert main([*argv, *options]) == 1
         assert_one_line_error(capsys, out, words)
 
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_bad_gradcheck_draws_exits_one(self, tmp_path, capsys, draws):
+        assert main(["gradcheck", "--draws", draws]) == 1
+        assert_one_line_error(capsys, tmp_path, "n_draws must be >= 1")
+
+    def test_version_1_model_exits_one(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "v1.bin"
+        argv = ["train", *corpus_options(corpus_dir), "--out", str(model), "--epochs", "0"]
+        tiny = ["--proj-dim", "4", "--channels", "4", "--embed-dim", "4"]
+        assert main([*argv, *tiny, "--attention-hidden", "4"]) == 0
+        data = bytearray(model.read_bytes())
+        data[8:10] = (1).to_bytes(2, "little")  # the format version field
+        model.write_bytes(bytes(data))
+        trials = tmp_path / "trials.txt"
+        assert run_trials(corpus_dir, trials) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        argv = ["score", *corpus_options(corpus_dir), "--trials", str(trials)]
+        assert main([*argv, "--model", str(model), "--out", str(out / "scores.txt")]) == 1
+        assert_one_line_error(capsys, out, "format version 1, expected 2")
+
     def test_model_for_another_inventory_size_exits_one(
         self, corpus_dir, synth_config, tmp_path, capsys
     ):
@@ -386,7 +425,8 @@ class TestTrainCommand:
         assert (loaded.config.n_blocks, loaded.config.dilations) == (2, (1, 4))
         manifest = json.loads((tmp_path / "model.bin.manifest.json").read_text())
         resolved = manifest["resolved"]
-        assert resolved["model_config"]["n_blocks"] == 2
+        assert resolved["model_config"]["dilations"] == [1, 4]
+        assert "n_blocks" not in resolved["model_config"]
         assert resolved["learning_rate"] == 1e-3
         reference = init_model(loaded.config, np.random.default_rng([9, 0]))
         for name in reference.tensors:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from durasv.errors import ShapeMismatchError
+from durasv.errors import ConfigError, ShapeMismatchError
 from durasv.features import DurationFeatureSequence
 from durasv.model import (
     Batch,
@@ -70,9 +70,26 @@ class TestConfigAndInit:
         with pytest.raises(ValueError):
             ModelConfig(n_classes=4, n_speakers=2, kernel_width=2)
 
-    def test_rejects_dilation_count_mismatch(self):
-        with pytest.raises(ValueError):
-            ModelConfig(n_classes=4, n_speakers=2, n_blocks=2, dilations=(1, 2, 3))
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"dilations": (1.5, 2, 3)},
+            {"n_classes": 4.0},
+            {"dilations": "123"},
+            {"dilations": ()},
+        ],
+        ids=["float-dilation", "float-dim", "string-dilations", "no-dilations"],
+    )
+    def test_rejects_non_integer_dimensions_and_empty_dilations(self, changes):
+        with pytest.raises(ConfigError):
+            ModelConfig(**{"n_classes": 4, "n_speakers": 2, **changes})
+
+    def test_numpy_integers_become_plain_ints_and_blocks_follow_dilations(self):
+        cfg = ModelConfig(n_classes=np.int64(4), n_speakers=2, dilations=np.array([1, 4]))
+        assert type(cfg.n_classes) is int and cfg.dilations == (1, 4)
+        assert all(type(d) is int for d in cfg.dilations)
+        assert cfg.n_blocks == 2
+        assert "n_blocks" not in {f.name for f in dataclasses.fields(ModelConfig)}
 
     def test_projection_distinct_from_channels_is_supported(self):
         cfg = ModelConfig(n_classes=6, n_speakers=3, proj_dim=5,
@@ -210,13 +227,13 @@ class TestCrossItemIndependence:
     CONFIGS = {
         # wider reach than the first block's, and a residual projection
         "dilations-1-4": ModelConfig(
-            n_classes=7, n_speakers=3, proj_dim=5, encoder_channels=6, n_blocks=2,
+            n_classes=7, n_speakers=3, proj_dim=5, encoder_channels=6,
             dilations=(1, 4), embed_dim=4, attention_hidden=3,
         ),
         "tiny": tiny_gradcheck_config(),
         # reach 0: items are packed edge to edge with no gap rows
         "kernel-width-1": ModelConfig(
-            n_classes=7, n_speakers=3, proj_dim=5, encoder_channels=6, n_blocks=2,
+            n_classes=7, n_speakers=3, proj_dim=5, encoder_channels=6,
             dilations=(1, 2), kernel_width=1, embed_dim=4, attention_hidden=3,
         ),
     }
