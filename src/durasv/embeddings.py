@@ -1,9 +1,11 @@
 """Speaker embeddings from trained models, and cosine trial scoring.
 
 At test time no chunking or random shift takes place: all utterances of
-one side of a trial are concatenated into a single sequence and encoded
-in one pass. Embedding order follows the utterance list, so permuting it
-may change the embedding (the encoder is context sensitive).
+one side of a trial are concatenated into a single sequence, and each
+sequence embeds to its batch-1 forward's vector, bit for bit, however
+many are embedded together (``model.embed_sequences``). Embedding order
+follows the utterance list, so permuting it may change the embedding
+(the encoder is context sensitive).
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import AlignedUtterance, Corpus
-from .errors import EmptyInputError, ShapeMismatchError, ZeroNormError
+from .errors import EmptyInputError, MixedSpeakerSetError, ShapeMismatchError, ZeroNormError
 from .evaluation import ScoreSet, TrialList, score_trials
 from .features import sequence_from_utterances
-from .model import ModelParams, forward, pad_batch
+from .model import ModelParams, embed_sequences
 
 
 @dataclass(frozen=True)
@@ -33,17 +35,12 @@ def embed(
     """Encode one speaker's concatenated utterances into one vector."""
     if not utterances:
         raise EmptyInputError("no utterances given")
-    speakers = {u.speaker_id for u in utterances}
+    utterance_ids = tuple(u.utterance_id for u in utterances)
+    speakers = sorted({u.speaker_id for u in utterances})
     if len(speakers) != 1:
-        raise ValueError(f"embedding mixes speakers: {sorted(speakers)}")
+        raise MixedSpeakerSetError(utterance_ids, speakers)
     seq = sequence_from_utterances(utterances, params.config.n_classes)
-    batch = pad_batch([seq])
-    vectors, _ = forward(params, batch)
-    return SpeakerEmbedding(
-        vectors[0],
-        utterances[0].speaker_id,
-        tuple(u.utterance_id for u in utterances),
-    )
+    return SpeakerEmbedding(embed_sequences(params, [seq])[0], speakers[0], utterance_ids)
 
 
 def cosine_score(
@@ -63,27 +60,41 @@ def cosine_score(
     return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
 
+def _cosines(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cosine_score`` of rows ``a[i]`` and ``b[i]`` for every trial ``i``.
+
+    The same IEEE operations in the same order: one ``np.linalg.norm``
+    per row and one ``np.dot`` per trial, so each score equals
+    ``cosine_score``'s to the bit. Every row belongs to some trial, so a
+    zero-norm row raises ``ZeroNormError``.
+    """
+    norms = np.array([np.linalg.norm(v) for v in vectors])
+    if np.any(norms == 0.0):
+        raise ZeroNormError("cosine undefined for a zero-norm embedding")
+    dots = np.array([np.dot(vectors[i], vectors[j]) for i, j in zip(a, b)])
+    scores = np.clip(dots / (norms[a] * norms[b]), -1.0, 1.0)
+    scores[np.all(vectors[a] == vectors[b], axis=1)] = 1.0
+    return scores
+
+
 def score_trials_embedding(
     params: ModelParams, corpus: Corpus, trials: TrialList
 ) -> ScoreSet:
-    """Cosine-score every trial: one batch-1 forward per distinct utterance set.
+    """Cosine-score every trial on the embeddings of its distinct utterance sets.
 
-    Raises ``ShapeMismatchError`` when the model's phone-class count
-    differs from the size of the corpus inventory.
+    All distinct sets are embedded by one ``embed_sequences`` call, one
+    encoder pass per group of sets, and each embedding and score is the
+    one a batch-1 forward and ``cosine_score`` give. Raises
+    ``ShapeMismatchError`` when the model's phone-class count differs
+    from the size of the corpus inventory.
     """
-    if params.config.n_classes != corpus.inventory.size:
+    n_classes = params.config.n_classes
+    if n_classes != corpus.inventory.size:
         raise ShapeMismatchError(
-            f"model has {params.config.n_classes} phone classes, inventory has "
-            f"{corpus.inventory.size}"
+            f"model has {n_classes} phone classes, inventory has {corpus.inventory.size}"
         )
 
     def embeddings(sets: list[list[AlignedUtterance]]) -> np.ndarray:
-        vectors = np.empty((len(sets), params.config.embed_dim))
-        for row, utterances in zip(vectors, sets):
-            row[:] = embed(params, utterances).vector
-        return vectors
+        return embed_sequences(params, [sequence_from_utterances(s, n_classes) for s in sets])
 
-    def cosines(vectors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.array([cosine_score(vectors[i], vectors[j]) for i, j in zip(a, b)])
-
-    return score_trials(corpus, trials, embeddings, cosines, "larger-is-similar", "embedding")
+    return score_trials(corpus, trials, embeddings, _cosines, "larger-is-similar", "embedding")

@@ -98,7 +98,8 @@ class NoEligibleSpeakersError(DurasvError):
 class DegenerateScoreSetError(DurasvError):
     """Score or trial set unfit for an EER.
 
-    A class or the score polarity is missing, or a score is non-finite.
+    A class, the score polarity or a trial header value is missing, or a
+    score is non-finite.
     """
 
 

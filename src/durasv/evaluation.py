@@ -368,20 +368,34 @@ def _read_records(
 
 
 def read_trials(source: IO[str] | Iterable[str]) -> TrialList:
+    """A trial file: its ``n_enroll=``, ``n_trial=`` and ``seed=`` header and records.
+
+    All three header values are required, and every record's enrollment
+    and trial sets must hold ``n_enroll`` and ``n_trial`` utterance ids.
+    """
     header, records = _read_records(source, {"n_enroll": int, "n_trial": int, "seed": int})
+    missing = [key for key in ("n_enroll", "n_trial", "seed") if key not in header]
+    if missing:
+        raise DegenerateScoreSetError(
+            f"trial file has no {' '.join(key + '=' for key in missing)} header"
+        )
     if not records:
         raise DegenerateScoreSetError("trial file holds no trials")
+    n_enroll, n_trial = header["n_enroll"], header["n_trial"]
     trials = []
     for lineno, f in records:
         try:
-            trials.append(
-                Trial(f[0], tuple(f[1].split(",")), tuple(f[2].split(",")), f[3] == "target")
-            )
+            t = Trial(f[0], tuple(f[1].split(",")), tuple(f[2].split(",")), f[3] == "target")
         except ValueError as exc:  # an empty or repeated id, or overlapping sets
             raise MalformedLineError(str(exc), lineno) from None
-    return TrialList(
-        tuple(trials), header.get("n_enroll", 0), header.get("n_trial", 0), header.get("seed", 0)
-    )
+        sizes = (len(t.enroll_utts), len(t.trial_utts))
+        if sizes != (n_enroll, n_trial):
+            raise MalformedLineError(
+                f"sets of {sizes[0]}+{sizes[1]} utterances, header says {n_enroll}+{n_trial}",
+                lineno,
+            )
+        trials.append(t)
+    return TrialList(tuple(trials), n_enroll, n_trial, header["seed"])
 
 
 def write_scores(scores: ScoreSet, sink: IO[str]) -> None:

@@ -17,6 +17,14 @@ in item order, with per-item softmax and sums over each item's run of
 rows; right-padding therefore never changes an embedding. ``loss_and_grad``
 returns the exact gradient of the mean softmax cross-entropy;
 ``gradient_check`` compares it against central finite differences.
+
+The forward pass runs in two stages: the encoder stage (projection,
+convolution blocks and the attention hidden layer, on the packed layout)
+and the pooling stage (attention scores, per-item softmax, weighted mean
+and std, embedding layer). Training runs both on the whole batch.
+``embed_sequences`` runs the encoder stage once per group of sequences
+and the pooling stage per sequence, so every embedding equals the one a
+batch-1 ``forward`` gives, to the bit.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +42,11 @@ from .features import Chunk, DurationFeatureSequence
 
 # keeps the pooled standard deviation differentiable at zero variance
 STD_EPS = 1e-8
+
+# real phones per encoder pass in ``embed_sequences``; past a few hundred
+# rows the conv GEMMs and elementwise passes lose throughput, and every
+# row adds to the peak resident memory
+_GROUP_PHONES = 192
 
 
 @dataclass(frozen=True)
@@ -293,7 +306,10 @@ class ForwardCache:
     The block fields hold the packed ``(1, L, C)`` arrays the convolution
     blocks ran on (see ``layout``). The fields from ``encoded`` to
     ``centered`` hold one row per real step, ``(P, .)`` in item order; the
-    rest hold one row per item. No field holds a padded step.
+    rest hold one row per item. No field holds a padded step. The encoder
+    stage fills the fields up to ``att_hidden``; ``embed_sequences`` reads
+    only those and pools each item's rows on its own, so there the later
+    fields stay ``None``.
     """
 
     layout: PackedLayout
@@ -325,7 +341,13 @@ def _validate_batch(config: ModelConfig, batch: Batch) -> None:
         raise ShapeMismatchError("speaker label outside the configured range")
 
 
-def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
+def _encode(params: ModelParams, batch: Batch) -> ForwardCache:
+    """The encoder stage: a cache filled up to ``att_hidden``.
+
+    Projection, convolution blocks and the attention hidden layer run on
+    the batch's packed layout; every product here has one row per packed
+    or real step.
+    """
     cfg = params.config
     _validate_batch(cfg, batch)
     tensors = params.tensors
@@ -345,10 +367,26 @@ def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
         cache.block_inputs.append(xm)
         cache.block_acts.append(act)
     h = cache.encoded = h[0, layout.slots]
+    cache.att_hidden = np.tanh(h @ tensors["att_w"] + tensors["att_b"])
+    return cache
 
+
+def _pool(
+    tensors: dict[str, np.ndarray],
+    h: np.ndarray,
+    u: np.ndarray,
+    items: np.ndarray,
+    starts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pooling and embedding stage on real rows in item order.
+
+    ``h`` and ``u`` are the encoder output and attention hidden layer,
+    ``(P, C)`` and ``(P, A)``; ``items`` gives each row's item and
+    ``starts`` each item's first row. Returns the attention weights, the
+    per-item mean, the centered rows, the std, the pooled statistics and
+    the embeddings.
+    """
     # softmax over each item's run of real steps
-    items, starts = layout.items, layout.starts
-    u = np.tanh(h @ tensors["att_w"] + tensors["att_b"])
     e = u @ tensors["att_v"] + tensors["att_v0"]
     w = np.exp(e - np.maximum.reduceat(e, starts)[items])
     alpha = w / np.add.reduceat(w, starts)[items]
@@ -362,16 +400,21 @@ def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
     pooled = np.concatenate([mu, std], axis=1)
 
     emb = pooled @ tensors["emb_w"] + tensors["emb_b"]
-    logits = emb @ tensors["cls_w"] + tensors["cls_b"]
+    return alpha, mu, cen, std, pooled, emb
 
-    cache.att_hidden = u
-    cache.attention = alpha
-    cache.mean = mu
-    cache.centered = cen
-    cache.std = std
-    cache.pooled = pooled
-    cache.embeddings = emb
-    cache.logits = logits
+
+def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
+    tensors = params.tensors
+    cache = _encode(params, batch)
+    (
+        cache.attention,
+        cache.mean,
+        cache.centered,
+        cache.std,
+        cache.pooled,
+        cache.embeddings,
+    ) = _pool(tensors, cache.encoded, cache.att_hidden, cache.layout.items, cache.layout.starts)
+    cache.logits = cache.embeddings @ tensors["cls_w"] + tensors["cls_b"]
     return cache
 
 
@@ -379,6 +422,64 @@ def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings (B, embed_dim) and speaker logits (B, n_speakers)."""
     cache = forward_with_cache(params, batch)
     return cache.embeddings, cache.logits
+
+
+def _groups(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Runs ``first:stop`` of consecutive sizes summing to at most ``_GROUP_PHONES``.
+
+    A size past the bound, or a size of 1, makes a run of its own.
+    """
+    first = total = 0
+    for i, n in enumerate(sizes):
+        if i > first and (total + n > _GROUP_PHONES or n == 1 or sizes[first] == 1):
+            yield first, i
+            first, total = i, 0
+        total += n
+    if sizes:
+        yield first, len(sizes)
+
+
+def _embed_group(
+    params: ModelParams, sequences: Sequence[DurationFeatureSequence]
+) -> np.ndarray:
+    """One encoder pass over ``sequences``, then pooling per sequence on its own rows.
+
+    A function of its own so that a group's arrays are freed before the
+    next group is encoded: peak memory then holds one group, not two.
+    """
+    cache = _encode(params, pad_batch(sequences))
+    out = np.empty((len(sequences), params.config.embed_dim))
+    for row, (seq, s) in enumerate(zip(sequences, cache.layout.starts.tolist())):
+        n = len(seq)
+        *_, emb = _pool(
+            params.tensors,
+            cache.encoded[s : s + n],
+            cache.att_hidden[s : s + n],
+            np.zeros(n, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+        )
+        out[row] = emb[0]
+    return out
+
+
+def embed_sequences(
+    params: ModelParams, sequences: Sequence[DurationFeatureSequence]
+) -> np.ndarray:
+    """Embeddings ``(S, embed_dim)`` of many sequences, each its batch-1 forward's.
+
+    The sequences are packed in order into groups of at most
+    ``_GROUP_PHONES`` real phones, and the encoder stage runs once per
+    group. A GEMM's row results do not depend on how many rows it gets,
+    as long as it gets at least two, so each sequence's encoder rows
+    equal its own forward's to the bit. A one-row product takes BLAS's
+    matrix-vector path and other last bits, so pooling runs per sequence
+    on its own rows, the calls a batch-1 forward makes, and a one-phone
+    sequence is encoded alone.
+    """
+    out = np.empty((len(sequences), params.config.embed_dim))
+    for first, stop in _groups([len(s) for s in sequences]):
+        out[first:stop] = _embed_group(params, sequences[first:stop])
+    return out
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -584,6 +685,7 @@ __all__ = [
     "GradCheckReport",
     "ModelConfig",
     "ModelParams",
+    "embed_sequences",
     "forward",
     "forward_with_cache",
     "gradient_check",

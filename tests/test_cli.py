@@ -181,6 +181,28 @@ class TestScoreAndEval:
         assert err.startswith("error: ") and err.count("\n") == 1 and "polarity" in err
         assert list(out.iterdir()) == [out / "metric.scores"]
 
+    @pytest.mark.parametrize(
+        "header, words",
+        [
+            (None, "no n_enroll= n_trial= seed= header"),
+            ("# trials n_enroll=2 n_trial=1 seed=3\n", "line 2: sets of 2+2 utterances"),
+        ],
+    )
+    def test_trial_file_without_its_header_exits_one(
+        self, corpus_dir, tmp_path, capsys, header, words
+    ):
+        trials = tmp_path / "trials.txt"
+        assert run_trials(corpus_dir, trials, n=2) == 0
+        lines = trials.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("# trials n_enroll=2 n_trial=2 seed=3")
+        trials.write_text("".join([header or "", *lines[1:]]))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        argv = ["score", *corpus_options(corpus_dir), "--trials", str(trials)]
+        assert main([*argv, "--model", "metric", "--out", str(out / "scores.txt")]) == 1
+        assert_one_line_error(capsys, out, words)
+
     def test_unknown_utterance_in_trials_exits_one(self, corpus_dir, tmp_path, capsys):
         trials = tmp_path / "trials.txt"
         trials.write_text(

@@ -1,11 +1,29 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from durasv import model as model_module
 from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.embeddings import cosine_score, embed, score_trials_embedding
-from durasv.errors import EmptyInputError, UnknownUtteranceError, ZeroNormError
+from durasv.errors import (
+    EmptyInputError,
+    MixedSpeakerSetError,
+    UnknownUtteranceError,
+    ZeroNormError,
+)
 from durasv.evaluation import Trial, TrialList
-from durasv.model import init_model, tiny_gradcheck_config
+from durasv.features import sequence_from_utterances
+from durasv.model import (
+    ModelConfig,
+    embed_sequences,
+    forward,
+    init_model,
+    pad_batch,
+    tiny_gradcheck_config,
+)
 
 
 def utterance(spk, uid, rng, n_classes=5, length=20):
@@ -37,7 +55,7 @@ class TestEmbed:
     def test_mixed_speakers_rejected(self, params):
         rng = np.random.default_rng(1)
         utts = [utterance("s0", "a", rng), utterance("s1", "b", rng)]
-        with pytest.raises(ValueError):
+        with pytest.raises(MixedSpeakerSetError, match="a,b mixes speakers"):
             embed(params, utts)
 
     def test_order_sensitivity_is_allowed(self, params):
@@ -112,9 +130,76 @@ class TestScoreTrialsEmbedding:
         assert scores.labels.tolist() == [True, False]
         assert np.all(np.abs(scores.scores) <= 1.0)
 
+    def test_sides_that_embed_identically_score_exactly_one(self, params):
+        rng = np.random.default_rng(6)
+        twin = utterance("s0", "a", rng)
+        corpus = Corpus(
+            PhonemeInventory(tuple(f"P{i}" for i in range(5))),
+            (twin, AlignedUtterance("b", "s0", twin.phones.copy())),
+        )
+        trials = TrialList((Trial("s0", ("a",), ("b",), True),), 1, 1, 0)
+        v = embed(params, [twin]).vector
+        # the rule, not the arithmetic, gives 1.0 here
+        assert np.dot(v, v) / (np.linalg.norm(v) * np.linalg.norm(v)) != 1.0
+        assert score_trials_embedding(params, corpus, trials).scores.tolist() == [1.0]
+
+    def test_zero_norm_embedding_rejected(self, params, monkeypatch):
+        monkeypatch.setitem(params.tensors, "emb_w", np.zeros_like(params.tensors["emb_w"]))
+        corpus = self.make_corpus(np.random.default_rng(7))
+        trials = TrialList((Trial("s0", ("s0-u0",), ("s1-u0",), False),), 1, 1, 0)
+        with pytest.raises(ZeroNormError):
+            score_trials_embedding(params, corpus, trials)
+
     def test_unknown_utterance(self, params):
         rng = np.random.default_rng(5)
         corpus = self.make_corpus(rng)
         trials = TrialList((Trial("s0", ("s0-u0",), ("ghost",), True),), 1, 1, 0)
         with pytest.raises(UnknownUtteranceError):
             score_trials_embedding(params, corpus, trials)
+
+
+class TestGroupedScoring:
+    """Grouped scoring gives every set its batch-1 forward's bits."""
+
+    CONFIGS = {
+        "tiny": tiny_gradcheck_config(),
+        # a residual projection in the first block, kernel widths 3 and 1
+        "residual-k3": ModelConfig(
+            n_classes=5, n_speakers=3, proj_dim=5, encoder_channels=6,
+            dilations=(1, 4), embed_dim=4, attention_hidden=3,
+        ),
+        "residual-k1": ModelConfig(
+            n_classes=5, n_speakers=3, proj_dim=5, encoder_channels=6,
+            dilations=(1, 2), kernel_width=1, embed_dim=4, attention_hidden=3,
+        ),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_batch_1_forward_and_cosine_score(self, data):
+        cfg = self.CONFIGS[data.draw(st.sampled_from(sorted(self.CONFIGS)))]
+        sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+        sizes.insert(data.draw(st.integers(0, len(sizes))), 1)
+        bound = data.draw(st.integers(1, sum(sizes)), label="group bound")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = init_model(cfg, rng)
+        for v in params.tensors.values():
+            v += 0.05 * rng.standard_normal(v.shape)
+        # one utterance per set; set i faces set i + 1, so first use
+        # keeps the drawn order
+        utts = [
+            utterance(f"s{i}", f"u{i}", rng, cfg.n_classes, n) for i, n in enumerate(sizes)
+        ]
+        inventory = PhonemeInventory(tuple(f"P{i}" for i in range(cfg.n_classes)))
+        pairs = [(i, (i + 1) % len(utts)) for i in range(len(utts))]
+        trials = TrialList(
+            tuple(Trial(f"s{i}", (f"u{i}",), (f"u{j}",), False) for i, j in pairs), 1, 1, 0
+        )
+        seqs = [sequence_from_utterances([u], cfg.n_classes) for u in utts]
+        alone = np.stack([forward(params, pad_batch([s]))[0][0] for s in seqs])
+
+        with mock.patch.object(model_module, "_GROUP_PHONES", bound):
+            assert np.array_equal(embed_sequences(params, seqs), alone)
+            scores = score_trials_embedding(params, Corpus(inventory, tuple(utts)), trials)
+        want = [cosine_score(alone[i], alone[j]) for i, j in pairs]
+        assert np.array_equal(scores.scores, want)

@@ -60,10 +60,10 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def trials(draw):
-    utts = draw(st.lists(UTT_ID, min_size=2, max_size=6, unique=True))
-    cut = draw(st.integers(1, len(utts) - 1))
-    return Trial(draw(TOKEN), tuple(utts[:cut]), tuple(utts[cut:]), draw(st.booleans()))
+def trials(draw, n_enroll, n_trial):
+    n = n_enroll + n_trial
+    utts = draw(st.lists(UTT_ID, min_size=n, max_size=n, unique=True))
+    return Trial(draw(TOKEN), tuple(utts[:n_enroll]), tuple(utts[n_enroll:]), draw(st.booleans()))
 
 
 def score_set(tar, non, polarity="larger-is-similar"):
@@ -286,13 +286,9 @@ class TestEvaluateAndIo:
         assert "ci_convention" in table.to_json()
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(trials(), min_size=1, max_size=6),
-        st.integers(0, 99),
-        st.integers(0, 99),
-        st.integers(-(2**63), 2**63),
-    )
-    def test_trial_file_round_trip(self, trial_items, n_enroll, n_trial, seed):
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(-(2**63), 2**63))
+    def test_trial_file_round_trip(self, data, n_enroll, n_trial, seed):
+        trial_items = data.draw(st.lists(trials(n_enroll, n_trial), min_size=1, max_size=6))
         original = TrialList(tuple(trial_items), n_enroll, n_trial, seed)
         sink = io.StringIO()
         write_trials(original, sink)
@@ -341,11 +337,36 @@ class TestEvaluateAndIo:
     )
     def test_repeated_or_empty_utterance_id_names_its_line(self, record, words):
         with pytest.raises(MalformedLineError, match=words) as info:
-            read_trials(io.StringIO(f"# trials n_enroll=2 n_trial=1\ns u7 u8 target\n{record}\n"))
+            read_trials(
+                io.StringIO(f"# trials n_enroll=2 n_trial=1 seed=0\ns u7,u9 u8 target\n{record}\n")
+            )
         assert info.value.line == 3
 
     def test_overlapping_trial_record_names_its_line(self):
-        text = "# trials n_enroll=2 n_trial=1\n\ns u1,u2 u3 target\ns u1,u2 u2 target\n"
+        text = "# trials n_enroll=2 n_trial=1 seed=0\n\ns u1,u2 u3 target\ns u1,u2 u2 target\n"
         with pytest.raises(MalformedLineError, match="overlap") as info:
+            read_trials(io.StringIO(text))
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize(
+        "header, missing",
+        [
+            ("", "n_enroll= n_trial= seed="),
+            ("# trials n_trial=1 seed=0", "n_enroll="),
+            ("# trials n_enroll=2 seed=0", "n_trial="),
+            ("# trials n_enroll=2 n_trial=1", "seed="),
+            ("# trials n_enroll=2 n_trial=1 skipped=0", "seed="),
+        ],
+    )
+    def test_missing_header_value_rejected(self, header, missing):
+        with pytest.raises(DegenerateScoreSetError, match=f"no {missing} header"):
+            read_trials(io.StringIO(f"{header}\ns u1,u2 u3 target\n"))
+
+    @pytest.mark.parametrize(
+        "record", ["s u1 u3 target", "s u1,u2 u3,u4 nontarget", "s u1,u2,u5 u3 target"]
+    )
+    def test_set_size_disagreeing_with_header_names_its_line(self, record):
+        text = f"# trials n_enroll=2 n_trial=1 seed=0\ns u1,u2 u3 target\n\n{record}\n"
+        with pytest.raises(MalformedLineError, match="header says 2\\+1") as info:
             read_trials(io.StringIO(text))
         assert info.value.line == 4

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +277,17 @@ class TestCrossItemIndependence:
         for i, it in enumerate(items):
             alone, _ = forward(params, pad_batch([it]))
             assert np.abs(emb[i] - alone[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_loss_and_grad_equal_recorded_values(self, name):
+        # recorded from the forward pass before it was split into an
+        # encoder and a pooling stage, with the make_case draw at seed 0;
+        # the split must leave training's arithmetic as it was
+        with np.load(Path(__file__).parent / "data" / "loss_and_grad.npz") as data:
+            recorded = {k[len(name) + 1 :]: data[k] for k in data.files if k.startswith(f"{name}.")}
+        params, items, labels = self.make_case(name, 0)
+        loss, grads = loss_and_grad(params, pad_batch(items, labels))
+        assert recorded.keys() == {"loss", *grads}
+        assert np.array_equal(loss, recorded["loss"])
+        for tensor, g in grads.items():
+            assert np.array_equal(g, recorded[tensor]), tensor
