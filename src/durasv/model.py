@@ -1,20 +1,22 @@
 """Duration-sequence encoder with hand-derived gradients, float64 numpy.
 
-The network maps a padded batch of sparse duration rows to fixed-size
-speaker embeddings and classification logits:
+The network maps a batch of sparse duration rows, its items laid end to
+end, to fixed-size speaker embeddings and classification logits:
 
     sparse rows -> linear projection -> dilated temporal convolution
     blocks (tanh, residual) -> attentive statistics pooling ->
     linear embedding layer -> linear speaker classifier
 
 Inputs stay in (class index, frame count) form and are materialized only
-inside the projection, which is a row select-and-scale. The model works
-on one packed layout of the real steps: each item's steps are laid end
-to end in one ``(1, L, C)`` array, with zero rows between neighbouring
-items as wide as the widest convolution reaches, so no convolution sees
-padding or another item. Pooling reads the real rows alone, ``(P, C)``
-in item order, with per-item softmax and sums over each item's run of
-rows; right-padding therefore never changes an embedding. ``loss_and_grad``
+inside the projection, which is a row select-and-scale. A ``Batch``
+holds only the ``P`` real steps in item order and each item's offset;
+no padding reaches the model, and the right-padded ``(B, T)`` grid is a
+view built on request. The convolutions run on one packed ``(1, L, C)``
+array of the real steps, with zero rows between neighbouring items as
+wide as the widest convolution reaches, so no convolution sees another
+item. Pooling reads the real rows alone, ``(P, C)`` in item order, with
+per-item softmax and sums over each item's run of rows, so an item's
+embedding does not depend on the other items of its batch. ``loss_and_grad``
 returns the exact gradient of the mean softmax cross-entropy;
 ``gradient_check`` compares it against central finite differences.
 
@@ -33,6 +35,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -115,20 +118,44 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Batch:
-    """Right-padded duration rows with a contiguous-prefix mask."""
+    """Duration rows of ``B`` items laid end to end, checked once when built.
 
-    class_idx: np.ndarray  # (B, T) int64, 0 at padded steps
-    lengths: np.ndarray  # (B, T) float64, 0.0 at padded steps
-    mask: np.ndarray  # (B, T) float64 in {0, 1}
+    The ``P`` real phones of all items sit in item order; item ``b`` owns
+    ``classes[offsets[b]:offsets[b + 1]]`` and the same run of ``frames``.
+    Construction raises ``ShapeMismatchError`` unless ``classes`` and
+    ``frames`` are 1-D of one length ``P``, ``offsets`` rises strictly
+    from 0 to ``P`` (every item has at least one phone), and ``labels``
+    is ``None`` or one label per item. The right-padded ``(B, T)`` grid
+    is only a derived view (``class_idx``, ``lengths``, ``mask``) for
+    readers of that form; the model never builds it.
+    """
+
+    classes: np.ndarray  # (P,) int64 phone class of each real phone
+    frames: np.ndarray  # (P,) float64 its frame count
+    offsets: np.ndarray  # (B + 1,) int64 first phone of each item, then P
     labels: np.ndarray | None = None  # (B,) int64
-    # packed layouts already built for this batch, by gap width
+    # packed layouts already built for this batch, by gap width; the
+    # finite-difference check forwards one batch over a thousand times
     _layouts: dict[int, "PackedLayout"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        classes, frames, offsets = self.classes, self.frames, self.offsets
+        if classes.dtype.kind != "i" or offsets.dtype.kind != "i":
+            raise ShapeMismatchError("classes and offsets must be integer arrays")
+        if classes.ndim != 1 or classes.shape != frames.shape:
+            raise ShapeMismatchError("classes and frames must be 1-D and of one length")
+        if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != classes.size:
+            raise ShapeMismatchError("offsets must run from 0 to the phone count")
+        if np.any(offsets[1:] <= offsets[:-1]):
+            raise ShapeMismatchError("every batch item needs at least one phone")
+        if self.labels is not None and self.labels.shape != (self.size,):
+            raise ShapeMismatchError("labels must be one integer per batch item")
+
     @property
     def size(self) -> int:
-        return int(self.mask.shape[0])
+        return self.offsets.size - 1
 
     def packed(self, gap: int) -> "PackedLayout":
         """The batch's packed layout with ``gap`` zero rows between items."""
@@ -137,17 +164,39 @@ class Batch:
             layout = self._layouts[gap] = PackedLayout.of(self, gap)
         return layout
 
+    def _padded(self, values: np.ndarray) -> np.ndarray:
+        """``(B, T)`` grid of per-phone ``values``, each item's run right-padded with 0."""
+        n = np.diff(self.offsets)
+        grid = np.zeros((n.size, int(n.max())), dtype=values.dtype)
+        grid[np.arange(grid.shape[1]) < n[:, None]] = values
+        return grid
+
+    @property
+    def class_idx(self) -> np.ndarray:
+        """``(B, T)`` int64 classes, 0 at padded steps."""
+        return self._padded(self.classes)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """``(B, T)`` float64 frame counts, 0.0 at padded steps."""
+        return self._padded(self.frames)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """``(B, T)`` float64, 1 on each item's prefix of real steps, 0 after."""
+        return self._padded(np.ones(self.classes.size))
+
 
 @dataclass(frozen=True)
 class PackedLayout:
-    """Where each real step sits when the items are laid end to end.
+    """Where each real step of a batch sits in the convolutions' packed rows.
 
-    Item ``b`` keeps its ``n_b`` real steps, the mask's prefix, on
-    consecutive rows; ``gap`` zero rows separate neighbouring items, so a
-    convolution that reaches at most ``gap`` steps to either side never
-    mixes two items. A ``gap`` of 0 (kernel width 1) packs items edge to
-    edge. The ``P`` real steps are numbered in item order, so item ``b``
-    owns the run ``starts[b] : starts[b] + n_b``.
+    Item ``b`` keeps its ``n_b`` real steps on consecutive rows; ``gap``
+    zero rows separate neighbouring items, so a convolution that reaches
+    at most ``gap`` steps to either side never mixes two items. A ``gap``
+    of 0 (kernel width 1) packs items edge to edge. The ``P`` real steps
+    keep the batch's item order, so item ``b`` owns the run
+    ``starts[b] : starts[b] + n_b``.
     """
 
     rows: int  # packed length L
@@ -160,20 +209,18 @@ class PackedLayout:
 
     @classmethod
     def of(cls, batch: Batch, gap: int) -> "PackedLayout":
-        b = batch.size
-        n = batch.mask.sum(axis=1).astype(np.int64)
-        cells = np.flatnonzero(batch.mask)
-        items = np.repeat(np.arange(b), n)
-        slots = np.arange(cells.size) + gap * items
-        mask = np.zeros((1, cells.size + gap * (b - 1), 1))
+        offsets = batch.offsets
+        items = np.repeat(np.arange(batch.size), np.diff(offsets))
+        slots = np.arange(items.size) + gap * items
+        mask = np.zeros((1, items.size + gap * (batch.size - 1), 1))
         mask[0, slots] = 1.0
         return cls(
             rows=mask.shape[1],
             slots=slots,
-            classes=batch.class_idx.reshape(-1)[cells],
-            coef=batch.lengths.reshape(-1, 1)[cells],
+            classes=batch.classes,
+            coef=batch.frames[:, None],
             items=items,
-            starts=np.cumsum(n) - n,
+            starts=offsets[:-1],
             mask=mask,
         )
 
@@ -201,24 +248,16 @@ def pad_batch(
     items: Sequence[DurationFeatureSequence | Chunk],
     labels: Sequence[int] | None = None,
 ) -> Batch:
-    """Right-pad variable-length sequences into one batch."""
+    """Lay variable-length sequences end to end in one batch."""
     rows = [it.rows if isinstance(it, Chunk) else it for it in items]
-    if not rows or any(len(r) == 0 for r in rows):
-        raise ShapeMismatchError("every batch item needs at least one phone")
-    b = len(rows)
-    t = max(len(r) for r in rows)
-    class_idx = np.zeros((b, t), dtype=np.int64)
-    lengths = np.zeros((b, t))
-    mask = np.zeros((b, t))
-    for i, r in enumerate(rows):
-        k = len(r)
-        class_idx[i, :k] = r.class_indices
-        lengths[i, :k] = r.lengths
-        mask[i, :k] = 1.0
-    lab = None if labels is None else np.asarray(labels, dtype=np.int64)
-    if lab is not None and lab.shape != (b,):
-        raise ShapeMismatchError("labels must be one integer per batch item")
-    return Batch(class_idx, lengths, mask, lab)
+    if not rows:
+        raise ShapeMismatchError("a batch needs at least one item")
+    return Batch(
+        classes=np.concatenate([r.class_indices for r in rows]).astype(np.int64, copy=False),
+        frames=np.concatenate([r.lengths for r in rows]).astype(np.float64, copy=False),
+        offsets=np.fromiter(accumulate(map(len, rows), initial=0), dtype=np.int64),
+        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+    )
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -327,14 +366,9 @@ class ForwardCache:
 
 
 def _validate_batch(config: ModelConfig, batch: Batch) -> None:
-    if batch.class_idx.shape != batch.mask.shape or batch.lengths.shape != batch.mask.shape:
-        raise ShapeMismatchError("batch arrays disagree in shape")
-    if batch.class_idx.size == 0:
-        raise ShapeMismatchError("empty batch")
-    if int(batch.class_idx.max()) >= config.n_classes or int(batch.class_idx.min()) < 0:
+    """Check the batch's values against the config; ``Batch`` checked its shape."""
+    if int(batch.classes.max()) >= config.n_classes or int(batch.classes.min()) < 0:
         raise ShapeMismatchError("class index outside the configured inventory")
-    if np.any(batch.mask.sum(axis=1) < 1):
-        raise ShapeMismatchError("every batch item needs at least one real phone")
     if batch.labels is not None and (
         int(batch.labels.max()) >= config.n_speakers or int(batch.labels.min()) < 0
     ):
@@ -447,15 +481,16 @@ def _embed_group(
     A function of its own so that a group's arrays are freed before the
     next group is encoded: peak memory then holds one group, not two.
     """
-    cache = _encode(params, pad_batch(sequences))
-    out = np.empty((len(sequences), params.config.embed_dim))
-    for row, (seq, s) in enumerate(zip(sequences, cache.layout.starts.tolist())):
-        n = len(seq)
+    batch = pad_batch(sequences)
+    cache = _encode(params, batch)
+    out = np.empty((batch.size, params.config.embed_dim))
+    bounds = batch.offsets.tolist()
+    for row, (s, e) in enumerate(zip(bounds, bounds[1:])):
         *_, emb = _pool(
             params.tensors,
-            cache.encoded[s : s + n],
-            cache.att_hidden[s : s + n],
-            np.zeros(n, dtype=np.int64),
+            cache.encoded[s:e],
+            cache.att_hidden[s:e],
+            np.zeros(e - s, dtype=np.int64),
             np.zeros(1, dtype=np.int64),
         )
         out[row] = emb[0]

@@ -1,7 +1,7 @@
 """Chunk-based training loop with adaptive-moment updates.
 
 Every epoch re-draws chunks per speaker from a fresh derived random
-stream, shuffles them, and pads mini-batches to their longest chunk. All
+stream, shuffles them, and lays each mini-batch's chunks end to end. All
 randomness descends from the single seed in :class:`TrainConfig`, so two
 runs with the same seed produce bit-identical parameters and loss logs.
 """

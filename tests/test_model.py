@@ -3,8 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from durasv.embeddings import score_trials_embedding
 from durasv.errors import ConfigError, ShapeMismatchError
+from durasv.evaluation import build_trials
 from durasv.features import DurationFeatureSequence
 from durasv.model import (
     Batch,
@@ -18,6 +22,8 @@ from durasv.model import (
     pad_batch,
     tiny_gradcheck_config,
 )
+from durasv.synth import SynthConfig, generate_corpus, sample_speakers
+from durasv.training import TrainConfig, train
 
 
 def random_sequence(rng, n_classes, length):
@@ -32,6 +38,110 @@ def random_batch(rng, config, sizes):
     items = [random_sequence(rng, config.n_classes, t) for t in sizes]
     labels = rng.integers(0, config.n_speakers, size=len(sizes))
     return pad_batch(items, labels.tolist())
+
+
+def row_padded(items):
+    """Right-padded (B, T) grids filled row by row, the reference for the grid views."""
+    b, t = len(items), max(len(it) for it in items)
+    class_idx = np.zeros((b, t), dtype=np.int64)
+    lengths = np.zeros((b, t))
+    mask = np.zeros((b, t))
+    for i, it in enumerate(items):
+        k = len(it)
+        class_idx[i, :k] = it.class_indices
+        lengths[i, :k] = it.lengths
+        mask[i, :k] = 1.0
+    return class_idx, lengths, mask
+
+
+class TestBatch:
+    WELL_FORMED = {
+        "classes": np.array([0, 1, 2]),
+        "frames": np.array([3.0, 4.0, 5.0]),
+        "offsets": np.array([0, 1, 3]),
+    }
+
+    def test_well_formed_batch_builds(self):
+        batch = Batch(**self.WELL_FORMED, labels=np.array([0, 1]))
+        assert batch.size == 2
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"offsets": np.array([1, 3])},
+            {"offsets": np.array([0, 2])},
+            {"offsets": np.array([0, 1, 1, 3])},
+            {"frames": np.array([3.0, 4.0])},
+            {"labels": np.array([0, 1, 2])},
+            {"offsets": np.array([0.0, 1.0, 3.0])},
+            {"classes": np.array([[0, 1, 2]]), "frames": np.array([[3.0, 4.0, 5.0]])},
+            {"classes": np.array([], dtype=np.int64), "frames": np.array([]), "offsets": np.array([0])},
+        ],
+        ids=[
+            "offsets-not-from-0",
+            "offsets-not-to-p",
+            "repeated-offset",
+            "classes-frames-lengths-differ",
+            "label-count-not-b",
+            "float-offsets",
+            "2-d-rows",
+            "no-items",
+        ],
+    )
+    def test_malformed_batch_rejected(self, changes):
+        with pytest.raises(ShapeMismatchError):
+            Batch(**{**self.WELL_FORMED, **changes})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_grid_views_equal_row_by_row_padding(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 40), max_size=8))
+        sizes.insert(data.draw(st.integers(0, len(sizes))), 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        items = [random_sequence(rng, 7, n) for n in sizes]
+        labels = rng.integers(0, 4, size=len(items)).tolist() if data.draw(st.booleans()) else None
+        batch = pad_batch(items, labels)
+        for view, want in zip((batch.class_idx, batch.lengths, batch.mask), row_padded(items)):
+            assert view.dtype == want.dtype and np.array_equal(view, want)
+        assert batch.mask.sum() == batch.classes.size
+        # each row's mask prefix, read back from the grid, rebuilds the batch
+        rows = [
+            DurationFeatureSequence(batch.class_idx[i, :k], batch.lengths[i, :k], 7)
+            for i, k in enumerate(batch.mask.sum(axis=1).astype(int))
+        ]
+        again = pad_batch(rows, batch.labels)
+        for name in ("classes", "frames", "offsets"):
+            assert getattr(again, name).dtype == getattr(batch, name).dtype
+            assert np.array_equal(getattr(again, name), getattr(batch, name)), name
+        if labels is None:
+            assert again.labels is None
+        else:
+            assert np.array_equal(again.labels, batch.labels)
+
+    def test_no_program_path_builds_the_grid(self, monkeypatch):
+        def grid_read(self):
+            raise AssertionError("the (B, T) grid was built")
+
+        for view in ("class_idx", "lengths", "mask"):
+            monkeypatch.setattr(Batch, view, property(grid_read))
+        synth = SynthConfig(
+            n_speakers=3,
+            utts_per_speaker=4,
+            phones_per_utt=(10, 20),
+            population_log_mean=np.full(5, np.log(10.0)),
+            sigma_speaker=0.3,
+            sigma_token=0.3,
+            seed=1,
+        )
+        profiles = sample_speakers(synth, np.random.default_rng([1, 0]))
+        corpus = generate_corpus(profiles, synth, np.random.default_rng([1, 1]))
+        cfg = tiny_gradcheck_config(n_speakers=3)
+        hyper = TrainConfig(epochs=1, batch_size=4, chunk_min=4, chunk_max=12)
+        result = train(corpus, cfg, hyper)
+        assert len(result.epoch_losses) == 1
+        scores = score_trials_embedding(result.params, corpus, build_trials(corpus, 1, 1, 0))
+        assert scores.scores.size > 0 and np.all(np.isfinite(scores.scores))
+        assert gradient_check(cfg, n_draws=1).passed
 
 
 class TestConfigAndInit:
@@ -144,15 +254,21 @@ class TestForward:
         sums = np.bincount(cache.layout.items, weights=cache.attention)
         assert np.abs(sums - 1.0).max() <= 1e-9
         # one weight per real step: no padded step holds a weight
-        assert cache.attention.shape == (int(batch.mask.sum()),)
+        assert cache.attention.shape == batch.classes.shape
 
-    def test_class_index_out_of_range_rejected(self):
-        cfg = tiny_gradcheck_config()
+    @pytest.mark.parametrize(
+        "classes, labels",
+        [([5], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])],
+        ids=["class-at-n", "class-below-0", "label-at-s", "label-below-0"],
+    )
+    def test_class_or_label_out_of_range_rejected(self, classes, labels):
+        cfg = tiny_gradcheck_config()  # 5 classes, 3 speakers
         params = init_model(cfg, np.random.default_rng(0))
         bad = Batch(
-            class_idx=np.array([[99]]),
-            lengths=np.array([[3.0]]),
-            mask=np.array([[1.0]]),
+            classes=np.array(classes),
+            frames=np.array([3.0]),
+            offsets=np.array([0, 1]),
+            labels=np.array(labels),
         )
         with pytest.raises(ShapeMismatchError):
             forward(params, bad)
