@@ -10,19 +10,24 @@ Utterance ids may not contain ``,``, which trial files join them with. An
 inventory file lists one phoneme-class label per line; blank lines and
 ``#`` comments are ignored, and a label may not hold whitespace. Frame
 counts stay opaque positive integers, never converted to seconds, and at
-most 2^31 - 1: in memory each utterance holds its phones as one
-``(K, 2)`` int32 array of (class index, frame count) rows.
+most 2^31 - 1: in memory a :class:`Corpus` is one table, every phone of
+every utterance a row of one ``(P, 2)`` int32 array of (class index,
+frame count) rows, with each utterance a run of rows between two offsets.
+An :class:`AlignedUtterance` taken from a corpus is a view of its run.
 
 ``parse_alignment`` reads its source in blocks of whole lines and works on
 each block's code points in numpy: whitespace and comments are masked,
 tokens counted per line, frame counts converted, labels looked up in one
-sorted table, and utterance runs found by comparing adjacent ids. It
-reports the same errors, with the same line numbers, as checking the
-lines one by one would.
+sorted table, and utterance runs found by comparing adjacent ids. Each
+block's rows and the first rows of its new utterances are appended to
+the table, so no per-utterance object is made. It reports the same
+errors, with the same line numbers, as checking the lines one by one
+would.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -83,7 +88,7 @@ class PhonemeInventory:
         return label in self.index_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedUtterance:
     """Speaker-labeled phones in temporal order.
 
@@ -106,6 +111,15 @@ class AlignedUtterance:
         stored.flags.writeable = False
         object.__setattr__(self, "phones", stored)
 
+    @classmethod
+    def _view(cls, utterance_id: str, speaker_id: str, phones: np.ndarray) -> AlignedUtterance:
+        """An utterance over rows of a corpus table, which were checked when it was built."""
+        view = object.__new__(cls)
+        object.__setattr__(view, "utterance_id", utterance_id)
+        object.__setattr__(view, "speaker_id", speaker_id)
+        object.__setattr__(view, "phones", phones)
+        return view
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AlignedUtterance)
@@ -118,55 +132,156 @@ class AlignedUtterance:
         return len(self.phones)
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Immutable utterance collection plus speaker/utterance indices."""
+    """Immutable utterance table plus speaker/utterance indices.
+
+    Every phone of the corpus is one row of ``phones``, a read-only
+    ``(P, 2)`` int32 array of (class index, frame count) rows; utterance
+    ``i`` is ``utterance_ids[i]``, spoken by ``speakers[speaker_index[i]]``,
+    and holds rows ``offsets[i]:offsets[i + 1]``, at least one. Speakers
+    are in order of first appearance. ``utterance`` and ``utterances_of``
+    give :class:`AlignedUtterance` views whose ``phones`` are slices of
+    ``phones``.
+
+    ``Corpus(inventory, utterances)`` builds the table from utterance
+    objects and checks every phone against the inventory once.
+    """
 
     inventory: PhonemeInventory
-    utterances: tuple[AlignedUtterance, ...]
-    by_speaker: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    by_utterance: dict[str, int] = field(init=False, repr=False, compare=False)
+    phones: np.ndarray  # (P, 2) int32, read-only
+    offsets: np.ndarray  # (U + 1,) int64
+    utterance_ids: tuple[str, ...]
+    speaker_index: np.ndarray  # (U,) int64 into speakers
+    speakers: tuple[str, ...]
+    by_speaker: dict[str, tuple[int, ...]]
+    by_utterance: dict[str, int]
 
-    def __post_init__(self) -> None:
-        by_speaker: dict[str, list[int]] = {}
-        by_utterance: dict[str, int] = {}
-        for i, utt in enumerate(self.utterances):
-            if utt.utterance_id in by_utterance:
-                raise ValueError(f"duplicate utterance id {utt.utterance_id!r}")
-            by_utterance[utt.utterance_id] = i
-            by_speaker.setdefault(utt.speaker_id, []).append(i)
-        if self.utterances:
-            n = self.inventory.size
-            phones = np.concatenate([u.phones for u in self.utterances])
-            bad = (phones[:, 0] < 0) | (phones[:, 0] >= n) | (phones[:, 1] < 1)
-            if bad.any():
-                ends = np.cumsum([len(u) for u in self.utterances])
-                row = int(np.argmax(bad))
-                utt = self.utterances[int(np.searchsorted(ends, row, side="right"))]
-                raise ValueError(
-                    f"utterance {utt.utterance_id!r}: phone {phones[row].tolist()} needs "
-                    f"a class index in [0, {n}) and a frame count >= 1"
-                )
-        object.__setattr__(
-            self, "by_speaker", {s: tuple(ix) for s, ix in by_speaker.items()}
+    def __init__(
+        self, inventory: PhonemeInventory, utterances: Sequence[AlignedUtterance] = ()
+    ) -> None:
+        utterances = tuple(utterances)
+        lengths = [len(u) for u in utterances]
+        phones = (
+            np.concatenate([u.phones for u in utterances])
+            if utterances
+            else np.empty((0, 2), dtype=np.int32)
         )
-        object.__setattr__(self, "by_utterance", by_utterance)
+        self._set_table(
+            inventory,
+            phones,
+            np.cumsum([0, *lengths]),
+            tuple(u.utterance_id for u in utterances),
+            [u.speaker_id for u in utterances],
+        )
+        n = inventory.size
+        bad = (phones[:, 0] < 0) | (phones[:, 0] >= n) | (phones[:, 1] < 1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            utt_id = self.utterance_ids[int(np.searchsorted(self.offsets, row, "right")) - 1]
+            raise ValueError(
+                f"utterance {utt_id!r}: phone {phones[row].tolist()} needs "
+                f"a class index in [0, {n}) and a frame count >= 1"
+            )
 
-    @property
-    def speakers(self) -> tuple[str, ...]:
-        return tuple(self.by_speaker)
+    @classmethod
+    def _from_table(
+        cls,
+        inventory: PhonemeInventory,
+        phones: np.ndarray,
+        offsets: np.ndarray,
+        utterance_ids: tuple[str, ...],
+        speaker_ids: Sequence[str],
+    ) -> Corpus:
+        """A corpus over a table whose phones its builder has already checked."""
+        corpus = object.__new__(cls)
+        corpus._set_table(inventory, phones, offsets, utterance_ids, speaker_ids)
+        return corpus
+
+    def _set_table(
+        self,
+        inventory: PhonemeInventory,
+        phones: np.ndarray,
+        offsets: np.ndarray,
+        utterance_ids: tuple[str, ...],
+        speaker_ids: Sequence[str],
+    ) -> None:
+        by_utterance = dict(zip(utterance_ids, range(len(utterance_ids))))
+        if len(by_utterance) < len(utterance_ids):
+            seen: set[str] = set()
+            for utt_id in utterance_ids:
+                if utt_id in seen:
+                    raise ValueError(f"duplicate utterance id {utt_id!r}")
+                seen.add(utt_id)
+        speakers = tuple(dict.fromkeys(speaker_ids))  # in order of first appearance
+        number = dict(zip(speakers, range(len(speakers))))
+        speaker_index = np.fromiter(
+            map(number.__getitem__, speaker_ids), dtype=np.int64, count=len(speaker_ids)
+        )
+        order = np.argsort(speaker_index, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(speaker_index, minlength=len(speakers))).tolist()
+        by_speaker = {s: tuple(order[lo:hi]) for s, lo, hi in zip(speakers, [0, *ends], ends)}
+        phones.flags.writeable = False
+        table = self.__dict__
+        table["inventory"] = inventory
+        table["phones"] = phones
+        table["offsets"] = np.asarray(offsets, dtype=np.int64)
+        table["utterance_ids"] = utterance_ids
+        table["speaker_index"] = speaker_index
+        table["speakers"] = speakers
+        table["by_speaker"] = by_speaker
+        table["by_utterance"] = by_utterance
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Corpus is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Corpus)
+            and self.inventory == other.inventory
+            and self.utterance_ids == other.utterance_ids
+            and self.speakers == other.speakers
+            and np.array_equal(self.speaker_index, other.speaker_index)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.phones, other.phones)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Corpus({len(self)} utterances, {len(self.speakers)} speakers, "
+            f"{len(self.phones)} phones)"
+        )
+
+    def _view(self, i: int) -> AlignedUtterance:
+        lo, hi = self.offsets[i : i + 2].tolist()
+        speaker = self.speakers[self.speaker_index[i]]
+        return AlignedUtterance._view(self.utterance_ids[i], speaker, self.phones[lo:hi])
+
+    @functools.cached_property
+    def utterances(self) -> tuple[AlignedUtterance, ...]:
+        """Every utterance as a view; built on first use, for callers that want objects."""
+        return tuple(map(self._view, range(len(self))))
 
     def utterances_of(self, speaker_id: str) -> list[AlignedUtterance]:
-        return [self.utterances[i] for i in self.by_speaker[speaker_id]]
+        return [self._view(i) for i in self.by_speaker[speaker_id]]
 
     def utterance(self, utterance_id: str) -> AlignedUtterance:
         try:
-            return self.utterances[self.by_utterance[utterance_id]]
+            return self._view(self.by_utterance[utterance_id])
         except KeyError:
             raise UnknownUtteranceError(utterance_id) from None
 
+    def rows(self, utterance_indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The phone rows of the given utterances, one after another, as one array."""
+        indices = np.asarray(utterance_indices)
+        starts = self.offsets[indices]
+        lengths = self.offsets[indices + 1] - starts
+        firsts = np.cumsum(lengths) - lengths  # where each utterance's rows land
+        return self.phones[np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)]
+
     def __len__(self) -> int:
-        return len(self.utterances)
+        return len(self.utterance_ids)
 
 
 def arpabet_positional_inventory() -> PhonemeInventory:
@@ -218,6 +333,8 @@ _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
 _PAD = np.uint32(0xFFFFFFFF)  # above every code point: fills a token row past its end
 _COMMENT = ord("#")
 _MAX_FRAMES = 2**31 - 1
+# Utterances whose lines ``write_alignment`` builds as one string.
+_WRITE_UTTERANCES = 1 << 9
 # the vectorized checks a line can fail, numbered in the order they are made;
 # the field count is check 1, and a new utterance id's checks are 5 and 6
 _NOT_INT, _NOT_POSITIVE, _TOO_LARGE, _SPEAKER, _UNKNOWN = 2, 3, 4, 7, 8
@@ -342,21 +459,33 @@ class _LabelTable:
 
 
 class _Parser:
-    """Block-by-block parse state: the utterances so far and the open one."""
+    """Block-by-block parse state: the table so far and the last line's ids."""
 
     def __init__(self, inventory: PhonemeInventory, exclude: Sequence[str]) -> None:
+        self.inventory = inventory
         self.labels = _LabelTable(inventory, exclude)
-        self.utterances: list[AlignedUtterance] = []
+        self.blocks: list[np.ndarray] = []  # each block's kept (class, frames) rows
+        self.n_rows = 0
+        self.starts: list[np.ndarray] = []  # each block's new utterances' first rows
+        self.utterance_ids: list[str] = []
+        self.speaker_ids: list[str] = []
         self.finished: set[str] = set()  # every utterance id seen so far
         self.utt: str | None = None
         self.spk: str | None = None
-        self.pieces: list[np.ndarray] = []  # the open utterance's kept rows, per block
 
-    def flush(self) -> None:
-        pieces = [p for p in self.pieces if len(p)]
-        if pieces:
-            phones = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            self.utterances.append(AlignedUtterance(self.utt, self.spk, phones))
+    def corpus(self) -> Corpus:
+        """The table of every utterance that kept a phone."""
+        phones = np.concatenate(self.blocks) if self.blocks else np.empty((0, 2), np.int32)
+        starts = np.concatenate([*self.starts, [len(phones)]]).astype(np.int64)
+        kept = np.diff(starts) > 0  # labels in ``exclude`` may empty an utterance
+        keep = kept.tolist()
+        return Corpus._from_table(
+            self.inventory,
+            phones,
+            starts[np.append(kept, True)],
+            tuple(itertools.compress(self.utterance_ids, keep)),
+            list(itertools.compress(self.speaker_ids, keep)),
+        )
 
     def feed(self, lines: list[str], first_line: int) -> None:
         """Parse one block; raise for its first bad line, checks in the documented order."""
@@ -400,18 +529,14 @@ class _Parser:
             phones = np.empty((int(kept.sum()), 2), dtype=np.int32)
             phones[:, 0] = classes[kept]
             phones[:, 1] = values[kept]
-            bounds = np.concatenate(([0], np.cumsum(kept)))[np.append(new, n)].tolist()
-            self.pieces.append(phones[: bounds[0]])  # rows continuing the open utterance
             if new.size:
                 spk_ids = [text[a:b] for a, b in zip(*spk[:, new].tolist())]
-                self.flush()
-                self.utterances.extend(
-                    AlignedUtterance(utt_id, spk_id, phones[lo:hi])
-                    for utt_id, spk_id, lo, hi in zip(utt_ids, spk_ids, bounds, bounds[1:-1])
-                    if hi > lo
-                )
+                self.starts.append(self.n_rows + np.cumsum(kept)[new] - kept[new])
+                self.utterance_ids += utt_ids
+                self.speaker_ids += spk_ids
                 self.utt, self.spk = utt_ids[-1], spk_ids[-1]
-                self.pieces = [phones[bounds[-2] :]]
+            self.blocks.append(phones)
+            self.n_rows += len(phones)
         if cut < len(lines):
             raise MalformedLineError(
                 f"expected 4 whitespace-separated fields, got {counts[cut]}", first_line + cut
@@ -456,15 +581,28 @@ def parse_alignment(
     while block := list(itertools.islice(lines, _BLOCK_LINES)):
         parser.feed(block, first_line)
         first_line += len(block)
-    parser.flush()
-    return Corpus(inventory, tuple(parser.utterances))
+    return parser.corpus()
 
 
 def write_alignment(corpus: Corpus, sink: IO[str]) -> None:
-    """Serialize a corpus so that ``parse_alignment`` round-trips it."""
-    symbols = corpus.inventory.symbols
-    for utt in corpus.utterances:
-        for class_index, frames in utt.phones.tolist():
-            sink.write(
-                f"{utt.speaker_id} {utt.utterance_id} {symbols[class_index]} {frames}\n"
-            )
+    """Serialize a corpus so that ``parse_alignment`` round-trips it.
+
+    The lines of ``_WRITE_UTTERANCES`` utterances at a time are built as
+    one string: each line is its utterance's ``"<speaker> <utterance> "``
+    prefix, its label and its ``" <frames>\\n"`` ending, and each distinct
+    frame count is formatted once per block.
+    """
+    labels = np.array(corpus.inventory.symbols, dtype=object)
+    for first in range(0, len(corpus), _WRITE_UTTERANCES):
+        block = slice(first, first + _WRITE_UTTERANCES)
+        bounds = corpus.offsets[first : first + _WRITE_UTTERANCES + 1]
+        speakers = corpus.speaker_index[block].tolist()
+        prefixes = np.array(
+            [f"{corpus.speakers[s]} {u} " for s, u in zip(speakers, corpus.utterance_ids[block])],
+            dtype=object,
+        )
+        phones = corpus.phones[bounds[0] : bounds[-1]]
+        values, which = np.unique(phones[:, 1], return_inverse=True)
+        endings = np.array([f" {v}\n" for v in values.tolist()], dtype=object)
+        lines = np.repeat(prefixes, np.diff(bounds)) + labels[phones[:, 0]] + endings[which]
+        sink.write("".join(lines.tolist()))

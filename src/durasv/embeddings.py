@@ -18,7 +18,7 @@ import numpy as np
 from .alignment import AlignedUtterance, Corpus
 from .errors import EmptyInputError, MixedSpeakerSetError, ShapeMismatchError, ZeroNormError
 from .evaluation import ScoreSet, TrialList, score_trials
-from .features import sequence_from_utterances
+from .features import sequence_from_phones, sequence_from_utterances
 from .model import ModelParams, embed_sequences
 
 
@@ -94,7 +94,8 @@ def score_trials_embedding(
             f"model has {n_classes} phone classes, inventory has {corpus.inventory.size}"
         )
 
-    def embeddings(sets: list[list[AlignedUtterance]]) -> np.ndarray:
-        return embed_sequences(params, [sequence_from_utterances(s, n_classes) for s in sets])
+    def embeddings(sets: list[list[int]]) -> np.ndarray:
+        sequences = [sequence_from_phones(corpus.rows(s), n_classes) for s in sets]
+        return embed_sequences(params, sequences)
 
     return score_trials(corpus, trials, embeddings, _cosines, "larger-is-similar", "embedding")

@@ -18,13 +18,14 @@ from typing import IO, Callable, Iterable, Literal, get_args
 
 import numpy as np
 
-from .alignment import AlignedUtterance, Corpus
+from .alignment import Corpus
 from .errors import (
     ConfigError,
     DegenerateScoreSetError,
     MalformedLineError,
     MixedSpeakerSetError,
     NoEligibleSpeakersError,
+    UnknownUtteranceError,
 )
 
 logger = logging.getLogger(__name__)
@@ -164,7 +165,7 @@ def build_trials(
     trial_sets: list[tuple[str, ...]] = []
     runs: list[tuple[int, int]] = []
     for speaker in eligible:
-        utt_ids = [corpus.utterances[i].utterance_id for i in corpus.by_speaker[speaker]]
+        utt_ids = [corpus.utterance_ids[i] for i in corpus.by_speaker[speaker]]
         order = rng.permutation(len(utt_ids))
         shuffled = [utt_ids[i] for i in order]
         enroll_sets.append(tuple(shuffled[:n_enroll]))
@@ -201,7 +202,7 @@ def build_trials(
 def score_trials(
     corpus: Corpus,
     trials: TrialList,
-    vectors_of: Callable[[list[list[AlignedUtterance]]], np.ndarray],
+    vectors_of: Callable[[list[list[int]]], np.ndarray],
     compare: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     polarity: Polarity,
     model: str,
@@ -212,21 +213,27 @@ def score_trials(
     enrollment sets recur across their nontarget trials. An unknown id
     raises ``UnknownUtteranceError`` and a set holding more than one
     speaker's utterances ``MixedSpeakerSetError``, for the first such set.
-    ``vectors_of`` then maps the sets to one ``(S, D)`` array, a row per
-    set, and ``compare(vectors, a, b)`` gives the ``(n,)`` scores of the
-    trials whose sides are rows ``a`` and ``b``.
+    ``vectors_of`` then maps the sets, each a list of the corpus's
+    utterance indices in the set's order, to one ``(S, D)`` array, a row
+    per set, and ``compare(vectors, a, b)`` gives the ``(n,)`` scores of
+    the trials whose sides are rows ``a`` and ``b``.
     """
     rows: dict[tuple[str, ...], int] = {}
-    sets: list[list[AlignedUtterance]] = []
+    sets: list[list[int]] = []
+    speaker_of = corpus.speaker_index.tolist()
 
     def row_of(utt_ids: tuple[str, ...]) -> int:
         if utt_ids not in rows:
-            utterances = [corpus.utterance(u) for u in utt_ids]
-            speakers = sorted({u.speaker_id for u in utterances})
+            try:
+                index = [corpus.by_utterance[u] for u in utt_ids]
+            except KeyError as exc:
+                raise UnknownUtteranceError(exc.args[0]) from None
+            speakers = {speaker_of[i] for i in index}
             if len(speakers) > 1:
-                raise MixedSpeakerSetError(utt_ids, speakers)
+                names = sorted(corpus.speakers[s] for s in speakers)
+                raise MixedSpeakerSetError(utt_ids, names)
             rows[utt_ids] = len(sets)
-            sets.append(utterances)
+            sets.append(index)
         return rows[utt_ids]
 
     sides = [(row_of(t.enroll_utts), row_of(t.trial_utts)) for t in trials.trials]

@@ -79,7 +79,11 @@ def sequence_from_utterances(
     """Concatenate utterances into one sparse duration feature sequence."""
     if not utterances:
         raise EmptyInputError("no utterances given")
-    phones = np.concatenate([u.phones for u in utterances])
+    return sequence_from_phones(np.concatenate([u.phones for u in utterances]), n_classes)
+
+
+def sequence_from_phones(phones: np.ndarray, n_classes: int) -> DurationFeatureSequence:
+    """The feature sequence of ``(K, 2)`` (class index, frame count) rows."""
     return DurationFeatureSequence(
         phones[:, 0].astype(np.int64), phones[:, 1].astype(np.float64), n_classes
     )

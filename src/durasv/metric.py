@@ -10,9 +10,11 @@ per-class duration ratios diverge. Smaller means more similar.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .alignment import AlignedUtterance, Corpus
+from .alignment import Corpus
 from .errors import DimensionMismatchError, NonPositiveComponentError
 from .evaluation import ScoreSet, TrialList, score_trials
 from .features import MeanDurationVector
@@ -49,28 +51,30 @@ def score_trials_metric(corpus: Corpus, trials: TrialList) -> ScoreSet:
     return score_trials(
         corpus,
         trials,
-        lambda sets: _mean_vectors(sets, corpus.inventory.size),
+        lambda sets: _mean_vectors(corpus, sets),
         _ratio_distances,
         "smaller-is-similar",
         "metric",
     )
 
 
-def _mean_vectors(sets: list[list[AlignedUtterance]], n_classes: int) -> np.ndarray:
-    """``mean_duration_vector(...).values`` of each set, one row per set.
+def _mean_vectors(corpus: Corpus, sets: list[list[int]]) -> np.ndarray:
+    """``mean_duration_vector(...).values`` of each set of utterance indices, a row per set.
 
     One ``np.bincount`` over ``set * N + class`` per chunk of sets adds
     each (set, class) cell's frame counts in phone order, as the per-set
     ``np.bincount`` does; the sums are exact integers in float64.
     """
+    n_classes = corpus.inventory.size
+    lengths = np.diff(corpus.offsets)
     vectors = np.empty((len(sets), n_classes))
     step = max(1, _CHUNK_CELLS // n_classes)
     for first in range(0, len(sets), step):
         chunk = sets[first : first + step]
-        arrays = [u.phones for utterances in chunk for u in utterances]
-        phones = np.concatenate(arrays)
+        utterances = np.fromiter(itertools.chain.from_iterable(chunk), np.intp)
+        phones = corpus.rows(utterances)
         set_of_utt = np.repeat(np.arange(len(chunk)), [len(s) for s in chunk])
-        set_of_phone = np.repeat(set_of_utt, [len(p) for p in arrays])
+        set_of_phone = np.repeat(set_of_utt, lengths[utterances])
         cells = set_of_phone * n_classes + phones[:, 0]
         counts = np.bincount(cells, minlength=len(chunk) * n_classes).reshape(-1, n_classes)
         sums = np.bincount(cells, phones[:, 1], len(chunk) * n_classes).reshape(-1, n_classes)

@@ -15,7 +15,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .alignment import AlignedUtterance, Corpus, PhonemeInventory
+from .alignment import Corpus, PhonemeInventory
 from .errors import ConfigError
 
 
@@ -119,24 +119,42 @@ def generate_corpus(
 
     Phone classes are uniform over the inventory; lengths are
     ``max(1, round(exp(Normal(log_mean[class], sigma_token))))`` frames.
-    Each speaker gets its own child random stream.
+    Each speaker gets its own child random stream. A frame count beyond
+    int32 raises ``ValueError`` naming the first utterance that holds one.
     """
-    inventory = synthetic_inventory(config.n_classes)
     lo, hi = config.phones_per_utt
-    utterances: list[AlignedUtterance] = []
+    tables: list[np.ndarray] = []  # each speaker's rows
+    lengths: list[int] = []
+    utterance_ids: list[str] = []
+    speaker_ids: list[str] = []
     streams = rng.spawn(len(profiles))
     for profile, stream in zip(profiles, streams):
+        rows = []
         for j in range(config.utts_per_speaker):
             n_phones = int(stream.integers(lo, hi + 1))
             classes = stream.integers(0, config.n_classes, size=n_phones)
             log_durations = stream.normal(
                 profile.log_mean[classes], profile.log_std[classes]
             )
-            lengths = np.maximum(1, np.round(np.exp(log_durations))).astype(np.int64)
-            phones = np.stack([classes, lengths], axis=1)
-            uid = f"{profile.speaker_id}-u{j:04d}"
-            utterances.append(AlignedUtterance(uid, profile.speaker_id, phones))
-    return Corpus(inventory, tuple(utterances))
+            frames = np.maximum(1, np.round(np.exp(log_durations))).astype(np.int64)
+            rows.append(np.stack([classes, frames], axis=1))
+            utterance_ids.append(f"{profile.speaker_id}-u{j:04d}")
+            speaker_ids.append(profile.speaker_id)
+        sizes = [len(r) for r in rows]
+        drawn = np.concatenate(rows)
+        tables.append(drawn.astype(np.int32))
+        wrapped = np.flatnonzero(tables[-1][:, 1] != drawn[:, 1])
+        if wrapped.size:
+            bad = int(np.searchsorted(np.cumsum(sizes), wrapped[0], "right")) - len(sizes)
+            raise ValueError(f"utterance {utterance_ids[bad]!r}: phones exceed int32")
+        lengths += sizes
+    return Corpus._from_table(
+        synthetic_inventory(config.n_classes),
+        np.concatenate(tables) if tables else np.empty((0, 2), np.int32),
+        np.cumsum([0, *lengths]),
+        tuple(utterance_ids),
+        speaker_ids,
+    )
 
 
 def write_profiles(profiles: Sequence[SpeakerProfile], sink: IO[str]) -> None:

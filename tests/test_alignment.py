@@ -17,6 +17,7 @@ from durasv.alignment import (
     parse_alignment,
     write_alignment,
 )
+from durasv.embeddings import score_trials_embedding
 from durasv.errors import (
     AlignmentParseError,
     DuplicateLabelError,
@@ -26,6 +27,11 @@ from durasv.errors import (
     UnknownPhonemeError,
     UnknownUtteranceError,
 )
+from durasv.evaluation import build_trials
+from durasv.metric import score_trials_metric
+from durasv.model import tiny_gradcheck_config
+from durasv.synth import SynthConfig, generate_corpus, sample_speakers, synthetic_inventory
+from durasv.training import TrainConfig, train
 
 
 def reference_parse(source, inventory, exclude=()):
@@ -97,6 +103,37 @@ def make_corpus(inventory, rows):
     """rows: list of (speaker, utt, [(class_index, frames), ...])"""
     utts = tuple(AlignedUtterance(utt, spk, phones) for spk, utt, phones in rows)
     return Corpus(inventory, utts)
+
+
+def reference_write(corpus, sink):
+    """The per-phone writer ``write_alignment`` must agree with byte for byte."""
+    symbols = corpus.inventory.symbols
+    for utt in corpus.utterances:
+        for class_index, frames in utt.phones.tolist():
+            sink.write(f"{utt.speaker_id} {utt.utterance_id} {symbols[class_index]} {frames}\n")
+
+
+# tokens with non-ASCII code points and no whitespace (categories Z and C
+# hold every code point ``str.split`` splits on), ``#`` or ``,``
+TOKEN = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#,"),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def table_corpora(draw):
+    """Tuple-built corpora over drawn labels, ids and frame counts."""
+    symbols = draw(st.lists(TOKEN, min_size=1, max_size=4, unique=True))
+    speakers = draw(st.lists(TOKEN, min_size=1, max_size=3, unique=True))
+    frames = st.one_of(st.integers(1, 12), st.integers(1, 2**31 - 1))
+    phones = st.lists(st.tuples(st.integers(0, len(symbols) - 1), frames), min_size=1, max_size=5)
+    utterances = tuple(
+        AlignedUtterance(utt_id, draw(st.sampled_from(speakers)), draw(phones))
+        for utt_id in draw(st.lists(TOKEN, max_size=8, unique=True))
+    )
+    return Corpus(PhonemeInventory(tuple(symbols)), utterances)
 
 
 class TestInventory:
@@ -308,6 +345,17 @@ class TestRoundTrip:
         assert first.getvalue() == second.getvalue()
         assert reparsed == corpus
 
+    @settings(max_examples=100, deadline=None)
+    @given(table_corpora(), st.integers(1, 3))
+    def test_writer_matches_per_phone_reference_byte_for_byte(self, corpus, block):
+        want = io.StringIO()
+        reference_write(corpus, want)
+        got = io.StringIO()
+        with patch.object(alignment, "_WRITE_UTTERANCES", block):
+            write_alignment(corpus, got)
+        assert got.getvalue().encode("utf-8") == want.getvalue().encode("utf-8")
+        assert parse_alignment(io.StringIO(got.getvalue()), corpus.inventory) == corpus
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
@@ -327,6 +375,104 @@ class TestRoundTrip:
         sink = io.StringIO()
         write_alignment(corpus, sink)
         assert parse_alignment(io.StringIO(sink.getvalue()), self.INV) == corpus
+
+
+class TestCorpusTable:
+    INV = PhonemeInventory(("SIL", "AA1_B", "T_E"))
+
+    def test_layout(self):
+        corpus = make_corpus(
+            self.INV,
+            [("a", "u1", [(0, 3), (1, 4)]), ("b", "u2", [(2, 5)]), ("a", "u3", [(1, 1), (2, 9)])],
+        )
+        assert corpus.phones.dtype == np.int32
+        assert corpus.phones.tolist() == [[0, 3], [1, 4], [2, 5], [1, 1], [2, 9]]
+        assert corpus.offsets.dtype == np.int64 and corpus.offsets.tolist() == [0, 2, 3, 5]
+        assert corpus.utterance_ids == ("u1", "u2", "u3")
+        assert corpus.speakers == ("a", "b") and corpus.speaker_index.tolist() == [0, 1, 0]
+        assert corpus.by_speaker == {"a": (0, 2), "b": (1,)}
+        assert corpus.rows([2, 0]).tolist() == [[1, 1], [2, 9], [0, 3], [1, 4]]
+        with pytest.raises(AttributeError, match="immutable"):
+            corpus.phones = corpus.phones.copy()
+
+    @settings(max_examples=50, deadline=None)
+    @given(table_corpora())
+    def test_views_are_read_only_slices_of_the_table(self, corpus):
+        assert not corpus.phones.flags.writeable
+        views = [view for speaker in corpus.speakers for view in corpus.utterances_of(speaker)]
+        assert sorted(v.utterance_id for v in views) == sorted(corpus.utterance_ids)
+        for view in views:
+            i = corpus.by_utterance[view.utterance_id]
+            assert view == corpus.utterance(view.utterance_id)
+            assert view.speaker_id == corpus.speakers[corpus.speaker_index[i]]
+            assert np.shares_memory(view.phones, corpus.phones)
+            assert not view.phones.flags.writeable
+            assert np.array_equal(view.phones, corpus.phones[corpus.offsets[i] : corpus.offsets[i + 1]])
+        assert Corpus(corpus.inventory, corpus.utterances) == corpus
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    def test_utterance_across_block_boundaries(self, monkeypatch, block_lines):
+        monkeypatch.setattr(alignment, "_BLOCK_LINES", block_lines)
+        lines = [
+            "a u1 SIL 1", "a u1 AA1_B 2", "a u1 T_E 3", "a u1 SIL 4",
+            "b u2 T_E 5", "b u3 AA1_B 6", "b u3 SIL 7",
+        ]
+        corpus = parse_alignment(lines, self.INV)
+        assert corpus.offsets.tolist() == [0, 4, 5, 7]
+        assert corpus.phones.tolist() == [[0, 1], [1, 2], [2, 3], [0, 4], [2, 5], [1, 6], [0, 7]]
+        assert corpus == reference_parse(lines, self.INV)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 4096])
+    def test_utterances_emptied_by_exclude_are_omitted(self, monkeypatch, block_lines):
+        monkeypatch.setattr(alignment, "_BLOCK_LINES", block_lines)
+        lines = [
+            "a u0 SIL 1", "a u1 SIL 2", "a u1 AA1_B 3", "b u2 SIL 4",
+            "b u2 SIL 5", "a u3 T_E 6", "c u4 SIL 7",
+        ]
+        corpus = parse_alignment(lines, self.INV, exclude=["SIL"])
+        assert corpus.utterance_ids == ("u1", "u3")
+        assert corpus.offsets.tolist() == [0, 1, 2]
+        assert corpus.phones.tolist() == [[1, 3], [2, 6]]
+        assert corpus.speakers == ("a",) and corpus.by_speaker == {"a": (0, 1)}
+
+    def test_bad_phone_in_tuple_built_corpus_keeps_its_message(self):
+        utterances = (
+            AlignedUtterance("u1", "a", [(0, 3)]),
+            AlignedUtterance("u2", "a", [(1, 2), (3, 1)]),
+        )
+        with pytest.raises(ValueError) as err:
+            Corpus(self.INV, utterances)
+        assert str(err.value) == (
+            "utterance 'u2': phone [3, 1] needs a class index in [0, 3) and a frame count >= 1"
+        )
+        with pytest.raises(ValueError) as err:
+            Corpus(self.INV, utterances + (AlignedUtterance("u1", "b", [(0, 0)]),))
+        assert str(err.value) == "duplicate utterance id 'u1'"
+
+    def test_no_program_path_builds_the_utterance_tuple(self, monkeypatch):
+        def tuple_read(self):
+            raise AssertionError("Corpus.utterances was built")
+
+        monkeypatch.setattr(Corpus, "utterances", property(tuple_read))
+        synth = SynthConfig(
+            n_speakers=3,
+            utts_per_speaker=4,
+            phones_per_utt=(10, 20),
+            population_log_mean=np.full(5, np.log(10.0)),
+            sigma_speaker=0.3,
+            sigma_token=0.3,
+            seed=1,
+        )
+        profiles = sample_speakers(synth, np.random.default_rng([1, 0]))
+        sink = io.StringIO()
+        write_alignment(generate_corpus(profiles, synth, np.random.default_rng([1, 1])), sink)
+        corpus = parse_alignment(io.StringIO(sink.getvalue()), synthetic_inventory(5))
+        trials = build_trials(corpus, 1, 1, 0)
+        assert np.all(np.isfinite(score_trials_metric(corpus, trials).scores))
+        hyper = TrainConfig(epochs=1, batch_size=4, chunk_min=4, chunk_max=12)
+        result = train(corpus, tiny_gradcheck_config(n_speakers=3), hyper)
+        scores = score_trials_embedding(result.params, corpus, trials)
+        assert np.all(np.isfinite(scores.scores))
 
 
 # ids built on it agree on more code points than the parser compares as

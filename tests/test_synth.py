@@ -3,8 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from durasv.alignment import load_inventory, parse_alignment, write_alignment
+from durasv.alignment import (
+    AlignedUtterance,
+    Corpus,
+    load_inventory,
+    parse_alignment,
+    write_alignment,
+)
 from durasv.errors import ConfigError
 from durasv.synth import (
     SynthConfig,
@@ -27,6 +35,31 @@ def config(**overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+def reference_generate(profiles, cfg, rng):
+    """The per-utterance generator ``generate_corpus`` must agree with."""
+    lo, hi = cfg.phones_per_utt
+    utterances = []
+    for profile, stream in zip(profiles, rng.spawn(len(profiles))):
+        for j in range(cfg.utts_per_speaker):
+            n_phones = int(stream.integers(lo, hi + 1))
+            classes = stream.integers(0, cfg.n_classes, size=n_phones)
+            log_durations = stream.normal(profile.log_mean[classes], profile.log_std[classes])
+            lengths = np.maximum(1, np.round(np.exp(log_durations))).astype(np.int64)
+            utt_id = f"{profile.speaker_id}-u{j:04d}"
+            utterances.append(
+                AlignedUtterance(utt_id, profile.speaker_id, np.stack([classes, lengths], axis=1))
+            )
+    return Corpus(synthetic_inventory(cfg.n_classes), tuple(utterances))
+
+
+def outcome(make):
+    """A corpus, or its error's message."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestSampleSpeakers:
@@ -107,6 +140,46 @@ class TestGenerateCorpus:
         a = generate_corpus(profiles, cfg, np.random.default_rng(7))
         b = generate_corpus(profiles, cfg, np.random.default_rng(7))
         assert a == b
+
+
+class TestCorpusTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(0, 8),
+        st.integers(0, 2**16),
+    )
+    def test_synthesized_parsed_and_tuple_built_tables_agree(
+        self, n_speakers, utts, lo, extra, seed
+    ):
+        cfg = config(n_speakers=n_speakers, utts_per_speaker=utts, phones_per_utt=(lo, lo + extra))
+        profiles = sample_speakers(cfg, np.random.default_rng([seed, 0]))
+        synthesized = generate_corpus(profiles, cfg, np.random.default_rng([seed, 1]))
+        tuple_built = reference_generate(profiles, cfg, np.random.default_rng([seed, 1]))
+        sink = io.StringIO()
+        write_alignment(synthesized, sink)
+        parsed = parse_alignment(io.StringIO(sink.getvalue()), synthesized.inventory)
+        assert synthesized.phones.dtype == np.int32
+        for other in (tuple_built, parsed):
+            assert np.array_equal(other.phones, synthesized.phones)
+            assert np.array_equal(other.offsets, synthesized.offsets)
+            assert other.utterance_ids == synthesized.utterance_ids
+            assert other.speakers == synthesized.speakers
+            assert other.by_speaker == synthesized.by_speaker
+            assert other == synthesized
+
+    # the cases include corpora that fit int32 and first overflows in the
+    # first and in a later speaker
+    @pytest.mark.parametrize("log_mean", [18.5, 19.5, 30.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_frame_counts_beyond_int32_name_the_same_utterance(self, log_mean, seed):
+        cfg = config(population_log_mean=np.full(6, log_mean), sigma_token=1.0)
+        profiles = sample_speakers(cfg, np.random.default_rng([seed, 0]))
+        got = outcome(lambda: generate_corpus(profiles, cfg, np.random.default_rng([seed, 1])))
+        want = outcome(lambda: reference_generate(profiles, cfg, np.random.default_rng([seed, 1])))
+        assert got == want
 
 
 class TestConfig:
