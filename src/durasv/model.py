@@ -11,7 +11,7 @@ Inputs stay in (class index, frame count) form and are materialized only
 inside the projection, which is a row select-and-scale. A ``Batch``
 holds only the ``P`` real steps in item order and each item's offset;
 no padding reaches the model, and the right-padded ``(B, T)`` grid is a
-view built on request. The convolutions run on one packed ``(1, L, C)``
+view built on request. The convolutions run on one packed ``(L, C)``
 array of the real steps, with zero rows between neighbouring items as
 wide as the widest convolution reaches, so no convolution sees another
 item. Pooling reads the real rows alone, ``(P, C)`` in item order, with
@@ -27,6 +27,17 @@ and std, embedding layer). Training runs both on the whole batch.
 ``embed_sequences`` runs the encoder stage once per group of sequences
 and the pooling stage per sequence, so every embedding equals the one a
 batch-1 ``forward`` gives, to the bit.
+
+Every large intermediate is a 2-D ``(rows, C)`` array in a named work
+buffer, written in place. ``loss_and_grad``, ``forward`` and
+``loss_value`` run on the buffers the params object owns, so successive
+training steps reuse one set of memory instead of allocating and
+faulting in fresh arrays; each buffer grows to the most rows any call
+has asked of it. ``embed_sequences`` runs all its groups on one set of
+its own, freed when it returns, and ``forward_with_cache`` runs on a
+fresh set, so the cache it returns belongs to the caller. The in-place
+arithmetic keeps the operation order of the plain expressions, so every
+result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -99,12 +110,53 @@ class ModelConfig:
         return max(self.dilations) * (self.kernel_width - 1) // 2
 
 
+class _Workspace:
+    """Named float64 work buffers, reused by every pass that is given the workspace.
+
+    ``take(name, *shape)`` returns the first ``prod(shape)`` values of
+    buffer ``name`` as an array of that shape. A buffer grows to exactly
+    the most values asked of it and never shrinks. It holds whatever its
+    last user left, so every caller writes a buffer before reading it.
+    The last view of each buffer is kept, since the finite-difference
+    check asks for the same small shapes over a thousand times.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        view = self._views.get(name)
+        if view is None or view.shape != shape:
+            size = math.prod(shape)
+            buf = self._buffers.get(name)
+            if buf is None or buf.size < size:
+                buf = self._buffers[name] = np.empty(size)
+            view = self._views[name] = buf[:size].reshape(shape)
+        return view
+
+    def padded(self, name: str, rows: int, margin: int, cols: int) -> np.ndarray:
+        """Buffer ``name`` as ``(rows + 2 * margin, cols)``, its margin rows set to 0.0."""
+        xp = self.take(name, rows + 2 * margin, cols)
+        xp[:margin] = 0.0
+        xp[margin + rows :] = 0.0
+        return xp
+
+
 @dataclass
 class ModelParams:
-    """Named parameter tensors in a fixed declaration order."""
+    """Named parameter tensors in a fixed declaration order.
+
+    A params object also owns the work buffers that ``loss_and_grad``,
+    ``forward`` and ``loss_value`` run on, so that training steps reuse
+    their memory. The buffers are not part of the model: comparisons,
+    ``copy`` and model files leave them out. Two threads must not share
+    one params object; give each thread its own ``copy()``.
+    """
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
+    _work: _Workspace = field(default_factory=_Workspace, init=False, repr=False, compare=False)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
@@ -157,6 +209,17 @@ class Batch:
     def size(self) -> int:
         return self.offsets.size - 1
 
+    @cached_property
+    def value_range(self) -> tuple[int, int, int, int]:
+        """Smallest and largest class, then label (0 and 0 without labels).
+
+        The model checks these against its config on every pass; the
+        finite-difference check passes one batch over a thousand times.
+        """
+        labels = self.labels if self.labels is not None else np.zeros(1, dtype=np.int64)
+        return (int(self.classes.min()), int(self.classes.max()),
+                int(labels.min()), int(labels.max()))
+
     def packed(self, gap: int) -> "PackedLayout":
         """The batch's packed layout with ``gap`` zero rows between items."""
         layout = self._layouts.get(gap)
@@ -205,23 +268,22 @@ class PackedLayout:
     coef: np.ndarray  # (P, 1) its frame count
     items: np.ndarray  # (P,) its batch item
     starts: np.ndarray  # (B,) first real step of each item
-    mask: np.ndarray  # (1, L, 1) 1 on real rows, 0 in the gaps
+    gaps: np.ndarray  # (L - P,) the packed rows between items
 
     @classmethod
     def of(cls, batch: Batch, gap: int) -> "PackedLayout":
         offsets = batch.offsets
         items = np.repeat(np.arange(batch.size), np.diff(offsets))
-        slots = np.arange(items.size) + gap * items
-        mask = np.zeros((1, items.size + gap * (batch.size - 1), 1))
-        mask[0, slots] = 1.0
+        # the gap after item b starts where item b + 1 would without gaps
+        before = offsets[1:-1] + gap * np.arange(batch.size - 1)
         return cls(
-            rows=mask.shape[1],
-            slots=slots,
+            rows=items.size + gap * (batch.size - 1),
+            slots=np.arange(items.size) + gap * items,
             classes=batch.classes,
             coef=batch.frames[:, None],
             items=items,
             starts=offsets[:-1],
-            mask=mask,
+            gaps=(before[:, None] + np.arange(gap)).ravel(),
         )
 
     @cached_property
@@ -232,15 +294,19 @@ class PackedLayout:
         starts = np.flatnonzero(np.concatenate(([True], classes[1:] != classes[:-1])))
         return self.slots[order], self.coef[order], classes[starts], starts
 
-    def class_sums(self, packed: np.ndarray, n_classes: int) -> np.ndarray:
-        """Per class, the sum of ``coef`` times the kept cells' packed rows.
+    def class_sums(self, packed: np.ndarray, n_classes: int, work: _Workspace) -> np.ndarray:
+        """Per class, the sum of ``coef`` times the real steps' ``(L, C)`` packed rows.
 
         This is the gradient of the projection given the gradient of its
-        packed output; one segmented sum over class-sorted rows.
+        packed output; one segmented sum over class-sorted rows, gathered
+        into the ``tap`` buffer of ``work``.
         """
         slots, coef, classes, starts = self._class_runs
-        sums = np.zeros((n_classes, packed.shape[-1]))
-        sums[classes] = np.add.reduceat(coef * packed[0, slots], starts, axis=0)
+        rows = work.take("tap", slots.size, packed.shape[1])
+        packed.take(slots, axis=0, out=rows, mode="clip")
+        rows *= coef
+        sums = np.zeros((n_classes, packed.shape[1]))
+        sums[classes] = np.add.reduceat(rows, starts, axis=0)
         return sums
 
 
@@ -302,57 +368,96 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def _pad_time(x: np.ndarray, pad: int) -> np.ndarray:
-    """``x`` with ``pad`` zero steps on either side; cheaper per call than np.pad."""
-    xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad, x.shape[2]))
-    xp[:, pad : pad + x.shape[1]] = x
+def _conv2d(
+    xp: np.ndarray, w: np.ndarray, dilation: int, out: np.ndarray, tap: np.ndarray
+) -> np.ndarray:
+    """Dilated 1-d convolution with centered zero padding, written to ``out``.
+
+    ``xp`` holds the ``T = len(out)`` input rows between two equal
+    margins of zero rows, each at least as wide as the kernel reaches;
+    ``w`` is ``(K, Cin, Cout)``. Each tap's product goes to the ``(T,
+    Cout)`` buffer ``tap`` and is added from zero in kernel order.
+    """
+    t = out.shape[0]
+    first = (xp.shape[0] - t) // 2 - dilation * (w.shape[0] - 1) // 2
+    out.fill(0.0)
+    for j in range(w.shape[0]):
+        s = first + j * dilation
+        out += np.matmul(xp[s : s + t], w[j], out=tap)
+    return out
+
+
+def _conv2d_backward(
+    xp: np.ndarray,
+    w: np.ndarray,
+    dilation: int,
+    dz: np.ndarray,
+    dxp: np.ndarray,
+    tap: np.ndarray,
+) -> np.ndarray:
+    """The kernel gradient of ``_conv2d``; the input gradient goes to ``dxp``.
+
+    ``dxp`` has the shape of ``xp`` and ends up holding the input
+    gradient in the rows where ``xp`` holds the input; ``tap`` is a ``(T,
+    Cin)`` buffer.
+    """
+    t = dz.shape[0]
+    first = (xp.shape[0] - t) // 2 - dilation * (w.shape[0] - 1) // 2
+    dw = np.empty_like(w)
+    dxp.fill(0.0)
+    for j in range(w.shape[0]):
+        s = first + j * dilation
+        np.dot(xp[s : s + t].T, dz, out=dw[j])
+        dxp[s : s + t] += np.matmul(dz, w[j].T, out=tap)
+    return dw
+
+
+def _padded_rows(x: np.ndarray, pad: int) -> np.ndarray:
+    """The rows of a ``(1, T, C)`` array between ``pad`` zero rows on either side."""
+    xp = np.zeros((x.shape[1] + 2 * pad, x.shape[2]))
+    xp[pad : pad + x.shape[1]] = x[0]
     return xp
 
 
 def _conv_same(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
-    """Dilated 1-d convolution with centered zero padding, (B,T,Cin)->(B,T,Cout)."""
-    k = w.shape[0]
-    pad = dilation * (k - 1) // 2
-    t = x.shape[1]
-    xp = _pad_time(x, pad)
-    out = np.zeros((x.shape[0], t, w.shape[2]))
-    for j in range(k):
-        out += xp[:, j * dilation : j * dilation + t, :] @ w[j]
-    return out
+    """``_conv2d`` of one packed ``(1, T, Cin)`` array, giving ``(1, T, Cout)``."""
+    xp = _padded_rows(x, dilation * (w.shape[0] - 1) // 2)
+    out = np.empty((x.shape[1], w.shape[2]))
+    return _conv2d(xp, w, dilation, out, np.empty_like(out))[None]
 
 
 def _conv_same_backward(
     x: np.ndarray, w: np.ndarray, dilation: int, dz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``_conv_same`` w.r.t. the kernel and the input."""
-    k = w.shape[0]
-    pad = dilation * (k - 1) // 2
-    t = x.shape[1]
-    xp = _pad_time(x, pad)
-    dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
-    for j in range(k):
-        seg = xp[:, j * dilation : j * dilation + t, :]
-        dw[j] = np.tensordot(seg, dz, axes=([0, 1], [0, 1]))
-        dxp[:, j * dilation : j * dilation + t, :] += dz @ w[j].T
-    return dw, dxp[:, pad : pad + t, :]
+    """Gradients of ``_conv_same`` w.r.t. the kernel and the ``(1, T, Cin)`` input."""
+    pad = dilation * (w.shape[0] - 1) // 2
+    xp = _padded_rows(x, pad)
+    dxp = np.empty_like(xp)
+    dw = _conv2d_backward(xp, w, dilation, dz[0], dxp, np.empty_like(x[0]))
+    return dw, dxp[None, pad : pad + x.shape[1]]
 
 
 @dataclass
 class ForwardCache:
     """Intermediates needed for the backward pass (and for inspection).
 
-    The block fields hold the packed ``(1, L, C)`` arrays the convolution
-    blocks ran on (see ``layout``). The fields from ``encoded`` to
-    ``centered`` hold one row per real step, ``(P, .)`` in item order; the
-    rest hold one row per item. No field holds a padded step. The encoder
-    stage fills the fields up to ``att_hidden``; ``embed_sequences`` reads
-    only those and pools each item's rows on its own, so there the later
-    fields stay ``None``.
+    The block fields hold, as ``(1, L, C)`` views, the packed rows the
+    convolution blocks ran on (see ``layout``): each block's input, with
+    0.0 in the gap rows, and its tanh output. The fields from ``encoded``
+    to ``centered`` hold one row per real step, ``(P, .)`` in item order;
+    the rest hold one row per item. No field holds a padded step. The
+    encoder stage fills the fields up to ``att_hidden``;
+    ``embed_sequences`` reads only those and pools each item's rows on
+    its own, so there the later fields stay ``None``.
+
+    The large fields are views of 2-D work buffers. A cache from
+    ``forward_with_cache`` owns a set of its own, so it stays as it is
+    whatever runs on the same params later; the caches that the other
+    passes build internally live in the params' reused set.
     """
 
     layout: PackedLayout
-    block_inputs: list[np.ndarray] = field(default_factory=list)  # masked, packed
+    block_inputs: list[np.ndarray] = field(default_factory=list)  # packed, gaps 0.0
     block_acts: list[np.ndarray] = field(default_factory=list)  # tanh outputs, packed
     encoded: np.ndarray | None = None  # (P,C) last block output
     att_hidden: np.ndarray | None = None  # (P,A) tanh of attention layer
@@ -367,41 +472,62 @@ class ForwardCache:
 
 def _validate_batch(config: ModelConfig, batch: Batch) -> None:
     """Check the batch's values against the config; ``Batch`` checked its shape."""
-    if int(batch.classes.max()) >= config.n_classes or int(batch.classes.min()) < 0:
+    low_class, high_class, low_label, high_label = batch.value_range
+    if high_class >= config.n_classes or low_class < 0:
         raise ShapeMismatchError("class index outside the configured inventory")
-    if batch.labels is not None and (
-        int(batch.labels.max()) >= config.n_speakers or int(batch.labels.min()) < 0
-    ):
+    if high_label >= config.n_speakers or low_label < 0:
         raise ShapeMismatchError("speaker label outside the configured range")
 
 
-def _encode(params: ModelParams, batch: Batch) -> ForwardCache:
-    """The encoder stage: a cache filled up to ``att_hidden``.
+def _encode(params: ModelParams, batch: Batch, work: _Workspace) -> ForwardCache:
+    """The encoder stage: a cache filled up to ``att_hidden``, in ``work``'s buffers.
 
     Projection, convolution blocks and the attention hidden layer run on
     the batch's packed layout; every product here has one row per packed
-    or real step.
+    or real step. Block ``i``'s input lives in buffer ``x{i}``, with
+    ``conv_reach`` zero rows on either side for the taps to read, and its
+    output in ``act{i}``.
     """
     cfg = params.config
     _validate_batch(cfg, batch)
     tensors = params.tensors
-    layout = batch.packed(cfg.conv_reach)
+    reach = cfg.conv_reach
+    layout = batch.packed(reach)
+    rows, n_real, c = layout.rows, layout.classes.size, cfg.encoder_channels
 
     cache = ForwardCache(layout)
-    h = np.zeros((1, layout.rows, cfg.proj_dim))
-    h[0, layout.slots] = layout.coef * tensors["proj"][layout.classes]
-    c = cfg.encoder_channels
-    for i in range(cfg.n_blocks):
-        xm = h * layout.mask
-        z = _conv_same(xm, tensors[f"block{i}_w"], cfg.dilations[i])
-        z += tensors[f"block{i}_b"]
-        act = np.tanh(z)
-        res = xm if xm.shape[2] == c else xm @ tensors[f"block{i}_res"]
-        h = act + res
-        cache.block_inputs.append(xm)
-        cache.block_acts.append(act)
-    h = cache.encoded = h[0, layout.slots]
-    cache.att_hidden = np.tanh(h @ tensors["att_w"] + tensors["att_b"])
+    xp = work.padded("x0", rows, reach, cfg.proj_dim)
+    x = xp[reach : reach + rows]
+    proj = work.take("tap", n_real, cfg.proj_dim)
+    tensors["proj"].take(layout.classes, axis=0, out=proj, mode="clip")
+    proj *= layout.coef
+    x[layout.slots] = proj
+    for i, dilation in enumerate(cfg.dilations):
+        x[layout.gaps] = 0.0
+        act = work.take(f"act{i}", rows, c)
+        _conv2d(xp, tensors[f"block{i}_w"], dilation, act, work.take("tap", rows, c))
+        act += tensors[f"block{i}_b"]
+        np.tanh(act, out=act)
+        cache.block_inputs.append(x[None])
+        cache.block_acts.append(act[None])
+        # the block's output, act + residual, is the next block's input;
+        # the last block's goes to the spent tap buffer
+        if i + 1 < cfg.n_blocks:
+            xp = work.padded(f"x{i + 1}", rows, reach, c)
+            h = xp[reach : reach + rows]
+        else:
+            h = work.take("tap", rows, c)
+        if x.shape[1] == c:
+            np.add(act, x, out=h)
+        else:
+            np.matmul(x, tensors[f"block{i}_res"], out=h)
+            h += act
+        x = h
+    cache.encoded = x.take(layout.slots, axis=0, out=work.take("enc", n_real, c), mode="clip")
+    u = work.take("att", n_real, cfg.attention_hidden)
+    np.matmul(cache.encoded, tensors["att_w"], out=u)
+    u += tensors["att_b"]
+    cache.att_hidden = np.tanh(u, out=u)
     return cache
 
 
@@ -411,14 +537,15 @@ def _pool(
     u: np.ndarray,
     items: np.ndarray,
     starts: np.ndarray,
+    work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The pooling and embedding stage on real rows in item order.
 
     ``h`` and ``u`` are the encoder output and attention hidden layer,
     ``(P, C)`` and ``(P, A)``; ``items`` gives each row's item and
     ``starts`` each item's first row. Returns the attention weights, the
-    per-item mean, the centered rows, the std, the pooled statistics and
-    the embeddings.
+    per-item mean, the centered rows (in ``work``'s ``cen`` buffer), the
+    std, the pooled statistics and the embeddings.
     """
     # softmax over each item's run of real steps
     e = u @ tensors["att_v"] + tensors["att_v0"]
@@ -426,20 +553,24 @@ def _pool(
     alpha = w / np.add.reduceat(w, starts)[items]
 
     # per-item weighted sums as one product with the (B, P) weight matrix
-    weights = np.zeros((starts.size, alpha.size))
+    weights = work.take("weights", starts.size, alpha.size)
+    weights.fill(0.0)
     weights[items, np.arange(alpha.size)] = alpha
     mu = weights @ h
-    cen = h - mu[items]
-    std = np.sqrt(weights @ (cen * cen) + STD_EPS)
+    cen = mu.take(items, axis=0, out=work.take("cen", *h.shape), mode="clip")
+    np.subtract(h, cen, out=cen)
+    sq = np.multiply(cen, cen, out=work.take("tap", *h.shape))
+    std = np.sqrt(weights @ sq + STD_EPS)
     pooled = np.concatenate([mu, std], axis=1)
 
     emb = pooled @ tensors["emb_w"] + tensors["emb_b"]
     return alpha, mu, cen, std, pooled, emb
 
 
-def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
+def _forward(params: ModelParams, batch: Batch, work: _Workspace) -> ForwardCache:
     tensors = params.tensors
-    cache = _encode(params, batch)
+    cache = _encode(params, batch, work)
+    layout = cache.layout
     (
         cache.attention,
         cache.mean,
@@ -447,14 +578,19 @@ def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
         cache.std,
         cache.pooled,
         cache.embeddings,
-    ) = _pool(tensors, cache.encoded, cache.att_hidden, cache.layout.items, cache.layout.starts)
+    ) = _pool(tensors, cache.encoded, cache.att_hidden, layout.items, layout.starts, work)
     cache.logits = cache.embeddings @ tensors["cls_w"] + tensors["cls_b"]
     return cache
 
 
+def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
+    """The forward pass with every intermediate, in buffers the caller owns."""
+    return _forward(params, batch, _Workspace())
+
+
 def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings (B, embed_dim) and speaker logits (B, n_speakers)."""
-    cache = forward_with_cache(params, batch)
+    cache = _forward(params, batch, params._work)
     return cache.embeddings, cache.logits
 
 
@@ -473,30 +609,6 @@ def _groups(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
         yield first, len(sizes)
 
 
-def _embed_group(
-    params: ModelParams, sequences: Sequence[DurationFeatureSequence]
-) -> np.ndarray:
-    """One encoder pass over ``sequences``, then pooling per sequence on its own rows.
-
-    A function of its own so that a group's arrays are freed before the
-    next group is encoded: peak memory then holds one group, not two.
-    """
-    batch = pad_batch(sequences)
-    cache = _encode(params, batch)
-    out = np.empty((batch.size, params.config.embed_dim))
-    bounds = batch.offsets.tolist()
-    for row, (s, e) in enumerate(zip(bounds, bounds[1:])):
-        *_, emb = _pool(
-            params.tensors,
-            cache.encoded[s:e],
-            cache.att_hidden[s:e],
-            np.zeros(e - s, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-        )
-        out[row] = emb[0]
-    return out
-
-
 def embed_sequences(
     params: ModelParams, sequences: Sequence[DurationFeatureSequence]
 ) -> np.ndarray:
@@ -509,11 +621,27 @@ def embed_sequences(
     equal its own forward's to the bit. A one-row product takes BLAS's
     matrix-vector path and other last bits, so pooling runs per sequence
     on its own rows, the calls a batch-1 forward makes, and a one-phone
-    sequence is encoded alone.
+    sequence is encoded alone. The groups share one set of work buffers,
+    freed on return: kept with the params, it would stay resident after
+    scoring.
     """
     out = np.empty((len(sequences), params.config.embed_dim))
+    one = np.zeros(1, dtype=np.int64)
+    work = _Workspace()
     for first, stop in _groups([len(s) for s in sequences]):
-        out[first:stop] = _embed_group(params, sequences[first:stop])
+        batch = pad_batch(sequences[first:stop])
+        cache = _encode(params, batch, work)
+        bounds = batch.offsets.tolist()
+        for row, (s, e) in enumerate(zip(bounds, bounds[1:]), first):
+            *_, emb = _pool(
+                params.tensors,
+                cache.encoded[s:e],
+                cache.att_hidden[s:e],
+                np.zeros(e - s, dtype=np.int64),
+                one,
+                work,
+            )
+            out[row] = emb[0]
     return out
 
 
@@ -534,7 +662,7 @@ def loss_value(params: ModelParams, batch: Batch) -> float:
     """Cross-entropy loss only; used by the finite-difference check."""
     if batch.labels is None:
         raise ShapeMismatchError("loss needs speaker labels")
-    cache = forward_with_cache(params, batch)
+    cache = _forward(params, batch, params._work)
     loss, _ = _cross_entropy(cache.logits, batch.labels)
     return loss
 
@@ -547,7 +675,8 @@ def loss_and_grad(
         raise ShapeMismatchError("loss needs speaker labels")
     cfg = params.config
     tensors = params.tensors
-    cache = forward_with_cache(params, batch)
+    work = params._work
+    cache = _forward(params, batch, work)
     layout = cache.layout
 
     loss, dlogits = _cross_entropy(cache.logits, batch.labels)
@@ -565,13 +694,21 @@ def loss_and_grad(
     items, starts = layout.items, layout.starts
     alpha, h = cache.attention, cache.encoded
     cen, std = cache.centered, cache.std
-    dmu = dpooled[:, :c][items]
-    dvar = (dpooled[:, c:] * 0.5 / std)[items]
+    n_real = alpha.size
+    dmu = dpooled[:, :c].take(items, axis=0, out=work.take("dmu", n_real, c), mode="clip")
+    dvar = (dpooled[:, c:] * 0.5 / std).take(
+        items, axis=0, out=work.take("dvar", n_real, c), mode="clip"
+    )
 
     # variance path; the direct mean term vanishes since each item's
     # sum of alpha*cen is 0; then the mean path
-    dalpha = np.einsum("pc,pc->p", cen * cen, dvar) + np.einsum("pc,pc->p", h, dmu)
-    denc = alpha[:, None] * (2.0 * cen * dvar + dmu)
+    sq = np.multiply(cen, cen, out=work.take("tap", n_real, c))
+    dalpha = np.einsum("pc,pc->p", sq, dvar) + np.einsum("pc,pc->p", h, dmu)
+    # alpha * (2 * cen * dvar + dmu), in the spent square's buffer
+    denc = np.multiply(cen, 2.0, out=sq)
+    denc *= dvar
+    denc += dmu
+    denc *= alpha[:, None]
 
     # softmax over each item's run of real steps
     de = alpha * (dalpha - np.add.reduceat(dalpha * alpha, starts)[items])
@@ -579,28 +716,46 @@ def loss_and_grad(
     u = cache.att_hidden
     grads["att_v"] = de @ u
     grads["att_v0"] = np.asarray(de.sum())
-    ds1 = de[:, None] * tensors["att_v"] * (1.0 - u * u)
+    # de * att_v * (1 - u * u), the tanh slope in dvar's spent buffer
+    ds1 = np.multiply(de[:, None], tensors["att_v"], out=work.take("ds1", *u.shape))
+    slope = np.multiply(u, u, out=work.take("dvar", *u.shape))
+    ds1 *= np.subtract(1.0, slope, out=slope)
     grads["att_w"] = h.T @ ds1
     grads["att_b"] = ds1.sum(axis=0)
-    denc += ds1 @ tensors["att_w"].T
+    denc += np.matmul(ds1, tensors["att_w"].T, out=dmu)
 
-    dh = np.zeros((1, layout.rows, c))
-    dh[0, layout.slots] = denc
+    # the gradient w.r.t. a block's output and the one w.r.t. its input
+    # live in the buffers g0 and g1, which swap roles from block to block
+    reach, rows = cfg.conv_reach, layout.rows
+    dh = work.take("g0", rows + 2 * reach, c)[reach : reach + rows]
+    dh[layout.gaps] = 0.0
+    dh[layout.slots] = denc
+    spare = "g1"
     for i in reversed(range(cfg.n_blocks)):
-        xm = cache.block_inputs[i]
-        act = cache.block_acts[i]
-        dz = dh * (1.0 - act * act)
-        dw, dxm = _conv_same_backward(xm, tensors[f"block{i}_w"], cfg.dilations[i], dz)
-        grads[f"block{i}_w"] = dw
-        grads[f"block{i}_b"] = dz.sum(axis=(0, 1))
-        if xm.shape[2] == c:
-            dxm += dh
+        x, act = cache.block_inputs[i][0], cache.block_acts[i][0]
+        c_in = x.shape[1]
+        dz = np.multiply(act, act, out=work.take("dz", rows, c))
+        np.subtract(1.0, dz, out=dz)
+        dz *= dh
+        # the block's padded input, as _encode left it
+        xp = work.take(f"x{i}", rows + 2 * reach, c_in)
+        dxp = work.take(spare, rows + 2 * reach, c_in)
+        tap = work.take("tap", rows, c_in)
+        grads[f"block{i}_w"] = _conv2d_backward(
+            xp, tensors[f"block{i}_w"], cfg.dilations[i], dz, dxp, tap
+        )
+        grads[f"block{i}_b"] = dz.sum(axis=0)
+        dx = dxp[reach : reach + rows]
+        if c_in == c:
+            dx += dh
         else:
-            grads[f"block{i}_res"] = np.tensordot(xm, dh, axes=([0, 1], [0, 1]))
-            dxm += dh @ tensors[f"block{i}_res"].T
-        dh = dxm * layout.mask
+            grads[f"block{i}_res"] = np.dot(x.T, dh)
+            dx += np.matmul(dh, tensors[f"block{i}_res"].T, out=tap)
+        dx[layout.gaps] = 0.0
+        spare = "g0" if spare == "g1" else "g1"
+        dh = dx
 
-    grads["proj"] = layout.class_sums(dh, cfg.n_classes)
+    grads["proj"] = layout.class_sums(dh, cfg.n_classes, work)
 
     ordered = {name: grads[name] for name in tensors}
     return loss, ordered

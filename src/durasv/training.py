@@ -57,25 +57,38 @@ class TrainResult:
 
 
 class AdamState:
-    """Per-tensor first/second moment buffers with bias correction."""
+    """Per-tensor first/second moment buffers with bias correction.
+
+    ``step`` updates the moments and the parameters in place, through two
+    work arrays as large as the largest tensor.
+    """
 
     def __init__(self, params: ModelParams, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
         self.m = params.zeros_like()
         self.v = params.zeros_like()
+        self._work = np.empty((2, max(v.size for v in params.tensors.values())))
 
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         correct1 = 1.0 - ADAM_BETA1**self.t
         correct2 = 1.0 - ADAM_BETA2**self.t
         for name, tensor in params.tensors.items():
-            g = grads[name]
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self.m[name] / correct1
-            v_hat = self.v[name] / correct2
-            tensor -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            a, b = (w[: g.size].reshape(g.shape) for w in self._work)
+            # m = b1 * m + (1 - b1) * g
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            # v = b2 * v + (1 - b2) * g * g
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            # tensor -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.multiply(self.lr, np.divide(m, correct1, out=a), out=a)
+            np.sqrt(np.divide(v, correct2, out=b), out=b)
+            b += ADAM_EPS
+            tensor -= np.divide(a, b, out=a)
 
 
 def _epoch_batches(
@@ -147,4 +160,6 @@ def train(corpus: Corpus, config: ModelConfig, hyper: TrainConfig) -> TrainResul
         epoch_loss = loss_sum / max(item_count, 1)
         result.epoch_losses.append(epoch_loss)
         logger.info("epoch %d/%d mean loss %.6f", epoch + 1, hyper.epochs, epoch_loss)
+    # the copy leaves the training steps' work buffers (tens of MB) behind
+    result.params = params.copy()
     return result

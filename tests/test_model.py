@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from durasv.features import DurationFeatureSequence
 from durasv.model import (
     Batch,
     ModelConfig,
+    embed_sequences,
     forward,
     forward_with_cache,
     gradient_check,
@@ -407,3 +409,80 @@ class TestCrossItemIndependence:
         assert np.array_equal(loss, recorded["loss"])
         for tensor, g in grads.items():
             assert np.array_equal(g, recorded[tensor]), tensor
+
+
+class TestWorkBuffers:
+    """Reused work buffers carry nothing from one call, or one scoring group, to the next."""
+
+    @staticmethod
+    def jittered_params(name, rng):
+        params = init_model(TestCrossItemIndependence.CONFIGS[name], rng)
+        for v in params.tensors.values():
+            v += 0.05 * rng.standard_normal(v.shape)
+        return params
+
+    @pytest.mark.parametrize("name", sorted(TestCrossItemIndependence.CONFIGS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_call_equals_the_call_on_a_fresh_copy(self, name, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = self.jittered_params(name, rng)
+        cfg = params.config
+        batches = data.draw(
+            st.lists(st.lists(st.integers(1, 40), min_size=1, max_size=6), min_size=2, max_size=4),
+            label="batch sizes",
+        )
+        for sizes in batches:
+            sizes.insert(data.draw(st.integers(0, len(sizes)), label="one-phone item"), 1)
+        # batches grow to the largest, then shrink back to the smallest
+        batches.sort(key=sum)
+        for sizes in batches + batches[-2::-1]:
+            items = [random_sequence(rng, cfg.n_classes, n) for n in sizes]
+            batch = pad_batch(items, rng.integers(0, cfg.n_speakers, size=len(items)).tolist())
+            loss, grads = loss_and_grad(params, batch)
+            want_loss, want_grads = loss_and_grad(params.copy(), batch)
+            assert loss == want_loss
+            for tensor, g in grads.items():
+                assert np.array_equal(g, want_grads[tensor]), tensor
+            for got, want in zip(forward(params, batch), forward(params.copy(), batch)):
+                assert np.array_equal(got, want)
+            # a one-phone item is a scoring group of its own, so the
+            # groups of one call grow and shrink too
+            alone = [forward(params.copy(), pad_batch([it]))[0] for it in items]
+            assert np.array_equal(embed_sequences(params, items), np.concatenate(alone))
+
+    @pytest.mark.parametrize("name", sorted(TestCrossItemIndependence.CONFIGS))
+    def test_forward_with_cache_returns_arrays_the_caller_owns(self, name):
+        rng = np.random.default_rng(17)
+        params = self.jittered_params(name, rng)
+        cfg = params.config
+        cache = forward_with_cache(params, random_batch(rng, cfg, [1, 12, 30]))
+
+        def arrays():
+            return [*cache.block_inputs, *cache.block_acts, cache.encoded, cache.att_hidden]
+
+        before = [a.copy() for a in arrays()]
+        # smaller batches first: a grown buffer would be a new array
+        for sizes in ([2, 1], [30, 12, 1], [40, 25, 1, 33]):
+            batch = random_batch(rng, cfg, sizes)
+            loss_and_grad(params, batch)
+            forward(params, batch)
+            embed_sequences(params, [random_sequence(rng, cfg.n_classes, n) for n in sizes])
+        for got, want in zip(arrays(), before, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_second_training_step_allocates_at_most_half_the_first(self):
+        # the train-acc model and a batch of 32 chunks of 32 to 256 phones
+        cfg = ModelConfig(n_classes=96, n_speakers=20)
+        rng = np.random.default_rng(3)
+        params = init_model(cfg, rng)
+        batch = random_batch(rng, cfg, rng.integers(32, 257, size=32))
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                loss_and_grad(params, batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.5 * peaks[0], peaks

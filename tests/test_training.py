@@ -37,6 +37,30 @@ def small_model_config(corpus):
     )
 
 
+def test_adam_step_equals_the_out_of_place_update():
+    cfg = ModelConfig(n_classes=6, n_speakers=3, proj_dim=8, encoder_channels=8,
+                      embed_dim=8, attention_hidden=4)
+    rng = np.random.default_rng(9)
+    params = init_model(cfg, rng)
+    want = params.copy()
+    optimizer = training.AdamState(params, 1e-3)
+    m, v = want.zeros_like(), want.zeros_like()
+    b1, b2, eps, lr = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS, 1e-3
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(p.shape) for k, p in params.tensors.items()}
+        optimizer.step(params, grads)
+        for k, tensor in want.tensors.items():
+            g = grads[k]
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1**t)
+            v_hat = v[k] / (1.0 - b2**t)
+            tensor -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k in want.tensors:
+            assert np.array_equal(params.tensors[k], want.tensors[k]), k
+            assert np.array_equal(optimizer.m[k], m[k]) and np.array_equal(optimizer.v[k], v[k]), k
+
+
 def test_zero_epochs_returns_init_params():
     corpus = small_corpus()
     config = small_model_config(corpus)
