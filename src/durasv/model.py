@@ -210,15 +210,19 @@ class Batch:
         return self.offsets.size - 1
 
     @cached_property
-    def value_range(self) -> tuple[int, int, int, int]:
+    def _value_range(self) -> tuple[int, int, int, int]:
         """Smallest and largest class, then label (0 and 0 without labels).
 
         The model checks these against its config on every pass; the
         finite-difference check passes one batch over a thousand times.
         """
         labels = self.labels if self.labels is not None else np.zeros(1, dtype=np.int64)
-        return (int(self.classes.min()), int(self.classes.max()),
-                int(labels.min()), int(labels.max()))
+        return (
+            int(self.classes.min()),
+            int(self.classes.max()),
+            int(labels.min()),
+            int(labels.max()),
+        )
 
     def packed(self, gap: int) -> "PackedLayout":
         """The batch's packed layout with ``gap`` zero rows between items."""
@@ -472,7 +476,7 @@ class ForwardCache:
 
 def _validate_batch(config: ModelConfig, batch: Batch) -> None:
     """Check the batch's values against the config; ``Batch`` checked its shape."""
-    low_class, high_class, low_label, high_label = batch.value_range
+    low_class, high_class, low_label, high_label = batch._value_range
     if high_class >= config.n_classes or low_class < 0:
         raise ShapeMismatchError("class index outside the configured inventory")
     if high_label >= config.n_speakers or low_label < 0:
