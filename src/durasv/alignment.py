@@ -15,10 +15,13 @@ every utterance a row of one ``(P, 2)`` int32 array of (class index,
 frame count) rows, with each utterance a run of rows between two offsets.
 An :class:`AlignedUtterance` taken from a corpus is a view of its run.
 
-``parse_alignment`` reads its source in blocks of whole lines and works on
-each block's code points in numpy: whitespace and comments are masked,
-tokens counted per line, frame counts converted, labels looked up in one
-sorted table, and utterance runs found by comparing adjacent ids. Each
+``parse_alignment`` parses its source in blocks of whole lines. A
+file-like source is read in chunks of text, each block ending at a
+chunk's last ``'\n'``; any other iterable gives one line per element.
+Each block's code points, one byte each when the block is ASCII and four
+when not, are worked on in numpy: whitespace and comments are masked,
+tokens counted per line, frame counts converted, labels looked up in a
+hash table, and utterance runs found by comparing adjacent ids. Each
 block's rows and the first rows of its new utterances are appended to
 the table, so no per-utterance object is made. It reports the same
 errors, with the same line numbers, as checking the lines one by one
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -321,17 +324,18 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     return PhonemeInventory(tuple(labels))
 
 
-# Lines parsed per block: bounds the code-point and token arrays held at once.
+# Lines per block of a source that is not file-like, and characters per
+# chunk read from one that is: each bounds the arrays a block holds at once.
 _BLOCK_LINES = 1 << 12
-# Code points of an id token compared as array columns; two longer ids that
-# agree on these are compared as strings.
+_CHUNK_CHARS = 1 << 18
+# Code points of an id token compared as array columns (a multiple of 8);
+# two longer ids that agree on these are compared as strings.
 _ID_WIDTH = 64
 # Whether a code point can be part of a token: it is none of those
 # ``str.split()`` splits on and ``str.strip()`` strips. No code point above
 # U+3000 is, so the last entry stands for all of them.
 _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
-_PAD = np.uint32(0xFFFFFFFF)  # above every code point: fills a token row past its end
-_COMMENT = ord("#")
+_NEWLINE, _COMMENT = ord("\n"), ord("#")
 _MAX_FRAMES = 2**31 - 1
 # Utterances whose lines ``write_alignment`` builds as one string.
 _WRITE_UTTERANCES = 1 << 9
@@ -340,18 +344,69 @@ _WRITE_UTTERANCES = 1 << 9
 _NOT_INT, _NOT_POSITIVE, _TOO_LARGE, _SPEAKER, _UNKNOWN = 2, 3, 4, 7, 8
 
 
-def _tokenize(lines: list[str]) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A block's text, its code points, each token's start and end, tokens per line.
+@functools.cache
+def _pad_masks(size: int, n_words: int) -> np.ndarray:
+    """``[j, n]``: the bits of word ``j`` that hold code points ``n`` and on."""
+    per_word = 8 // size
+    point = (1 << 8 * size) - 1
+    return np.array(
+        [
+            [
+                sum(point << 8 * size * c for c in range(per_word) if j * per_word + c >= n)
+                for n in range(n_words * per_word + 1)
+            ]
+            for j in range(n_words)
+        ],
+        dtype=np.uint64,
+    )
 
-    The lines are joined with newlines, so no token spans two of them, and
-    code point ``i`` is character ``i`` of the text. A ``#`` hides the rest
-    of its line.
+
+class _Text:
+    """A text as code points: one byte each, or four when ``wide``.
+
+    ``words`` views the code points as little-endian 8-byte words, one
+    starting at each code point. ``spare`` bytes, at least 8, follow the
+    text, so the words of a key of at most ``spare // 8`` words are in
+    bounds.
     """
-    text = "\n".join(lines)
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    line_ends = np.cumsum(lengths + 1) - 1
-    line_starts = line_ends - lengths
+
+    def __init__(self, text: str, spare: int, wide: bool) -> None:
+        raw = text.encode("utf-32-le", "surrogatepass") if wide else text.encode("ascii")
+        buffer = np.zeros(len(raw) + spare, dtype=np.uint8)
+        buffer[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+        self.text = text
+        self.codes = buffer[: len(raw)].view(np.uint32 if wide else np.uint8)
+        size = self.codes.itemsize
+        self.words = np.ndarray(((buffer.size - 8) // size + 1,), "<u8", buffer, strides=(size,))
+
+    def keys(self, starts: np.ndarray, lengths: np.ndarray, n_words: int) -> list[np.ndarray]:
+        """Each token's first ``n_words`` words, all bits set past its end.
+
+        A set code point is above every code point of the text, so two keys
+        are equal only if their tokens agree on the code points they cover.
+        """
+        per_word = 8 // self.codes.itemsize
+        capped = np.minimum(lengths, n_words * per_word)
+        masks = _pad_masks(self.codes.itemsize, n_words)
+        return [self.words[starts + j * per_word] | masks[j][capped] for j in range(n_words)]
+
+
+def _tokenize(
+    text: _Text, line_ends: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each token's start and end, and the number of tokens on each line.
+
+    Line ``i`` ends at ``line_ends[i]``, a non-token code point or the end
+    of the text, and the next starts one code point later. With no
+    ``line_ends`` a line ends at each ``'\\n'`` and at the end of a text
+    that does not end with one. A ``#`` hides the rest of its line.
+    """
+    codes = text.codes
+    if line_ends is None:
+        line_ends = np.flatnonzero(codes == _NEWLINE)
+        if not text.text.endswith("\n"):
+            line_ends = np.append(line_ends, codes.size)
+    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
     solid = np.zeros(codes.size + 2, dtype=bool)  # one non-token cell at each end
     _IN_TOKEN.take(codes, out=solid[1:-1], mode="clip")
     marks = np.flatnonzero(codes == _COMMENT)
@@ -365,36 +420,29 @@ def _tokenize(lines: list[str]) -> tuple[str, np.ndarray, np.ndarray, np.ndarray
         solid[1:-1] &= np.cumsum(inside[:-1], dtype=np.int8) == 0
     edges = np.flatnonzero(solid[1:] != solid[:-1])
     starts, ends = edges[0::2], edges[1::2]
-    first_token = np.searchsorted(starts, line_starts)
-    counts = np.diff(first_token, append=starts.size)
-    return text, codes, starts, ends, counts
-
-
-def _rows(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
-    """Each token's first ``width`` code points as one row, ``_PAD`` past its end."""
-    column = np.arange(width)
-    rows = codes.take(starts[:, None] + column, mode="clip")
-    rows[column >= lengths[:, None]] = _PAD
-    return rows
+    counts = np.diff(np.searchsorted(starts, line_starts), append=starts.size)
+    return starts, ends, counts
 
 
 def _same_as_previous(
-    text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, previous: str | None
+    text: _Text, starts: np.ndarray, ends: np.ndarray, previous: str | None
 ) -> np.ndarray:
     """Whether each token equals the one before it; the first is compared with ``previous``."""
     lengths = ends - starts
-    width = min(int(lengths.max()), _ID_WIDTH)
-    keys = _rows(codes, starts, lengths, width).view(f"V{4 * width}").ravel()
-    same = np.empty(starts.size, dtype=bool)
-    same[0] = text[starts[0] : ends[0]] == previous
-    same[1:] = (keys[1:] == keys[:-1]) & (lengths[1:] == lengths[:-1])
-    for i in np.flatnonzero(same[1:] & (lengths[1:] > width)) + 1:
-        same[i] = text[starts[i] : ends[i]] == text[starts[i - 1] : ends[i - 1]]
+    per_word = 8 // text.codes.itemsize
+    n_words = -(-min(int(lengths.max()), _ID_WIDTH) // per_word)
+    s = text.text
+    same = np.ones(starts.size, dtype=bool)
+    same[0] = s[starts[0] : ends[0]] == previous
+    for column in text.keys(starts, lengths, n_words):
+        same[1:] &= column[1:] == column[:-1]
+    for i in np.flatnonzero(same[1:] & (lengths[1:] > n_words * per_word)) + 1:
+        same[i] = s[starts[i] : ends[i]] == s[starts[i - 1] : ends[i - 1]]
     return same
 
 
 def _frame_counts(
-    text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    text: _Text, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each frame-count token's value and the first check it fails (0 for none).
 
@@ -404,16 +452,18 @@ def _frame_counts(
     """
     lengths = ends - starts
     width = min(int(lengths.max()), 10)
-    column = np.arange(width)
-    digits = codes.take(ends[:, None] - width + column, mode="clip").astype(np.int64) - ord("0")
-    inside = column >= width - lengths[:, None]
-    is_digit = (digits >= 0) & (digits <= 9)
-    arithmetic = (lengths <= width) & (is_digit | ~inside).all(axis=1)
-    values = np.where(inside & is_digit, digits, 0) @ 10 ** (width - 1 - column)
+    values = np.zeros(starts.size, dtype=np.int64)
+    arithmetic = lengths <= width
+    for place in range(width):  # code points back from each token's end
+        digits = text.codes.take(ends - 1 - place, mode="clip").astype(np.int64) - ord("0")
+        inside = lengths > place
+        is_digit = (digits >= 0) & (digits <= 9)
+        arithmetic &= is_digit | ~inside
+        values += np.where(inside & is_digit, digits, 0) * 10**place
     not_int = []
     for i in np.flatnonzero(~arithmetic):
         try:
-            values[i] = min(max(int(text[starts[i] : ends[i]]), 0), _MAX_FRAMES + 1)
+            values[i] = min(max(int(text.text[starts[i] : ends[i]]), 0), _MAX_FRAMES + 1)
         except ValueError:
             not_int.append(i)
     failed = np.select([values < 1, values > _MAX_FRAMES], [_NOT_POSITIVE, _TOO_LARGE], 0)
@@ -422,40 +472,66 @@ def _frame_counts(
 
 
 class _LabelTable:
-    """Exact lookup of label tokens: a class index, or -1 for an excluded label.
+    """Exact lookup of label tokens at one code-point width.
 
-    Labels are held as rows of ``width`` code points, one more than the
-    longest label, so a longer token matches none. A token row's hash finds
-    its one candidate in the sorted hashes of the labels, and the candidate
-    counts only if its row equals the token's.
+    A token's class index, or ``EXCLUDED`` for a label in ``exclude`` and
+    ``UNKNOWN`` for any other token. A label's key covers one code point
+    more than the longest label, so a longer token matches none. Keys sit
+    in an open-addressing hash table at most an eighth full: a token's
+    probe starts at its key's slot and walks on until it meets its label
+    or an empty slot, so the lookup is exact whatever the keys hash to.
+    The table of one byte per code point holds only the ASCII labels,
+    since no other label can match an ASCII token.
     """
 
     EXCLUDED, UNKNOWN = -1, -2
+    _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
-    def __init__(self, inventory: PhonemeInventory, exclude: Sequence[str]) -> None:
+    def __init__(self, inventory: PhonemeInventory, exclude: Sequence[str], wide: bool) -> None:
         entries = dict(inventory.index_of)
         entries.update(dict.fromkeys(exclude, self.EXCLUDED))
-        lengths = np.array([len(label) for label in entries])
-        self.width = int(lengths.max()) + 1
-        codes = np.frombuffer("".join(entries).encode("utf-32-le", "surrogatepass"), np.uint32)
-        rows = _rows(codes, np.cumsum(lengths) - lengths, lengths, self.width)
-        for odd in itertools.count(1, 2):  # until no two labels share a hash
-            step = np.uint64(odd * 0x9E3779B97F4A7C15 % 2**64)
-            self.multipliers = np.arange(1, self.width + 1, dtype=np.uint64) * step | 1
-            hashes = rows.astype(np.uint64) @ self.multipliers
-            if np.unique(hashes).size == hashes.size:
-                break
-        order = np.argsort(hashes)
-        self.hashes = hashes[order]
-        self.keys = rows[order].view(f"V{4 * self.width}").ravel()
-        self.values = np.array(list(entries.values()), dtype=np.int64)[order]
+        if not wide:
+            entries = {label: i for label, i in entries.items() if label.isascii()}
+        lengths = np.array([len(label) for label in entries], dtype=np.int64)
+        self.n_words = -(-(int(lengths.max(initial=0)) + 1) * (4 if wide else 1) // 8)
+        text = _Text("".join(entries), 8 * self.n_words, wide)
+        keys = text.keys(np.cumsum(lengths) - lengths, lengths, self.n_words)
+        n = len(entries)
+        bits = max(3, (8 * n - 1).bit_length())
+        self.shift = np.uint64(64 - bits)
+        self.mask = (1 << bits) - 1
+        self.slots = np.full(1 << bits, n, dtype=np.int64)  # label ``n``: an empty slot
+        for label, slot in enumerate(self._hash(keys).tolist()):
+            while self.slots[slot] < n:
+                slot = (slot + 1) & self.mask
+            self.slots[slot] = label
+        # the empty label's key is never matched: a probe stops at an empty slot
+        self.keys = [np.append(column, np.uint64(0)) for column in keys]
+        self.values = np.array([*entries.values(), self.UNKNOWN], dtype=np.int64)
 
-    def classes(self, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        rows = _rows(codes, starts, ends - starts, self.width)
-        at = np.searchsorted(self.hashes, rows.astype(np.uint64) @ self.multipliers)
-        at = np.minimum(at, self.hashes.size - 1)
-        found = self.keys[at] == rows.view(self.keys.dtype).ravel()
-        return np.where(found, self.values[at], self.UNKNOWN)
+    def _hash(self, keys: list[np.ndarray]) -> np.ndarray:
+        h = keys[0] * self._MULTIPLIER
+        for column in keys[1:]:
+            h = (h ^ column) * self._MULTIPLIER
+        return (h >> self.shift).astype(np.int64)
+
+    def _probe_on(self, keys: list[np.ndarray], labels: np.ndarray) -> np.ndarray:
+        """Whether each token's slot holds a label other than the token."""
+        other = self.keys[0][labels] != keys[0]
+        for mine, theirs in zip(self.keys[1:], keys[1:]):
+            other |= mine[labels] != theirs
+        return other & (labels < self.values.size - 1)
+
+    def classes(self, text: _Text, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        keys = text.keys(starts, ends - starts, self.n_words)
+        slots = self._hash(keys)
+        labels = self.slots[slots]
+        probing = np.flatnonzero(self._probe_on(keys, labels))
+        while probing.size:
+            slots[probing] = (slots[probing] + 1) & self.mask
+            labels[probing] = self.slots[slots[probing]]
+            probing = probing[self._probe_on([k[probing] for k in keys], labels[probing])]
+        return self.values[labels]
 
 
 class _Parser:
@@ -463,9 +539,13 @@ class _Parser:
 
     def __init__(self, inventory: PhonemeInventory, exclude: Sequence[str]) -> None:
         self.inventory = inventory
-        self.labels = _LabelTable(inventory, exclude)
+        # one label table per code-point width, in bytes
+        self.labels = {size: _LabelTable(inventory, exclude, size == 4) for size in (1, 4)}
+        # bytes after a block's text for the longest key read from it
+        self.spare = max(8 * self.labels[4].n_words, 4 * _ID_WIDTH)
         self.blocks: list[np.ndarray] = []  # each block's kept (class, frames) rows
         self.n_rows = 0
+        self.n_lines = 0
         self.starts: list[np.ndarray] = []  # each block's new utterances' first rows
         self.utterance_ids: list[str] = []
         self.speaker_ids: list[str] = []
@@ -487,21 +567,27 @@ class _Parser:
             list(itertools.compress(self.speaker_ids, keep)),
         )
 
-    def feed(self, lines: list[str], first_line: int) -> None:
-        """Parse one block; raise for its first bad line, checks in the documented order."""
-        text, codes, starts, ends, counts = _tokenize(lines)
+    def feed(self, block: str, line_ends: np.ndarray | None = None) -> None:
+        """Parse one block of whole lines, ended as ``_tokenize`` says.
+
+        Raise for its first bad line, checks in the documented order.
+        """
+        text = _Text(block, self.spare, not block.isascii())
+        starts, ends, counts = _tokenize(text, line_ends)
+        first_line = self.n_lines + 1
+        self.n_lines += counts.size
         miscounted = np.flatnonzero((counts != 0) & (counts != 4))
-        cut = int(miscounted[0]) if miscounted.size else len(lines)
+        cut = int(miscounted[0]) if miscounted.size else counts.size
         line_of = np.flatnonzero(counts[:cut]) + first_line  # each row's line number
         n = line_of.size
         if n:
             spk, utt, label, frames = (
                 np.stack((starts[: 4 * n], ends[: 4 * n])).reshape(2, n, 4).transpose(2, 0, 1)
             )
-            values, failed = _frame_counts(text, codes, *frames)
-            same_utt = _same_as_previous(text, codes, *utt, self.utt)
-            same_spk = _same_as_previous(text, codes, *spk, self.spk)
-            classes = self.labels.classes(codes, *label)
+            values, failed = _frame_counts(text, *frames)
+            same_utt = _same_as_previous(text, *utt, self.utt)
+            same_spk = _same_as_previous(text, *spk, self.spk)
+            classes = self.labels[text.codes.itemsize].classes(text, *label)
             failed[(failed == 0) & same_utt & ~same_spk] = _SPEAKER
             failed[(failed == 0) & (classes == _LabelTable.UNKNOWN)] = _UNKNOWN
             bad = np.flatnonzero(failed)
@@ -511,7 +597,7 @@ class _Parser:
             # a new id's checks come after its line's frame count checks and
             # before its label check
             checked = new[(new < first_bad) | ((new == first_bad) & (failed[new] == _UNKNOWN))]
-            utt_ids = [text[a:b] for a, b in zip(*utt[:, checked].tolist())]
+            utt_ids = [block[a:b] for a, b in zip(*utt[:, checked].tolist())]
             for utt_id, line in zip(utt_ids, line_of[checked].tolist()):
                 if "," in utt_id:
                     raise MalformedLineError(f"',' in utterance id {utt_id!r}", line)
@@ -522,7 +608,7 @@ class _Parser:
                 self.finished.add(utt_id)
             if first_bad < n:
                 row = slice(4 * first_bad, 4 * first_bad + 4)
-                fields = [text[a:b] for a, b in zip(starts[row].tolist(), ends[row].tolist())]
+                fields = [block[a:b] for a, b in zip(starts[row].tolist(), ends[row].tolist())]
                 raise _line_error(failed[first_bad], fields, int(line_of[first_bad]))
 
             kept = classes >= 0
@@ -530,14 +616,14 @@ class _Parser:
             phones[:, 0] = classes[kept]
             phones[:, 1] = values[kept]
             if new.size:
-                spk_ids = [text[a:b] for a, b in zip(*spk[:, new].tolist())]
+                spk_ids = [block[a:b] for a, b in zip(*spk[:, new].tolist())]
                 self.starts.append(self.n_rows + np.cumsum(kept)[new] - kept[new])
                 self.utterance_ids += utt_ids
                 self.speaker_ids += spk_ids
                 self.utt, self.spk = utt_ids[-1], spk_ids[-1]
             self.blocks.append(phones)
             self.n_rows += len(phones)
-        if cut < len(lines):
+        if cut < counts.size:
             raise MalformedLineError(
                 f"expected 4 whitespace-separated fields, got {counts[cut]}", first_line + cut
             )
@@ -556,6 +642,25 @@ def _line_error(check: int, fields: list[str], line: int) -> AlignmentParseError
     return UnknownPhonemeError(label, line)
 
 
+def _chunk_blocks(source: IO[str]) -> Iterator[str]:
+    """The source's text in blocks of whole lines, each read chunk cut after its last ``'\\n'``.
+
+    The rest of a chunk opens the next block; a line longer than a chunk
+    spans as many as it needs.
+    """
+    pieces: list[str] = []
+    while chunk := source.read(_CHUNK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield "".join(pieces)
+            pieces = [chunk[cut:]]
+        else:
+            pieces.append(chunk)
+    if rest := "".join(pieces):
+        yield rest
+
+
 def parse_alignment(
     source: IO[str] | Iterable[str],
     inventory: PhonemeInventory,
@@ -568,19 +673,25 @@ def parse_alignment(
     omitted. A frame count must fit int32 (at most 2^31 - 1). Every
     reported error carries its 1-based line number.
 
-    The source is read in blocks of whole lines, each element of it being
-    one line, and each block is tokenized and checked in numpy. The first
-    bad line in file order raises. Within a line the checks run in this
-    order: field count, integer frame count, frame count >= 1, frame count
-    <= 2^31 - 1, then ``,`` in and reappearance of a new utterance's id or
-    a speaker change inside an utterance, then the label.
+    A file-like source, one with ``read``, is read in chunks of text split
+    into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
+    deliver them. Any other iterable gives one line per element. Either way
+    the lines are parsed in blocks, each tokenized and checked in numpy at
+    one byte per code point when the block is ASCII. The first bad line in
+    file order raises. Within a line the checks run in this order: field
+    count, integer frame count, frame count >= 1, frame count <= 2^31 - 1,
+    then ``,`` in and reappearance of a new utterance's id or a speaker
+    change inside an utterance, then the label.
     """
     parser = _Parser(inventory, exclude)
-    lines = iter(source)
-    first_line = 1
-    while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        parser.feed(block, first_line)
-        first_line += len(block)
+    if hasattr(source, "read"):
+        for block in _chunk_blocks(source):
+            parser.feed(block)
+    else:
+        lines = iter(source)
+        while block := list(itertools.islice(lines, _BLOCK_LINES)):
+            lengths = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+            parser.feed("\n".join(block), np.cumsum(lengths + 1) - 1)
     return parser.corpus()
 
 

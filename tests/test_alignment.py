@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 from unittest.mock import patch
 
@@ -250,6 +252,62 @@ class TestParseAlignment:
         assert err.value.line == 1
 
 
+# label tokens drawn from few code points, so that near misses are common and
+# labels run past one 8-byte key word at either width
+LABEL = st.text(st.sampled_from("AB_01\xdf\u014b"), min_size=1, max_size=20)
+
+
+class TestLabelLookup:
+    """Label tokens are found exactly, at both code-point widths, for any inventory."""
+
+    def test_colliding_labels_terminate(self):
+        # a linear hash over the code points gave these labels one value for
+        # every multiplier tried, so building the lookup never ended
+        script = (
+            "from durasv.alignment import *\n"
+            "parse_alignment(['s u B_E 3'], PhonemeInventory(('B_E', 'K_B')))\n"
+            "parse_alignment(['s u AA_B 3'], arpabet_positional_inventory())\n"
+        )
+        src = os.path.dirname(os.path.dirname(alignment.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+    def test_two_labels_of_one_linear_hash(self):
+        lines = ["s u B_E 3", "s u K_B 4", "s u B_E 5"]
+        corpus = parse_alignment(lines, PhonemeInventory(("B_E", "K_B")))
+        assert corpus.phones.tolist() == [[0, 3], [1, 4], [0, 5]]
+
+    @pytest.mark.parametrize("speaker", ["s", "\u0161"])
+    def test_every_arpabet_label_maps_to_its_index(self, speaker):
+        inv = arpabet_positional_inventory()
+        lines = [f"{speaker} u{i // 8} {label} {i + 1}" for i, label in enumerate(inv.symbols)]
+        corpus = parse_alignment(lines, inv)
+        assert corpus.phones[:, 0].tolist() == list(range(inv.size))
+        assert corpus == reference_parse(lines, inv)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(LABEL, min_size=1, max_size=12, unique=True), st.data())
+    def test_labels_found_and_near_misses_unknown(self, labels, data):
+        inv = PhonemeInventory(tuple(labels))
+        label = data.draw(st.sampled_from(labels))
+        at = data.draw(st.integers(0, len(label)))
+        point = data.draw(st.sampled_from("AB_01\xdf\u014bZ"))
+        near = data.draw(
+            st.sampled_from((label[:at] + point + label[at:], label[:at] + point + label[at + 1 :]))
+            if at < len(label)
+            else st.just(label + point)
+        )
+        if len(label) > 1:
+            near = data.draw(st.sampled_from((near, label[:at] + label[at + 1 :])))
+        for speaker in ("s", "\u0161"):  # an ASCII block, then a wide one
+            lines = [f"{speaker} u {symbol} 1" for symbol in labels]
+            assert parse_alignment(lines, inv).phones[:, 0].tolist() == list(range(len(labels)))
+            lines.append(f"{speaker} u {near} 1")
+            got = outcome(lambda: parse_alignment(lines, inv))
+            assert got == outcome(lambda: reference_parse(lines, inv))
+            assert isinstance(got, Corpus) == (near in inv)
+
+
 class TestCorpusValidation:
     INV = PhonemeInventory(("SIL", "AA1_B", "T_E"))
 
@@ -474,6 +532,22 @@ class TestCorpusTable:
         scores = score_trials_embedding(result.params, corpus, trials)
         assert np.all(np.isfinite(scores.scores))
 
+    def test_file_like_sources_are_read_in_chunks_not_lines(self):
+        class ReadOnly(io.StringIO):
+            def __iter__(self):
+                raise AssertionError("the source was iterated")
+
+            def __next__(self):
+                raise AssertionError("the source was iterated")
+
+            def readline(self, size=-1):
+                raise AssertionError("a line was read")
+
+        lines = ["a u1 SIL 1", "a u1 AA1_B 2", "# note", "b u2 T_E 3  # end", "b u2 SIL 4"]
+        got = parse_alignment(ReadOnly("\n".join(lines)), self.INV)
+        assert got == parse_alignment(lines, self.INV)
+        assert got.offsets.tolist() == [0, 2, 4]
+
 
 # ids built on it agree on more code points than the parser compares as
 # array columns, so only the string comparison tells them apart
@@ -554,13 +628,56 @@ class TestParserMatchesLineByLineReference:
         alignment_lines(),
         st.sampled_from(((), ("SIL",), ("SIL", "ZZ"))),
         st.integers(1, 5),
+        st.integers(1, 64),
         st.booleans(),
     )
-    def test_same_corpus_or_same_error(self, lines, exclude, block_lines, as_stream):
+    def test_same_corpus_or_same_error(self, lines, exclude, block_lines, chunk_chars, as_stream):
+        # a stream is read in chunks of ``chunk_chars`` code points, so chunk
+        # edges fall inside lines, tokens and non-ASCII runs, and blocks of
+        # one and four bytes per code point mix
         def source():
             return io.StringIO("\n".join(lines)) if as_stream else list(lines)
 
         want = outcome(lambda: reference_parse(source(), self.INV, exclude))
-        with patch.object(alignment, "_BLOCK_LINES", block_lines):
+        with patch.object(alignment, "_BLOCK_LINES", block_lines), patch.object(
+            alignment, "_CHUNK_CHARS", chunk_chars
+        ):
             got = outcome(lambda: parse_alignment(source(), self.INV, exclude))
         assert got == want
+
+    @pytest.mark.parametrize("chunk_chars", [1, 2, 5, alignment._CHUNK_CHARS])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "a u1 SIL 3\na u1 A 4",  # no final newline
+            "",
+            "# only comments\n  # and blanks\n\n\u2003\n",
+            "a u1 SIL 3\r\na u1 A 4\r\nb u2 \u014b 5\r\n",
+            "a u1 SIL 3\ra u1 A 4\rb u2 \u014b 5\r",
+            "a u1 SIL 3\r\nb u1 A 4\r\n",  # an error, on line 2
+            "a u1 SIL 3\rb u2 A 0\r",  # an error, on line 2
+            "a u1 SIL 3\nb u2 A x",  # an error, on the last line
+        ],
+    )
+    def test_file_handles_match_the_reference(self, tmp_path, monkeypatch, content, chunk_chars):
+        path = tmp_path / "alignment.txt"
+        path.write_bytes(content.encode("utf-8"))
+        monkeypatch.setattr(alignment, "_CHUNK_CHARS", chunk_chars)
+        with open(path, encoding="utf-8") as handle:
+            want = outcome(lambda: reference_parse(handle, self.INV))
+        with open(path, encoding="utf-8") as handle:
+            assert outcome(lambda: parse_alignment(handle, self.INV)) == want
+
+    @pytest.mark.parametrize("chunk_chars", [7, alignment._CHUNK_CHARS])
+    def test_line_longer_than_a_chunk(self, tmp_path, monkeypatch, chunk_chars):
+        long_id = "u" * (alignment._CHUNK_CHARS + 100)
+        path = tmp_path / "alignment.txt"
+        for lines in (
+            ["a u1 SIL 3", f"a {long_id} A 4", f"a {long_id} \u014b 5", "a u2 SIL 6"],
+            ["a u1 SIL 3", f"a {long_id} A 4", f"a {long_id}x B1 x"],  # an error on line 3
+        ):
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            monkeypatch.setattr(alignment, "_CHUNK_CHARS", chunk_chars)
+            with open(path, encoding="utf-8") as handle:
+                got = outcome(lambda: parse_alignment(handle, self.INV))
+            assert got == outcome(lambda: reference_parse(lines, self.INV))

@@ -4,7 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from durasv.alignment import Corpus, arpabet_positional_inventory, write_alignment
 from durasv.cli import main
+from durasv.synth import SynthConfig, generate_corpus, sample_speakers
 
 
 @pytest.fixture
@@ -121,6 +123,25 @@ class TestTrialsCommand:
         out = tmp_path / "trials.txt"
         assert run_trials(corpus_dir, out, n=40) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_arpabet_inventory_file_exits_zero(self, tmp_path):
+        # the README's 336-label inventory, which once made every command hang
+        inventory = arpabet_positional_inventory()
+        synth = SynthConfig(
+            n_speakers=3,
+            utts_per_speaker=4,
+            phones_per_utt=(10, 20),
+            population_log_mean=np.full(inventory.size, np.log(10.0)),
+            sigma_speaker=0.3,
+            sigma_token=0.3,
+            seed=2,
+        )
+        profiles = sample_speakers(synth, np.random.default_rng([2, 0]))
+        corpus = generate_corpus(profiles, synth, np.random.default_rng([2, 1]))
+        (tmp_path / "inventory.txt").write_text("\n".join(inventory.symbols) + "\n")
+        with open(tmp_path / "alignment.txt", "w", encoding="utf-8") as sink:
+            write_alignment(Corpus(inventory, corpus.utterances), sink)
+        assert run_trials(tmp_path, tmp_path / "trials.txt") == 0
 
 
 class TestScoreAndEval:
