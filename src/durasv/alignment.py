@@ -327,7 +327,7 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
 # Lines per block of a source that is not file-like, and characters per
 # chunk read from one that is: each bounds the arrays a block holds at once.
 _BLOCK_LINES = 1 << 12
-_CHUNK_CHARS = 1 << 18
+_CHUNK_CHARS = 1 << 17
 # Code points of an id token compared as array columns (a multiple of 8);
 # two longer ids that agree on these are compared as strings.
 _ID_WIDTH = 64
@@ -677,8 +677,8 @@ def parse_alignment(
     into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
     deliver them. Any other iterable gives one line per element. Either way
     the lines are parsed in blocks, each tokenized and checked in numpy at
-    one byte per code point when the block is ASCII. The first bad line in
-    file order raises. Within a line the checks run in this order: field
+    one byte per code point when the block is ASCII and four when not. The
+    first bad line in file order raises. Within a line the checks run in this order: field
     count, integer frame count, frame count >= 1, frame count <= 2^31 - 1,
     then ``,`` in and reappearance of a new utterance's id or a speaker
     change inside an utterance, then the label.
