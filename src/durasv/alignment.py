@@ -349,7 +349,7 @@ def _pad_masks(size: int, n_words: int) -> np.ndarray:
     """``[j, n]``: the bits of word ``j`` that hold code points ``n`` and on."""
     per_word = 8 // size
     point = (1 << 8 * size) - 1
-    return np.array(
+    masks = np.array(
         [
             [
                 sum(point << 8 * size * c for c in range(per_word) if j * per_word + c >= n)
@@ -359,6 +359,8 @@ def _pad_masks(size: int, n_words: int) -> np.ndarray:
         ],
         dtype=np.uint64,
     )
+    masks.flags.writeable = False  # one cached array serves every caller
+    return masks
 
 
 class _Text:
