@@ -367,30 +367,35 @@ class _Text:
     """A text as code points: one byte each, or four when ``wide``.
 
     ``words`` views the code points as little-endian 8-byte words, one
-    starting at each code point. ``spare`` bytes, at least 8, follow the
-    text, so the words of a key of at most ``spare // 8`` words are in
-    bounds.
+    starting at each code point and one at the end of the text, over 8
+    zero bytes that follow the text.
     """
 
-    def __init__(self, text: str, spare: int, wide: bool) -> None:
+    def __init__(self, text: str, wide: bool) -> None:
         raw = text.encode("utf-32-le", "surrogatepass") if wide else text.encode("ascii")
-        buffer = np.zeros(len(raw) + spare, dtype=np.uint8)
+        buffer = np.zeros(len(raw) + 8, dtype=np.uint8)
         buffer[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
         self.text = text
         self.codes = buffer[: len(raw)].view(np.uint32 if wide else np.uint8)
         size = self.codes.itemsize
-        self.words = np.ndarray(((buffer.size - 8) // size + 1,), "<u8", buffer, strides=(size,))
+        self.words = np.ndarray((self.codes.size + 1,), "<u8", buffer, strides=(size,))
 
     def keys(self, starts: np.ndarray, lengths: np.ndarray, n_words: int) -> list[np.ndarray]:
         """Each token's first ``n_words`` words, all bits set past its end.
 
         A set code point is above every code point of the text, so two keys
         are equal only if their tokens agree on the code points they cover.
+        A word that would start past a token's end is read at its end
+        instead, as all its bits are set anyway, so no read leaves ``words``.
         """
         per_word = 8 // self.codes.itemsize
         capped = np.minimum(lengths, n_words * per_word)
         masks = _pad_masks(self.codes.itemsize, n_words)
-        return [self.words[starts + j * per_word] | masks[j][capped] for j in range(n_words)]
+        ends = starts + lengths
+        return [
+            self.words[np.minimum(starts + j * per_word, ends)] | masks[j][capped]
+            for j in range(n_words)
+        ]
 
 
 def _tokenize(
@@ -434,8 +439,11 @@ def _same_as_previous(
     per_word = 8 // text.codes.itemsize
     n_words = -(-min(int(lengths.max()), _ID_WIDTH) // per_word)
     s = text.text
-    same = np.ones(starts.size, dtype=bool)
+    same = np.empty(starts.size, dtype=bool)
     same[0] = s[starts[0] : ends[0]] == previous
+    # keys of ids longer than the columns hold no pad bits, so equal keys
+    # alone do not tell a 64-code-point id from a longer one it starts
+    same[1:] = lengths[1:] == lengths[:-1]
     for column in text.keys(starts, lengths, n_words):
         same[1:] &= column[1:] == column[:-1]
     for i in np.flatnonzero(same[1:] & (lengths[1:] > n_words * per_word)) + 1:
@@ -496,7 +504,7 @@ class _LabelTable:
             entries = {label: i for label, i in entries.items() if label.isascii()}
         lengths = np.array([len(label) for label in entries], dtype=np.int64)
         self.n_words = -(-(int(lengths.max(initial=0)) + 1) * (4 if wide else 1) // 8)
-        text = _Text("".join(entries), 8 * self.n_words, wide)
+        text = _Text("".join(entries), wide)
         keys = text.keys(np.cumsum(lengths) - lengths, lengths, self.n_words)
         n = len(entries)
         bits = max(3, (8 * n - 1).bit_length())
@@ -543,8 +551,6 @@ class _Parser:
         self.inventory = inventory
         # one label table per code-point width, in bytes
         self.labels = {size: _LabelTable(inventory, exclude, size == 4) for size in (1, 4)}
-        # bytes after a block's text for the longest key read from it
-        self.spare = max(8 * self.labels[4].n_words, 4 * _ID_WIDTH)
         self.blocks: list[np.ndarray] = []  # each block's kept (class, frames) rows
         self.n_rows = 0
         self.n_lines = 0
@@ -574,7 +580,7 @@ class _Parser:
 
         Raise for its first bad line, checks in the documented order.
         """
-        text = _Text(block, self.spare, not block.isascii())
+        text = _Text(block, not block.isascii())
         starts, ends, counts = _tokenize(text, line_ends)
         first_line = self.n_lines + 1
         self.n_lines += counts.size

@@ -548,7 +548,9 @@ class TestCorpusTable:
 
 
 # ids built on it agree on more code points than the parser compares as
-# array columns, so only the string comparison tells them apart
+# array columns, so only the string comparison tells them apart; its first
+# ``_ID_WIDTH`` code points fill the columns, and only the ids' lengths
+# tell that id from them
 LONG_ID = "L" * (alignment._ID_WIDTH + 6)
 SEPARATORS = (" ", "\t", "  ", "\xa0", "\u2003", "\u0085", "\x1c")
 # fault codes, drawn uniformly; most runs get a code with no case, and a
@@ -576,7 +578,11 @@ def alignment_lines(draw):
         if utt_ids and fault == 1:
             utt_id = draw(st.sampled_from(utt_ids))
         else:
-            utt_id = draw(st.sampled_from((f"u{run}", f"{LONG_ID}{run}", f"ß{run}")))
+            utt_id = draw(
+                st.sampled_from(
+                    (f"u{run}", f"{LONG_ID}{run}", LONG_ID[: alignment._ID_WIDTH], f"ß{run}")
+                )
+            )
             utt_id = f"u,{run}" if fault == 2 else utt_id
         utt_ids.append(utt_id)
         speaker, other = draw(st.permutations(("s1", "s2", "š")))[:2]
