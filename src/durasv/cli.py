@@ -1,8 +1,9 @@
 """Command-line pipelines: synth, train, trials, score, eval, gradcheck.
 
-Every subcommand writes a JSON manifest next to its outputs recording the
-resolved arguments and seeds, so a run can be reproduced byte-for-byte.
-Exit codes: 0 success, 1 domain error, 2 usage or I/O error.
+Every subcommand but gradcheck writes a JSON manifest next to its outputs:
+every parsed option, the outputs and the resolved model or synthesis config,
+so a run can be reproduced byte-for-byte. Exit codes: 0 success, 1 domain
+error or an input file that is not UTF-8, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -33,16 +34,17 @@ except PackageNotFoundError:  # running from a source tree
     TOOL_VERSION = "0.0.0+source"
 
 
-def _write_manifest(out_path: Path, subcommand: str, resolved: dict) -> None:
+def _write_manifest(out_path: Path, args: argparse.Namespace, **resolved) -> None:
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "tool_version": TOOL_VERSION,
-        "resolved": resolved,
+        "resolved": {k: v for k, v in vars(args).items() if k != "func"} | resolved,
     }
-    target = out_path / f"{subcommand}.manifest.json" if out_path.is_dir() else Path(
+    target = out_path / f"{args.command}.manifest.json" if out_path.is_dir() else Path(
         str(out_path) + ".manifest.json"
     )
-    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    target.write_text(text + "\n")
 
 
 def _load_corpus(align_path: str, inventory_path: str, exclude: list[str]) -> Corpus:
@@ -80,20 +82,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     inventory_path.write_text("\n".join(corpus.inventory.symbols) + "\n")
     with open(profiles_path, "w", encoding="utf-8") as sink:
         synth.write_profiles(profiles, sink)
-    _write_manifest(
-        out_dir,
-        "synth",
-        {
-            "config": args.config,
-            "seed": config.seed,
-            "n_speakers": config.n_speakers,
-            "utts_per_speaker": config.utts_per_speaker,
-            "n_classes": config.n_classes,
-            "sigma_speaker": config.sigma_speaker,
-            "sigma_token": config.sigma_token,
-            "outputs": [str(align_path), str(inventory_path), str(profiles_path)],
-        },
-    )
+    outputs = [str(align_path), str(inventory_path), str(profiles_path)]
+    _write_manifest(out_dir, args, **asdict(config), n_classes=config.n_classes, outputs=outputs)
     print(f"wrote {len(corpus)} utterances for {config.n_speakers} speakers to {out_dir}")
     return 0
 
@@ -115,16 +105,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     log_path.write_text("\n".join(log_lines) + ("\n" if log_lines else ""))
 
     _write_manifest(
-        out_path,
-        "train",
-        {
-            "align": args.align,
-            "inventory": args.inventory,
-            "exclude": args.exclude,
-            **asdict(hyper),
-            "model_config": asdict(config),
-            "outputs": [str(out_path), str(log_path)],
-        },
+        out_path, args, model_config=asdict(config), outputs=[str(out_path), str(log_path)]
     )
     first = result.epoch_losses[0] if result.epoch_losses else float("nan")
     last = result.epoch_losses[-1] if result.epoch_losses else float("nan")
@@ -140,20 +121,7 @@ def cmd_trials(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8") as sink:
         evaluation.write_trials(trial_list, sink)
-    _write_manifest(
-        out_path,
-        "trials",
-        {
-            "align": args.align,
-            "inventory": args.inventory,
-            "exclude": args.exclude,
-            "n_enroll": args.n_enroll,
-            "n_trial": args.n_trial,
-            "seed": args.seed,
-            "max_nontarget": args.max_nontarget,
-            "outputs": [str(out_path)],
-        },
-    )
+    _write_manifest(out_path, args, outputs=[str(out_path)])
     n_target = sum(1 for t in trial_list.trials if t.is_target)
     print(
         f"wrote {len(trial_list.trials)} trials ({n_target} target) to {out_path}; "
@@ -174,18 +142,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8") as sink:
         evaluation.write_scores(scores, sink)
-    _write_manifest(
-        out_path,
-        "score",
-        {
-            "align": args.align,
-            "inventory": args.inventory,
-            "exclude": args.exclude,
-            "trials": args.trials,
-            "model": args.model,
-            "outputs": [str(out_path)],
-        },
-    )
+    _write_manifest(out_path, args, outputs=[str(out_path)])
     print(f"wrote {scores.scores.size} scores ({scores.polarity}) to {out_path}")
     return 0
 
@@ -200,11 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     table = evaluation.evaluate(cells)
     out_path = Path(args.out)
     out_path.write_text(table.to_json() + "\n")
-    _write_manifest(
-        out_path,
-        "eval",
-        {"scores": list(args.scores), "outputs": [str(out_path)]},
-    )
+    _write_manifest(out_path, args, outputs=[str(out_path)])
     print(table.render())
     return 0
 
@@ -319,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except DurasvError as exc:
+    except (DurasvError, UnicodeDecodeError) as exc:  # the latter: an input is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared by all durasv modules."""
+"""Exception hierarchy shared by all durasv modules, and the config field check."""
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
+from dataclasses import fields
 
 
 class DurasvError(Exception):
@@ -118,3 +123,42 @@ class ConfigError(DurasvError, ValueError):
     Also a ``ValueError``: it is what the config constructors raise on a
     bad argument, so ``except ValueError`` callers keep catching it.
     """
+
+
+def integer(name: str, value) -> int:
+    """``value`` as a plain int. ``operator.index`` takes Python and numpy
+    integers but no float or string, so a value is never rounded; a bool is
+    refused too.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_fields(config) -> None:
+    """Store the numbers of a frozen config dataclass as plain ints and floats.
+
+    A field is read by its annotation, a string under postponed evaluation:
+    ``int`` and ``tuple[int, ...]`` fields take only integers (see
+    :func:`integer`), ``float`` fields only finite numbers.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            value = integer(f.name, value)
+        elif f.type.startswith("tuple[int"):
+            try:
+                value = tuple(integer(f.name, v) for v in value)
+            except TypeError:
+                raise ConfigError(f"{f.name} must be integers, got {value!r}") from None
+        elif f.type == "float":
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            value = float(value)
+        else:
+            continue
+        object.__setattr__(config, f.name, value)

@@ -43,15 +43,14 @@ result is the same to the bit.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError, check_fields
 from .features import Chunk, DurationFeatureSequence
 
 # keeps the pooled standard deviation differentiable at zero variance
@@ -77,25 +76,12 @@ class ModelConfig:
     attention_hidden: int = 64
 
     def __post_init__(self) -> None:
-        # operator.index takes numpy integers but no float or string, so
-        # a config never rounds or keeps a non-integer value
-        try:
-            dims = {
-                f.name: operator.index(getattr(self, f.name))
-                for f in fields(self)
-                if f.name != "dilations"
-            }
-            dilations = tuple(operator.index(d) for d in self.dilations)
-        except TypeError as exc:
-            raise ConfigError(f"model dimensions and dilations must be integers: {exc}") from None
-        for name, value in dims.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "dilations", dilations)
-        if any(d < 1 for d in dims.values()):
+        check_fields(self)
+        if any(v < 1 for v in vars(self).values() if isinstance(v, int)):
             raise ConfigError("all model dimensions must be >= 1")
-        if not dilations:
+        if not self.dilations:
             raise ConfigError("need at least one dilation")
-        if any(d < 1 for d in dilations):
+        if min(self.dilations) < 1:
             raise ConfigError("dilations must be >= 1")
         if self.kernel_width % 2 == 0:
             raise ConfigError("kernel width must be odd for centered padding")
@@ -769,13 +755,18 @@ def _pack(tensors: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([v.ravel() for v in tensors.values()])
 
 
-def _random_batch(
-    config: ModelConfig, rng: np.random.Generator, batch_size: int, max_t: int
-) -> Batch:
+# the finite-difference step, and the items per random batch and their
+# largest phone count, in ``gradient_check``
+_GRADCHECK_STEP = 1e-5
+_GRADCHECK_BATCH = 3
+_GRADCHECK_MAX_T = 12
+
+
+def _random_batch(config: ModelConfig, rng: np.random.Generator) -> Batch:
     items = []
     labels = []
-    for _ in range(batch_size):
-        t = int(rng.integers(3, max_t + 1))
+    for _ in range(_GRADCHECK_BATCH):
+        t = int(rng.integers(3, _GRADCHECK_MAX_T + 1))
         items.append(
             DurationFeatureSequence(
                 rng.integers(0, config.n_classes, size=t),
@@ -803,15 +794,12 @@ def gradient_check(
     config: ModelConfig,
     seed: int = 0,
     n_draws: int = 20,
-    step: float = 1e-5,
-    batch_size: int = 3,
-    max_t: int = 12,
     corrupt: bool = False,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Every parameter coordinate is perturbed by ``+-step``. The relative
-    error uses a 1e-5 floor in the denominator so coordinates with
+    Every parameter coordinate is perturbed by ``+-_GRADCHECK_STEP``. The
+    relative error uses a 1e-5 floor in the denominator so coordinates with
     near-zero gradients are judged on absolute error. ``corrupt``
     deliberately biases one gradient tensor; the check must then fail.
     """
@@ -828,7 +816,7 @@ def gradient_check(
         # a generic point in parameter space
         for v in params.tensors.values():
             v += 0.05 * rng.standard_normal(v.shape)
-        batch = _random_batch(config, rng, batch_size, max_t)
+        batch = _random_batch(config, rng)
 
         _, grads = loss_and_grad(params, batch)
         if corrupt:
@@ -842,12 +830,12 @@ def gradient_check(
             flat = tensor.reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
-                flat[j] = orig + step
+                flat[j] = orig + _GRADCHECK_STEP
                 up = loss_value(params, batch)
-                flat[j] = orig - step
+                flat[j] = orig - _GRADCHECK_STEP
                 down = loss_value(params, batch)
                 flat[j] = orig
-                numeric[pos] = (up - down) / (2.0 * step)
+                numeric[pos] = (up - down) / (2.0 * _GRADCHECK_STEP)
                 pos += 1
         rel = np.abs(analytic - numeric) / np.maximum(
             1e-5, np.abs(analytic) + np.abs(numeric)

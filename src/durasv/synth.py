@@ -16,7 +16,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .alignment import Corpus, PhonemeInventory
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, integer
 
 
 @dataclass(frozen=True)
@@ -37,46 +37,55 @@ class SynthConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        lo, hi = self.phones_per_utt
+        check_fields(self)
         if self.n_speakers < 1 or self.utts_per_speaker < 1:
             raise ConfigError("need at least one speaker and one utterance each")
-        if lo < 1 or hi < lo:
-            raise ConfigError("phones_per_utt must satisfy 1 <= lo <= hi")
+        span = self.phones_per_utt
+        if len(span) != 2 or not 1 <= span[0] <= span[1]:
+            raise ConfigError("phones_per_utt must be [lo, hi] with 1 <= lo <= hi")
         if self.sigma_speaker < 0.0:
             raise ConfigError("sigma_speaker must be >= 0")
         if self.sigma_token <= 0.0:
             raise ConfigError("sigma_token must be > 0")
-        if np.asarray(self.population_log_mean).ndim != 1:
-            raise ConfigError("population_log_mean must be a 1-d array")
+        try:
+            mean = np.asarray(self.population_log_mean)
+            usable = mean.dtype.kind in "iuf" and mean.ndim == 1 and mean.size > 0
+        except ValueError:  # a ragged nested list
+            usable = False
+        if not (usable and np.isfinite(mean).all()):
+            raise ConfigError("population_log_mean must be a non-empty 1-d array of finite numbers")
+        object.__setattr__(self, "population_log_mean", mean.astype(np.float64))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
     @property
     def n_classes(self) -> int:
-        return int(np.asarray(self.population_log_mean).size)
+        return self.population_log_mean.size
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "SynthConfig":
+        """A config from a mapping of exactly its fields, and ``n_classes``.
+
+        ``n_classes`` sizes a single-number ``population_log_mean`` and is
+        required next to one; next to a list it must equal its length.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigError("bad synthesis config: not a JSON object")
+        data = dict(data)
+        n_classes = integer("n_classes", data.pop("n_classes")) if "n_classes" in data else None
+        if not isinstance(data.get("population_log_mean", []), (list, tuple, np.ndarray)):
+            if n_classes is None or n_classes < 1:
+                raise ConfigError("a single-number population_log_mean needs n_classes >= 1")
+            data["population_log_mean"] = np.full(n_classes, data["population_log_mean"])
         try:
-            pop = data["population_log_mean"]
-            if isinstance(pop, (int, float)):
-                pop = np.full(int(data["n_classes"]), float(pop))
-            else:
-                pop = np.asarray(pop, dtype=np.float64)
-            return cls(
-                n_speakers=int(data["n_speakers"]),
-                utts_per_speaker=int(data["utts_per_speaker"]),
-                phones_per_utt=(
-                    int(data["phones_per_utt"][0]),
-                    int(data["phones_per_utt"][1]),
-                ),
-                population_log_mean=pop,
-                sigma_speaker=float(data["sigma_speaker"]),
-                sigma_token=float(data["sigma_token"]),
-                seed=int(data["seed"]),
+            config = cls(**data)
+        except TypeError as exc:  # a missing or an unknown key
+            raise ConfigError(f"bad synthesis config: {exc}") from None
+        if n_classes not in (None, config.n_classes):
+            raise ConfigError(
+                f"n_classes is {n_classes}, population_log_mean has {config.n_classes} values"
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"bad synthesis config: {exc}") from exc
+        return config
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SynthConfig":
@@ -96,14 +105,13 @@ def sample_speakers(
     config: SynthConfig, rng: np.random.Generator
 ) -> list[SpeakerProfile]:
     """Draw per-speaker log-duration profiles around the population mean."""
-    pop = np.asarray(config.population_log_mean, dtype=np.float64)
     profiles = []
     for i in range(config.n_speakers):
         offset = config.sigma_speaker * rng.standard_normal(config.n_classes)
         profiles.append(
             SpeakerProfile(
                 speaker_id=f"S{i:03d}",
-                log_mean=pop + offset,
+                log_mean=config.population_log_mean + offset,
                 log_std=np.full(config.n_classes, config.sigma_token),
             )
         )

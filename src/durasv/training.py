@@ -20,6 +20,7 @@ from .errors import (
     InsufficientSpeakersError,
     ShapeMismatchError,
     TrainingDivergedError,
+    check_fields,
 )
 from .features import make_chunks
 from .model import Batch, ModelConfig, ModelParams, init_model, loss_and_grad, pad_batch
@@ -41,6 +42,7 @@ class TrainConfig:
     chunk_max: int = 256
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ConfigError("need epochs >= 0, batch size >= 1 and learning rate > 0")
         if not 1 <= self.chunk_min <= self.chunk_max:

@@ -1,11 +1,12 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from durasv.alignment import Corpus, arpabet_positional_inventory, write_alignment
-from durasv.cli import main
+from durasv.cli import build_parser, main
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers
 
 
@@ -79,8 +80,26 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize(
         "changes, words",
-        [(None, "bad synthesis config"), ({"seed": -1}, "seed must be >= 0")],
-        ids=["missing-keys", "negative-seed"],
+        [
+            (None, "bad synthesis config"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"n_speakers": 2.7}, "n_speakers must be an integer, got 2.7"),
+            ({"n_speakers": "3"}, "n_speakers must be an integer, got '3'"),
+            ({"n_speakers": True}, "n_speakers must be an integer, got True"),
+            ({"speakers": 4}, "unexpected keyword argument 'speakers'"),
+            ({"population_log_mean": [2.3] * 6}, "n_classes is 8, population_log_mean has 6"),
+            ({"sigma_speaker": float("nan")}, "sigma_speaker must be a finite number"),
+        ],
+        ids=[
+            "missing-keys",
+            "negative-seed",
+            "float-count",
+            "string-count",
+            "bool-count",
+            "unknown-key",
+            "n-classes-not-mean-length",
+            "nan-sigma",
+        ],
     )
     def test_bad_config_exits_one(self, tmp_path, synth_config, capsys, changes, words):
         config = {"n_speakers": 0}
@@ -93,6 +112,15 @@ class TestSynthCommand:
         assert err.startswith("error: ") and err.count("\n") == 1 and words in err
         assert not (tmp_path / "x").exists()
 
+
+    def test_manifest_fields_rebuild_the_corpus(self, corpus_dir, tmp_path):
+        resolved = json.loads((corpus_dir / "synth.manifest.json").read_text())["resolved"]
+        rebuilt = tmp_path / "rebuilt.json"
+        rebuilt.write_text(json.dumps({f.name: resolved[f.name] for f in fields(SynthConfig)}))
+        again = tmp_path / "again"
+        assert main(["synth", "--config", str(rebuilt), "--out", str(again)]) == 0
+        alignment = (corpus_dir / "alignment.txt").read_bytes()
+        assert (again / "alignment.txt").read_bytes() == alignment
 
     def test_frame_counts_beyond_int32_exit_one(self, tmp_path, synth_config, capsys):
         config = json.loads(synth_config.read_text())
@@ -567,3 +595,62 @@ class TestGradcheckCommand:
         # no generator takes a negative seed
         assert main(["gradcheck", "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+def run_each_command(command, corpus_dir, synth_config, tmp_path):
+    """The argv of one run of ``command``; the files it reads are made first."""
+    trials, scores = tmp_path / "trials.txt", tmp_path / "metric.scores"
+    assert run_trials(corpus_dir, trials, n=2) == 0
+    score = ["score", *corpus_options(corpus_dir), "--trials", str(trials), "--model", "metric"]
+    assert main([*score, "--out", str(scores)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    return {
+        "synth": ["synth", "--config", str(synth_config), "--out", str(out / "corpus")],
+        "train": [
+            "train", *corpus_options(corpus_dir), "--exclude", "PH007", "--epochs", "0",
+            "--proj-dim", "4", "--channels", "4", "--embed-dim", "4", "--out", str(out / "m"),
+        ],
+        "trials": [
+            "trials", *corpus_options(corpus_dir), "--n-enroll", "1", "--n-trial", "1",
+            "--out", str(out / "trials.txt"),
+        ],
+        "score": [*score, "--out", str(out / "s")],
+        "eval": ["eval", str(scores), "--out", str(out / "r.json")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "trials", "score", "eval"])
+def test_manifest_records_every_parsed_option(corpus_dir, synth_config, tmp_path, command):
+    argv = run_each_command(command, corpus_dir, synth_config, tmp_path)
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    path = out / f"{command}.manifest.json" if out.is_dir() else Path(f"{out}.manifest.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["subcommand"] == command
+    parsed = {k: v for k, v in vars(args).items() if k != "func"}
+    # the manifest is JSON, so tuples come back as lists
+    parsed = json.loads(json.dumps(parsed))
+    assert {k: manifest["resolved"].get(k, "missing") for k in parsed} == parsed
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("trials", "alignment.txt"),
+        ("trials", "inventory.txt"),
+        ("score", "trials.txt"),
+        ("eval", "metric.scores"),
+        ("synth", "synth.json"),
+    ],
+)
+def test_input_that_is_not_utf8_exits_one(
+    corpus_dir, synth_config, tmp_path, capsys, command, bad
+):
+    argv = run_each_command(command, corpus_dir, synth_config, tmp_path)
+    target = next(p for p in (corpus_dir / bad, tmp_path / bad) if p.exists())
+    target.write_bytes(b"\xe9" + target.read_bytes())  # 0xE9 begins no UTF-8 sequence here
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_line_error(capsys, tmp_path / "out", "can't decode byte 0xe9")

@@ -190,8 +190,9 @@ class TestConfigAndInit:
             {"n_classes": 4.0},
             {"dilations": "123"},
             {"dilations": ()},
+            {"n_classes": True},
         ],
-        ids=["float-dilation", "float-dim", "string-dilations", "no-dilations"],
+        ids=["float-dilation", "float-dim", "string-dilations", "no-dilations", "bool-dim"],
     )
     def test_rejects_non_integer_dimensions_and_empty_dilations(self, changes):
         with pytest.raises(ConfigError):

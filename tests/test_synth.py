@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -202,6 +203,13 @@ class TestConfig:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig.from_mapping({"n_speakers": 3})
+        with pytest.raises(ConfigError, match="unexpected keyword argument 'n_speaker'"):
+            SynthConfig.from_mapping({**asdict(config()), "n_speaker": 3})
+        with pytest.raises(ConfigError, match="needs n_classes"):
+            SynthConfig.from_mapping({**asdict(config()), "population_log_mean": 2.3})
+        for mean in ([[1.0], [1.0, 2.0]], [[1.0, 2.0]], [], ["2.3"], [True], [np.inf]):
+            with pytest.raises(ConfigError, match="population_log_mean"):
+                config(population_log_mean=mean)
         with pytest.raises(ConfigError):
             config(sigma_token=0.0)
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import pytest
 
 from durasv import training
 from durasv.errors import (
+    ConfigError,
     InsufficientSpeakersError,
     ShapeMismatchError,
     TrainingDivergedError,
@@ -89,6 +90,16 @@ def test_loss_decreases_on_separable_corpus():
     result = train(corpus, config, TrainConfig(epochs=12, batch_size=8, seed=1))
     assert result.epoch_losses[-1] < result.epoch_losses[0]
     assert result.params.all_finite()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"epochs": 1.5}, {"batch_size": "8"}, {"learning_rate": float("nan")}],
+    ids=["float-epochs", "string-batch-size", "nan-learning-rate"],
+)
+def test_non_integer_counts_and_non_finite_rates_rejected(changes):
+    with pytest.raises(ConfigError, match="must be an integer|must be a finite number"):
+        TrainConfig(**{"epochs": 1, **changes})
 
 
 def test_single_speaker_rejected():
