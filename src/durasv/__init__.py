@@ -16,7 +16,7 @@ from .alignment import (
     parse_alignment,
     write_alignment,
 )
-from .embeddings import SpeakerEmbedding, cosine_score, embed, score_trials_embedding
+from .embeddings import cosine_score, embed, score_trials_embedding
 from .evaluation import (
     EerCell,
     EerTable,
@@ -31,7 +31,6 @@ from .evaluation import (
 from .features import (
     Chunk,
     DurationFeatureSequence,
-    MeanDurationVector,
     make_chunks,
     mean_duration_vector,
     sequence_from_utterances,
@@ -61,12 +60,10 @@ __all__ = [
     "DurationFeatureSequence",
     "EerCell",
     "EerTable",
-    "MeanDurationVector",
     "ModelConfig",
     "ModelParams",
     "PhonemeInventory",
     "ScoreSet",
-    "SpeakerEmbedding",
     "SpeakerProfile",
     "SynthConfig",
     "TrainConfig",

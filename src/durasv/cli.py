@@ -3,7 +3,7 @@
 Every subcommand but gradcheck writes a JSON manifest next to its outputs:
 every parsed option, the outputs and the resolved model or synthesis config,
 so a run can be reproduced byte-for-byte. Exit codes: 0 success, 1 domain
-error or an input file that is not UTF-8, 2 usage or I/O error.
+error (an input file that is not UTF-8 among them), 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation, synth
 from .alignment import Corpus, load_inventory, parse_alignment, write_alignment
 from .embeddings import score_trials_embedding
-from .errors import ConfigError, DurasvError
+from .errors import ConfigError, DurasvError, open_text
 from .metric import score_trials_metric
 from .model import ModelConfig, gradient_check, tiny_gradcheck_config
 from .model_io import load_model, save_model
@@ -48,9 +48,9 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, **resolved) -> Non
 
 
 def _load_corpus(align_path: str, inventory_path: str, exclude: list[str]) -> Corpus:
-    with open(inventory_path, "r", encoding="utf-8") as handle:
+    with open_text(inventory_path) as handle:
         inventory = load_inventory(handle)
-    with open(align_path, "r", encoding="utf-8") as handle:
+    with open_text(align_path) as handle:
         return parse_alignment(handle, inventory, exclude)
 
 
@@ -132,7 +132,7 @@ def cmd_trials(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args.align, args.inventory, args.exclude)
-    with open(args.trials, "r", encoding="utf-8") as handle:
+    with open_text(args.trials) as handle:
         trial_list = evaluation.read_trials(handle)
     if args.model == "metric":
         scores = score_trials_metric(corpus, trial_list)
@@ -150,7 +150,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cells = []
     for score_path in args.scores:
-        with open(score_path, "r", encoding="utf-8") as handle:
+        with open_text(score_path) as handle:
             scores = evaluation.read_scores(handle)
         condition = Path(score_path).stem
         cells.append((condition, scores.model or "unknown", scores))
@@ -163,13 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    config = tiny_gradcheck_config()
-    report = gradient_check(
-        config,
-        seed=args.seed,
-        n_draws=args.draws,
-        corrupt=args.corrupt_gradient,
-    )
+    report = gradient_check(tiny_gradcheck_config(), seed=args.seed, n_draws=args.draws)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"gradcheck {status}: max relative error {report.max_rel_error:.3e} "
@@ -255,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=20)
-    p.add_argument(
-        "--corrupt-gradient",
-        action="store_true",
-        help="debug switch that biases one gradient tensor; the check must fail",
-    )
     p.set_defaults(func=cmd_gradcheck)
     return parser
 
@@ -272,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (DurasvError, UnicodeDecodeError) as exc:  # the latter: an input is not UTF-8
+    except DurasvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

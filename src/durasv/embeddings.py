@@ -10,7 +10,6 @@ follows the utterance list, so permuting it may change the embedding
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,33 +21,20 @@ from .features import sequence_from_phones, sequence_from_utterances
 from .model import ModelParams, embed_sequences
 
 
-@dataclass(frozen=True)
-class SpeakerEmbedding:
-    vector: np.ndarray  # (embed_dim,)
-    speaker_id: str
-    utterance_ids: tuple[str, ...]
-
-
-def embed(
-    params: ModelParams, utterances: Sequence[AlignedUtterance]
-) -> SpeakerEmbedding:
-    """Encode one speaker's concatenated utterances into one vector."""
+def embed(params: ModelParams, utterances: Sequence[AlignedUtterance]) -> np.ndarray:
+    """The ``(embed_dim,)`` embedding of one speaker's concatenated utterances."""
     if not utterances:
         raise EmptyInputError("no utterances given")
-    utterance_ids = tuple(u.utterance_id for u in utterances)
     speakers = sorted({u.speaker_id for u in utterances})
     if len(speakers) != 1:
-        raise MixedSpeakerSetError(utterance_ids, speakers)
+        raise MixedSpeakerSetError(tuple(u.utterance_id for u in utterances), speakers)
     seq = sequence_from_utterances(utterances, params.config.n_classes)
-    return SpeakerEmbedding(embed_sequences(params, [seq])[0], speakers[0], utterance_ids)
+    return embed_sequences(params, [seq])[0]
 
 
-def cosine_score(
-    a: SpeakerEmbedding | np.ndarray, b: SpeakerEmbedding | np.ndarray
-) -> float:
+def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; identical vectors score exactly 1."""
-    va = a.vector if isinstance(a, SpeakerEmbedding) else np.asarray(a, np.float64)
-    vb = b.vector if isinstance(b, SpeakerEmbedding) else np.asarray(b, np.float64)
+    va, vb = np.asarray(a, np.float64), np.asarray(b, np.float64)
     if va.shape != vb.shape:
         raise ShapeMismatchError(f"embedding shapes differ: {va.shape} vs {vb.shape}")
     na = float(np.linalg.norm(va))

@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by all durasv modules, and the config field check."""
+"""Exception hierarchy shared by all durasv modules, the config field check and the text opener."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import operator
+from contextlib import contextmanager
 from dataclasses import fields
+from pathlib import Path
+from typing import IO, Iterator
 
 
 class DurasvError(Exception):
@@ -45,6 +48,18 @@ class NonPositiveLengthError(AlignmentParseError):
 class MalformedLineError(AlignmentParseError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message, line)
+
+
+class NotUtf8Error(DurasvError):
+    """A byte of an input file, on 1-based ``line`` and ``offset`` bytes from
+    the start of the file, is not UTF-8."""
+
+    def __init__(self, path: str | Path, line: int, offset: int, value: int, reason: str):
+        super().__init__(
+            f"{path}, line {line}: can't decode byte 0x{value:02x} at byte offset {offset}"
+            f" as UTF-8 ({reason})"
+        )
+        self.path, self.line, self.offset = path, line, offset
 
 
 class EmptyInputError(DurasvError):
@@ -162,3 +177,26 @@ def check_fields(config) -> None:
         else:
             continue
         object.__setattr__(config, f.name, value)
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
+    """``path`` opened as UTF-8 text. A byte that is not UTF-8 raises
+    :class:`NotUtf8Error`, counting lines as ``open()`` does: they end at
+    ``\\n``, ``\\r\\n`` and a lone ``\\r``.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            # the reader's position counts from its current chunk; decode
+            # the whole file again to find the bad byte's
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = exc.start
+                ends = data.count(b"\n", 0, bad) + data.count(b"\r", 0, bad)
+                line = ends - data.count(b"\r\n", 0, bad) + 1
+                raise NotUtf8Error(path, line, bad, data[bad], exc.reason) from None
+            raise  # the file changed while it was read

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import AlignedUtterance, PhonemeInventory
-from .errors import EmptyInputError
+from .errors import ConfigError, EmptyInputError
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,6 @@ class DurationFeatureSequence:
         return DurationFeatureSequence(
             self.class_indices[start:stop], self.lengths[start:stop], self.n_classes
         )
-
-
-@dataclass(frozen=True)
-class MeanDurationVector:
-    """Per-class average durations with a coverage mask.
-
-    Classes never observed hold the fill value: the mean frame count over
-    all phone tokens in the input, so every component stays positive.
-    """
-
-    values: np.ndarray  # (N,) float64, all > 0 after fill
-    present: np.ndarray  # (N,) bool
 
 
 @dataclass(frozen=True)
@@ -91,11 +79,12 @@ def sequence_from_phones(phones: np.ndarray, n_classes: int) -> DurationFeatureS
 
 def mean_duration_vector(
     utterances: Sequence[AlignedUtterance], inventory: PhonemeInventory
-) -> MeanDurationVector:
-    """Average frame count per phoneme class, absent classes filled.
+) -> np.ndarray:
+    """The ``(N,)`` float64 average frame count per phoneme class.
 
-    The fill value is the token-level mean duration over all phones in
-    the input (not the mean of per-class means).
+    A class the input never holds gets the token-level mean duration over
+    all phones in the input (not the mean of per-class means), so every
+    component is positive.
     """
     n = inventory.size
     seq = sequence_from_utterances(utterances, n)
@@ -104,7 +93,7 @@ def mean_duration_vector(
     present = counts > 0
     values = np.full(n, seq.lengths.sum() / len(seq))
     values[present] = sums[present] / counts[present]
-    return MeanDurationVector(values, present)
+    return values
 
 
 def make_chunks(
@@ -122,9 +111,13 @@ def make_chunks(
     from ``{0, ..., min(len(u1), c)}``, where ``u1`` is the utterance the
     stream currently points into; ``r`` phones are dropped, then up to
     ``c`` phones form the chunk. A tail shorter than ``min_len`` is
-    dropped. Streams shorter than ``min_len`` yield a single whole-stream
-    chunk so tiny speakers still contribute.
+    dropped. A stream that yields no chunk, one shorter than ``min_len``
+    among them, yields its first ``min(len(stream), max_len)`` phones
+    unshifted, so tiny speakers still contribute. Raises ``ConfigError``
+    unless ``1 <= min_len <= max_len``.
     """
+    if not 1 <= min_len <= max_len:
+        raise ConfigError(f"chunk lengths need 1 <= min_len <= max_len, got {min_len}..{max_len}")
     if not utterances:
         raise EmptyInputError("no utterances given")
     speakers = {u.speaker_id for u in utterances}
@@ -149,9 +142,6 @@ def make_chunks(
         sources = tuple(utt_ids[utt_at(start) : utt_at(stop - 1) + 1])
         return Chunk(speaker_id, stream.slice(start, stop), sources, shift, first_len)
 
-    if total < min_len:
-        return [cut(0, total, 0, int(utt_lengths[0]))]
-
     chunks: list[Chunk] = []
     pos = 0
     while total - pos >= min_len:
@@ -165,8 +155,8 @@ def make_chunks(
         chunks.append(cut(pos, pos + take, r, first_len))
         pos += take
     if not chunks:
-        # the shift starved a short stream; emit one unshifted chunk so
-        # the speaker still contributes
+        # the stream is shorter than min_len, or the shift starved it; emit
+        # one unshifted chunk so the speaker still contributes
         return [cut(0, min(total, max_len), 0, int(utt_lengths[0]))]
     return chunks
 

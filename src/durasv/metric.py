@@ -17,18 +17,14 @@ import numpy as np
 from .alignment import Corpus
 from .errors import DimensionMismatchError, NonPositiveComponentError
 from .evaluation import ScoreSet, TrialList, score_trials
-from .features import MeanDurationVector
 
 # (row, class) cells of the arrays batched scoring builds at once
 _CHUNK_CELLS = 1 << 16
 
 
-def duration_ratio_distance(
-    a: MeanDurationVector | np.ndarray, b: MeanDurationVector | np.ndarray
-) -> float:
+def duration_ratio_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric ratio distance between two positive duration profiles."""
-    va = a.values if isinstance(a, MeanDurationVector) else np.asarray(a, np.float64)
-    vb = b.values if isinstance(b, MeanDurationVector) else np.asarray(b, np.float64)
+    va, vb = np.asarray(a, np.float64), np.asarray(b, np.float64)
     if va.shape != vb.shape or va.ndim != 1:
         raise DimensionMismatchError(f"vector shapes differ: {va.shape} vs {vb.shape}")
     if va.size == 0:
@@ -44,7 +40,7 @@ def score_trials_metric(corpus: Corpus, trials: TrialList) -> ScoreSet:
     """Score every trial with the ratio metric over mean duration vectors.
 
     Each score equals, to the bit, ``duration_ratio_distance`` of the two
-    sides' ``mean_duration_vector`` values. All sets' vectors are built at
+    sides' ``mean_duration_vector``. All sets' vectors are built at
     once, and all trials' distances, in chunks of at most
     ``_CHUNK_CELLS`` (row, class) cells.
     """
@@ -59,7 +55,7 @@ def score_trials_metric(corpus: Corpus, trials: TrialList) -> ScoreSet:
 
 
 def _mean_vectors(corpus: Corpus, sets: list[list[int]]) -> np.ndarray:
-    """``mean_duration_vector(...).values`` of each set of utterance indices, a row per set.
+    """``mean_duration_vector`` of each set of utterance indices, a row per set.
 
     One ``np.bincount`` over ``set * N + class`` per chunk of sets adds
     each (set, class) cell's frame counts in phone order, as the per-set

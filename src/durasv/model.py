@@ -790,18 +790,12 @@ class GradCheckReport:
         return self.max_rel_error < 1e-4
 
 
-def gradient_check(
-    config: ModelConfig,
-    seed: int = 0,
-    n_draws: int = 20,
-    corrupt: bool = False,
-) -> GradCheckReport:
+def gradient_check(config: ModelConfig, seed: int = 0, n_draws: int = 20) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Every parameter coordinate is perturbed by ``+-_GRADCHECK_STEP``. The
     relative error uses a 1e-5 floor in the denominator so coordinates with
-    near-zero gradients are judged on absolute error. ``corrupt``
-    deliberately biases one gradient tensor; the check must then fail.
+    near-zero gradients are judged on absolute error.
     """
     if seed < 0:
         raise ConfigError("seed must be >= 0")
@@ -819,8 +813,6 @@ def gradient_check(
         batch = _random_batch(config, rng)
 
         _, grads = loss_and_grad(params, batch)
-        if corrupt:
-            grads["emb_w"] = grads["emb_w"] + 1.0
         analytic = _pack(grads)
         n_params = analytic.size
 

@@ -16,7 +16,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .alignment import Corpus, PhonemeInventory
-from .errors import ConfigError, check_fields, integer
+from .errors import ConfigError, check_fields, integer, open_text
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class SynthConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SynthConfig":
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open_text(path) as handle:
                 data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc

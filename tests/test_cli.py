@@ -7,6 +7,7 @@ import pytest
 
 from durasv.alignment import Corpus, arpabet_positional_inventory, write_alignment
 from durasv.cli import build_parser, main
+from durasv.model import loss_and_grad
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers
 
 
@@ -582,8 +583,13 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "2", "--draws", "2"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_corrupt_gradient_exits_one(self, capsys):
-        assert main(["gradcheck", "--draws", "1", "--corrupt-gradient"]) == 1
+    def test_corrupt_gradient_exits_one(self, capsys, monkeypatch):
+        def biased(params, batch):
+            loss, grads = loss_and_grad(params, batch)
+            return loss, grads | {"emb_w": grads["emb_w"] + 1.0}
+
+        monkeypatch.setattr("durasv.model.loss_and_grad", biased)
+        assert main(["gradcheck", "--draws", "1"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_seed_determinism(self, capsys):
@@ -636,21 +642,35 @@ def test_manifest_records_every_parsed_option(corpus_dir, synth_config, tmp_path
 
 
 @pytest.mark.parametrize(
-    "command, bad",
+    "command, bad, line",
     [
-        ("trials", "alignment.txt"),
-        ("trials", "inventory.txt"),
-        ("score", "trials.txt"),
-        ("eval", "metric.scores"),
-        ("synth", "synth.json"),
+        ("trials", "alignment.txt", 1),
+        ("trials", "alignment.txt", 12_000),
+        ("trials", "inventory.txt", 1),
+        ("score", "trials.txt", 1),
+        ("eval", "metric.scores", 1),
+        ("synth", "synth.json", 1),
     ],
 )
 def test_input_that_is_not_utf8_exits_one(
-    corpus_dir, synth_config, tmp_path, capsys, command, bad
+    corpus_dir, synth_config, tmp_path, capsys, command, bad, line
 ):
     argv = run_each_command(command, corpus_dir, synth_config, tmp_path)
     target = next(p for p in (corpus_dir / bad, tmp_path / bad) if p.exists())
-    target.write_bytes(b"\xe9" + target.read_bytes())  # 0xE9 begins no UTF-8 sequence here
+    lines = target.read_bytes().splitlines(keepends=True)
+    if line > len(lines):
+        # a valid alignment whose lines end in turn with \n, \r\n and a lone \r
+        ends = [b"\n", b"\r\n", b"\r"]
+        lines = [
+            b"s%d u%d PH00%d %d%s" % (i // 2000, i // 20, i % 8, 1 + i % 9, ends[i % 3])
+            for i in range(15_000)
+        ]
+    offset = sum(map(len, lines[: line - 1]))
+    if line > 1:
+        assert offset > 2**17  # past the parser's first read of 2^17 characters
+    lines[line - 1] = b"\xe9" + lines[line - 1]  # 0xE9 begins no UTF-8 sequence here
+    target.write_bytes(b"".join(lines))
     capsys.readouterr()
     assert main(argv) == 1
-    assert_one_line_error(capsys, tmp_path / "out", "can't decode byte 0xe9")
+    words = f"{target}, line {line}: can't decode byte 0xe9 at byte offset {offset} as UTF-8"
+    assert_one_line_error(capsys, tmp_path / "out", words)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv.alignment import AlignedUtterance, PhonemeInventory
-from durasv.errors import EmptyInputError
+from durasv.errors import ConfigError, EmptyInputError
 from durasv.features import (
     make_chunks,
     mean_duration_vector,
@@ -59,28 +59,26 @@ class TestRawDurationSequence:
         assert len(seq) == sum(len(u) for u in utts)
 
 
-class TestMeanDurationVector:
+class TestMeanDurationArray:
     def test_hand_computation_with_fill(self):
         inv = inventory(3)
         utts = [utterance("s", "u", [(0, 4), (0, 6), (1, 10)])]
         vec = mean_duration_vector(utts, inv)
-        assert vec.values[0] == 5.0
-        assert vec.values[1] == 10.0
-        assert vec.values[2] == pytest.approx(20.0 / 3.0, abs=0)
-        assert vec.present.tolist() == [True, True, False]
+        assert vec.dtype == np.float64 and vec.shape == (3,)
+        assert vec[0] == 5.0
+        assert vec[1] == 10.0
+        # class 2 is absent: the token mean of all three phones
+        assert vec[2] == pytest.approx(20.0 / 3.0, abs=0)
 
     def test_constant_case(self):
         inv = inventory(4)
         utts = [utterance("s", "u", [(i, 9) for i in range(4)])]
-        vec = mean_duration_vector(utts, inv)
-        assert np.all(vec.values == 9.0)
-        assert np.all(vec.present)
+        assert np.all(mean_duration_vector(utts, inv) == 9.0)
 
     def test_single_phone_fill_equals_only_observation(self):
         inv = inventory(2)
         vec = mean_duration_vector([utterance("s", "u", [(0, 8)])], inv)
-        assert vec.values.tolist() == [8.0, 8.0]
-        assert vec.present.tolist() == [True, False]
+        assert vec.tolist() == [8.0, 8.0]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -98,13 +96,11 @@ class TestMeanDurationVector:
         for c in range(n):
             observed = [f for k, f in phones if k == c]
             if observed:
-                assert vec.present[c]
                 # integer frame sums are exact in float64
-                assert vec.values[c] == sum(observed) / len(observed)
+                assert vec[c] == sum(observed) / len(observed)
             else:
-                assert not vec.present[c]
-                assert vec.values[c] == fill
-        assert np.all(vec.values > 0)
+                assert vec[c] == fill
+        assert np.all(vec > 0)
 
 
 class TestMakeChunks:
@@ -161,6 +157,14 @@ class TestMakeChunks:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             make_chunks([], inventory(1), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_phones", [30, 100])
+    @pytest.mark.parametrize("min_len, max_len", [(50, 10), (0, 10), (-3, 10)])
+    def test_chunk_bounds_rejected(self, n_phones, min_len, max_len):
+        # 30 phones is less than min_len = 50 and 100 more: both paths check
+        utts = [utterance("sp", "u0", [(0, 2)] * n_phones)]
+        with pytest.raises(ConfigError, match="1 <= min_len <= max_len"):
+            make_chunks(utts, inventory(1), np.random.default_rng(0), min_len, max_len)
 
     def test_chunks_never_mix_speakers_and_know_sources(self):
         rng = np.random.default_rng(4)

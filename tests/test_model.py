@@ -307,9 +307,14 @@ class TestLossAndGrad:
         report = gradient_check(cfg, seed=7, n_draws=4)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
 
-    def test_corrupted_gradient_fails_the_check(self):
-        report = gradient_check(tiny_gradcheck_config(), seed=7, n_draws=1, corrupt=True)
-        assert not report.passed
+    def test_corrupted_gradient_fails_the_check(self, monkeypatch):
+        def biased(params, batch):
+            loss, grads = loss_and_grad(params, batch)
+            return loss, grads | {"emb_w": grads["emb_w"] + 1.0}
+
+        monkeypatch.setattr("durasv.model.loss_and_grad", biased)
+        report = gradient_check(tiny_gradcheck_config(), seed=7, n_draws=1)
+        assert report.passed is False
 
     def test_small_step_descends(self):
         cfg = tiny_gradcheck_config()

@@ -37,8 +37,8 @@ def test_one_vs_eight_utterance_embeddings_cohere(trained):
     a_eight = embed(params, corpus.utterances_of(spk_a)[1:9])
     b_eight = embed(params, corpus.utterances_of(spk_b)[:8])
     for vec in (a_single, a_eight, b_eight):
-        assert vec.vector.shape == (16,)
-        assert np.all(np.isfinite(vec.vector))
+        assert vec.shape == (16,)
+        assert np.all(np.isfinite(vec))
     same = cosine_score(a_single, a_eight)
     cross = cosine_score(a_single, b_eight)
     assert same > cross
