@@ -5,15 +5,18 @@ line, whitespace separated::
 
     <speaker_id> <utterance_id> <phoneme_label> <length_frames>
 
-Lines of one utterance must be contiguous and in temporal order.
-Utterance ids may not contain ``,``, which trial files join them with. An
-inventory file lists one phoneme-class label per line; blank lines and
-``#`` comments are ignored, and a label may not hold whitespace. Frame
-counts stay opaque positive integers, never converted to seconds, and at
-most 2^31 - 1: in memory a :class:`Corpus` is one table, every phone of
-every utterance a row of one ``(P, 2)`` int32 array of (class index,
-frame count) rows, with each utterance a run of rows between two offsets.
-An :class:`AlignedUtterance` taken from a corpus is a view of its run.
+Lines of one utterance must be contiguous and in temporal order. No id
+or label may be empty or hold whitespace or ``#``, which starts a
+comment, and no utterance id may hold ``,``, which trial files join them
+with. An inventory file lists one phoneme-class label per line; blank
+lines and ``#`` comments are ignored. Frame counts stay opaque positive
+integers, never converted to seconds, and at most 2^31 - 1: in memory a
+:class:`Corpus` is one table, every phone of every utterance a row of one
+``(P, 2)`` int32 array of (class index, frame count) rows, with each
+utterance a run of rows between two offsets. Its one constructor checks
+the table and the ids by these rules, whether the parser, the
+synthesizer or a caller built it; an :class:`AlignedUtterance` taken
+from a corpus is an unchecked view of its run.
 
 ``parse_alignment`` parses its source in blocks of whole lines. A
 file-like source is read in chunks of text, each block ending at a
@@ -57,6 +60,62 @@ ARPABET_CONSONANTS = (
 )
 STRESS_MARKS = ("", "0", "1", "2")
 POSITION_SUFFIXES = ("_B", "_E", "_I", "_S")
+_MAX_FRAMES = 2**31 - 1
+
+
+def _check_tokens(kind: str, tokens: Sequence[str], banned: str) -> None:
+    """Raise ``ValueError`` for a token an alignment file cannot carry: an
+    empty one, or one holding whitespace or a character of ``banned``."""
+    joined = "\n".join(tokens)
+    if joined.split() != list(tokens) or any(c in joined for c in banned):
+        bad = next(t for t in tokens if t.split() != [t] or any(c in t for c in banned))
+        listed = " or ".join(map(repr, banned))
+        raise ValueError(f"{kind} {bad!r} is empty or holds whitespace or {listed}")
+
+
+def _checked_phones(
+    phones, offsets: np.ndarray | None, utterance_ids: Sequence[str], n_classes: int | None = None
+) -> np.ndarray:
+    """``phones`` as a read-only int32 array, once every row is checked.
+
+    Utterance ``utterance_ids[i]`` holds rows ``offsets[i]:offsets[i + 1]``,
+    at least one (``None``: one utterance holds every row). Rows are integer
+    (class, frames) pairs, the class in ``[0, n_classes)`` (``>= 0`` with no
+    ``n_classes``) and frames in ``[1, 2^31 - 1]``, so the cast never wraps.
+    A ``ValueError`` names the utterance of the first bad row, looked for
+    only once column minima and maxima show one.
+    """
+    table = np.asarray(phones)
+    if table.dtype.kind not in "iu" or table.shape[1:] != (2,):
+        owner = "corpus" if offsets is not None else f"utterance {utterance_ids[0]!r}"
+        raise ValueError(f"{owner} needs (K, 2) integer phones")
+    ends = np.asarray((0, len(table)) if offsets is None else offsets)
+    if ends.shape != (len(utterance_ids) + 1,) or ends.dtype.kind not in "iu" or (
+        ends[[0, -1]].tolist() != [0, len(table)]
+    ):
+        raise ValueError(f"offsets must run from 0 to {len(table)}, one per utterance and one more")
+    empty = np.flatnonzero(ends[1:] <= ends[:-1])
+    if empty.size:
+        raise ValueError(f"utterance {utterance_ids[empty[0]]!r} holds no phones")
+    classes, frames = table[:, 0], table[:, 1]
+    top = _MAX_FRAMES + 1 if n_classes is None else n_classes
+    if len(table) and not (
+        0 <= classes.min() <= classes.max() < top
+        and 1 <= frames.min() <= frames.max() <= _MAX_FRAMES
+    ):
+        row = np.argmax((classes < 0) | (classes >= top) | (frames < 1) | (frames > _MAX_FRAMES))
+        utt_id = utterance_ids[np.searchsorted(ends, row, "right") - 1]
+        values = table[row].tolist()
+        if not all(-_MAX_FRAMES - 1 <= v <= _MAX_FRAMES for v in values):
+            raise ValueError(f"utterance {utt_id!r}: phones exceed int32")
+        bound = ">= 0" if n_classes is None else f"in [0, {n_classes})"
+        raise ValueError(
+            f"utterance {utt_id!r}: phone {values} needs a class index {bound}"
+            " and a frame count >= 1"
+        )
+    stored = table.astype(np.int32, copy=False)
+    stored.flags.writeable = False
+    return stored
 
 
 @dataclass(frozen=True)
@@ -69,15 +128,10 @@ class PhonemeInventory:
     def __post_init__(self) -> None:
         if not self.symbols:
             raise EmptyInventoryError()
-        index: dict[str, int] = {}
-        for i, label in enumerate(self.symbols):
-            if not label:
-                raise ValueError("empty phoneme label")
-            if label.split() != [label]:
-                raise ValueError(f"phoneme label {label!r} holds whitespace")
-            if label in index:
-                raise DuplicateLabelError(label)
-            index[label] = i
+        _check_tokens("phoneme label", self.symbols, "#")
+        index = dict(zip(self.symbols, range(len(self.symbols))))
+        if len(index) < len(self.symbols):  # a label's entry holds its last index
+            raise DuplicateLabelError(next(s for i, s in enumerate(self.symbols) if index[s] != i))
         object.__setattr__(self, "index_of", index)
 
     @property
@@ -96,8 +150,9 @@ class AlignedUtterance:
     """Speaker-labeled phones in temporal order.
 
     ``phones`` is one read-only ``(K, 2)`` int32 array, ``K >= 1``, of
-    (class index, frame count) rows. Other integer arrays are stored as
-    int32; a value outside the int32 range is rejected, never wrapped.
+    (class index >= 0, frame count >= 1) rows. Other integer arrays are
+    stored as int32; a value outside the int32 range is rejected, never
+    wrapped. A :class:`Corpus` bounds the classes by its inventory.
     """
 
     utterance_id: str
@@ -105,14 +160,7 @@ class AlignedUtterance:
     phones: np.ndarray  # (K, 2) int32
 
     def __post_init__(self) -> None:
-        phones = np.asarray(self.phones)
-        if phones.size == 0 or phones.dtype.kind not in "iu" or phones.shape[1:] != (2,):
-            raise ValueError(f"utterance {self.utterance_id!r} needs (K >= 1, 2) integers")
-        stored = phones.astype(np.int32, copy=False)
-        if stored is not phones and not np.array_equal(stored, phones):
-            raise ValueError(f"utterance {self.utterance_id!r}: phones exceed int32")
-        stored.flags.writeable = False
-        object.__setattr__(self, "phones", stored)
+        object.__setattr__(self, "phones", _checked_phones(self.phones, None, (self.utterance_id,)))
 
     @classmethod
     def _view(cls, utterance_id: str, speaker_id: str, phones: np.ndarray) -> AlignedUtterance:
@@ -146,8 +194,12 @@ class Corpus:
     give :class:`AlignedUtterance` views whose ``phones`` are slices of
     ``phones``.
 
-    ``Corpus(inventory, utterances)`` builds the table from utterance
-    objects and checks every phone against the inventory once.
+    ``Corpus(inventory, phones, offsets, utterance_ids, speaker_ids)``,
+    one speaker id per utterance, checks the table once: rows as
+    :class:`AlignedUtterance` does with classes below the inventory size,
+    unique utterance ids, and ids an alignment file can carry (none empty
+    or holding whitespace or ``#``, no utterance id holding ``,``); each
+    raises ``ValueError``. ``from_utterances`` takes utterance objects.
     """
 
     inventory: PhonemeInventory
@@ -160,62 +212,24 @@ class Corpus:
     by_utterance: dict[str, int]
 
     def __init__(
-        self, inventory: PhonemeInventory, utterances: Sequence[AlignedUtterance] = ()
-    ) -> None:
-        utterances = tuple(utterances)
-        lengths = [len(u) for u in utterances]
-        phones = (
-            np.concatenate([u.phones for u in utterances])
-            if utterances
-            else np.empty((0, 2), dtype=np.int32)
-        )
-        self._set_table(
-            inventory,
-            phones,
-            np.cumsum([0, *lengths]),
-            tuple(u.utterance_id for u in utterances),
-            [u.speaker_id for u in utterances],
-        )
-        n = inventory.size
-        bad = (phones[:, 0] < 0) | (phones[:, 0] >= n) | (phones[:, 1] < 1)
-        if bad.any():
-            row = int(np.argmax(bad))
-            utt_id = self.utterance_ids[int(np.searchsorted(self.offsets, row, "right")) - 1]
-            raise ValueError(
-                f"utterance {utt_id!r}: phone {phones[row].tolist()} needs "
-                f"a class index in [0, {n}) and a frame count >= 1"
-            )
-
-    @classmethod
-    def _from_table(
-        cls,
-        inventory: PhonemeInventory,
-        phones: np.ndarray,
-        offsets: np.ndarray,
-        utterance_ids: tuple[str, ...],
-        speaker_ids: Sequence[str],
-    ) -> Corpus:
-        """A corpus over a table whose phones its builder has already checked."""
-        corpus = object.__new__(cls)
-        corpus._set_table(inventory, phones, offsets, utterance_ids, speaker_ids)
-        return corpus
-
-    def _set_table(
         self,
         inventory: PhonemeInventory,
         phones: np.ndarray,
-        offsets: np.ndarray,
-        utterance_ids: tuple[str, ...],
+        offsets: Sequence[int] | np.ndarray,
+        utterance_ids: Sequence[str],
         speaker_ids: Sequence[str],
     ) -> None:
+        utterance_ids = tuple(utterance_ids)
+        if len(speaker_ids) != len(utterance_ids):
+            raise ValueError(f"{len(speaker_ids)} speaker ids for {len(utterance_ids)} utterances")
         by_utterance = dict(zip(utterance_ids, range(len(utterance_ids))))
-        if len(by_utterance) < len(utterance_ids):
-            seen: set[str] = set()
-            for utt_id in utterance_ids:
-                if utt_id in seen:
-                    raise ValueError(f"duplicate utterance id {utt_id!r}")
-                seen.add(utt_id)
+        if len(by_utterance) < len(utterance_ids):  # an id's entry holds its last index
+            dup = next(u for i, u in enumerate(utterance_ids) if by_utterance[u] != i)
+            raise ValueError(f"duplicate utterance id {dup!r}")
         speakers = tuple(dict.fromkeys(speaker_ids))  # in order of first appearance
+        _check_tokens("utterance id", utterance_ids, "#,")
+        _check_tokens("speaker id", speakers, "#")
+        phones = _checked_phones(phones, offsets, utterance_ids, inventory.size)
         number = dict(zip(speakers, range(len(speakers))))
         speaker_index = np.fromiter(
             map(number.__getitem__, speaker_ids), dtype=np.int64, count=len(speaker_ids)
@@ -223,16 +237,27 @@ class Corpus:
         order = np.argsort(speaker_index, kind="stable").tolist()
         ends = np.cumsum(np.bincount(speaker_index, minlength=len(speakers))).tolist()
         by_speaker = {s: tuple(order[lo:hi]) for s, lo, hi in zip(speakers, [0, *ends], ends)}
-        phones.flags.writeable = False
+        offsets = np.array(offsets, dtype=np.int64)  # a copy, so the checked runs cannot move
+        offsets.flags.writeable = speaker_index.flags.writeable = False
         table = self.__dict__
         table["inventory"] = inventory
         table["phones"] = phones
-        table["offsets"] = np.asarray(offsets, dtype=np.int64)
+        table["offsets"] = offsets
         table["utterance_ids"] = utterance_ids
         table["speaker_index"] = speaker_index
         table["speakers"] = speakers
         table["by_speaker"] = by_speaker
         table["by_utterance"] = by_utterance
+
+    @classmethod
+    def from_utterances(
+        cls, inventory: PhonemeInventory, utterances: Iterable[AlignedUtterance]
+    ) -> Corpus:
+        """The corpus of the given utterance objects, in their order."""
+        utts = tuple(utterances)
+        phones = np.concatenate([np.empty((0, 2), np.int32), *(u.phones for u in utts)])
+        ids, speakers = [u.utterance_id for u in utts], [u.speaker_id for u in utts]
+        return cls(inventory, phones, np.cumsum([0, *map(len, utts)]), ids, speakers)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Corpus is immutable: cannot set {name!r}")
@@ -336,7 +361,6 @@ _ID_WIDTH = 64
 # U+3000 is, so the last entry stands for all of them.
 _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
 _NEWLINE, _COMMENT = ord("\n"), ord("#")
-_MAX_FRAMES = 2**31 - 1
 # Utterances whose lines ``write_alignment`` builds as one string.
 _WRITE_UTTERANCES = 1 << 9
 # the vectorized checks a line can fail, numbered in the order they are made;
@@ -567,7 +591,7 @@ class _Parser:
         starts = np.concatenate([*self.starts, [len(phones)]]).astype(np.int64)
         kept = np.diff(starts) > 0  # labels in ``exclude`` may empty an utterance
         keep = kept.tolist()
-        return Corpus._from_table(
+        return Corpus(
             self.inventory,
             phones,
             starts[np.append(kept, True)],

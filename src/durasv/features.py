@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import AlignedUtterance, PhonemeInventory
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,17 @@ class Chunk:
 def sequence_from_utterances(
     utterances: Sequence[AlignedUtterance], n_classes: int
 ) -> DurationFeatureSequence:
-    """Concatenate utterances into one sparse duration feature sequence."""
+    """Concatenate utterances into one sparse duration feature sequence.
+
+    A class index of ``n_classes`` or more raises ``ShapeMismatchError``.
+    """
     if not utterances:
         raise EmptyInputError("no utterances given")
-    return sequence_from_phones(np.concatenate([u.phones for u in utterances]), n_classes)
+    phones = np.concatenate([u.phones for u in utterances])
+    if phones[:, 0].max() >= n_classes:
+        bad = next(u.utterance_id for u in utterances if u.phones[:, 0].max() >= n_classes)
+        raise ShapeMismatchError(f"utterance {bad!r} holds a class index >= {n_classes}")
+    return sequence_from_phones(phones, n_classes)
 
 
 def sequence_from_phones(phones: np.ndarray, n_classes: int) -> DurationFeatureSequence:

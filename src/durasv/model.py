@@ -150,9 +150,6 @@ class ModelParams:
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.tensors.values())
-
 
 @dataclass(frozen=True)
 class Batch:

@@ -15,7 +15,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .alignment import Corpus, PhonemeInventory
+from .alignment import Corpus, PhonemeInventory, _checked_phones
 from .errors import ConfigError, check_fields, integer, open_text
 
 
@@ -127,8 +127,9 @@ def generate_corpus(
 
     Phone classes are uniform over the inventory; lengths are
     ``max(1, round(exp(Normal(log_mean[class], sigma_token))))`` frames.
-    Each speaker gets its own child random stream. A frame count beyond
-    int32 raises ``ValueError`` naming the first utterance that holds one.
+    Each speaker gets its own child random stream, and its rows are
+    checked and narrowed to int32 at once. A frame count beyond int32
+    raises ``ValueError`` naming the first utterance that holds one.
     """
     lo, hi = config.phones_per_utt
     tables: list[np.ndarray] = []  # each speaker's rows
@@ -137,6 +138,7 @@ def generate_corpus(
     speaker_ids: list[str] = []
     streams = rng.spawn(len(profiles))
     for profile, stream in zip(profiles, streams):
+        first = len(utterance_ids)
         rows = []
         for j in range(config.utts_per_speaker):
             n_phones = int(stream.integers(lo, hi + 1))
@@ -149,18 +151,14 @@ def generate_corpus(
             utterance_ids.append(f"{profile.speaker_id}-u{j:04d}")
             speaker_ids.append(profile.speaker_id)
         sizes = [len(r) for r in rows]
-        drawn = np.concatenate(rows)
-        tables.append(drawn.astype(np.int32))
-        wrapped = np.flatnonzero(tables[-1][:, 1] != drawn[:, 1])
-        if wrapped.size:
-            bad = int(np.searchsorted(np.cumsum(sizes), wrapped[0], "right")) - len(sizes)
-            raise ValueError(f"utterance {utterance_ids[bad]!r}: phones exceed int32")
+        ids = utterance_ids[first:]
+        tables.append(_checked_phones(np.concatenate(rows), np.cumsum([0, *sizes]), ids))
         lengths += sizes
-    return Corpus._from_table(
+    return Corpus(
         synthetic_inventory(config.n_classes),
         np.concatenate(tables) if tables else np.empty((0, 2), np.int32),
         np.cumsum([0, *lengths]),
-        tuple(utterance_ids),
+        utterance_ids,
         speaker_ids,
     )
 

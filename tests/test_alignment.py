@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from unittest.mock import patch
@@ -90,7 +91,7 @@ def reference_parse(source, inventory, exclude=()):
         cur_phones += (inventory.index_of[label], frames)
 
     flush()
-    return Corpus(inventory, tuple(utterances))
+    return Corpus.from_utterances(inventory, tuple(utterances))
 
 
 def outcome(parse):
@@ -104,7 +105,7 @@ def outcome(parse):
 def make_corpus(inventory, rows):
     """rows: list of (speaker, utt, [(class_index, frames), ...])"""
     utts = tuple(AlignedUtterance(utt, spk, phones) for spk, utt, phones in rows)
-    return Corpus(inventory, utts)
+    return Corpus.from_utterances(inventory, utts)
 
 
 def reference_write(corpus, sink):
@@ -124,6 +125,10 @@ TOKEN = st.text(
 )
 
 
+# any text, with whitespace, ``#`` and ``,`` drawn often
+ANY_TEXT = st.text(st.characters() | st.sampled_from(" \t\r\x85#,"), max_size=4)
+
+
 @st.composite
 def table_corpora(draw):
     """Tuple-built corpora over drawn labels, ids and frame counts."""
@@ -135,7 +140,7 @@ def table_corpora(draw):
         AlignedUtterance(utt_id, draw(st.sampled_from(speakers)), draw(phones))
         for utt_id in draw(st.lists(TOKEN, max_size=8, unique=True))
     )
-    return Corpus(PhonemeInventory(tuple(symbols)), utterances)
+    return Corpus.from_utterances(PhonemeInventory(tuple(symbols)), utterances)
 
 
 class TestInventory:
@@ -317,9 +322,14 @@ class TestCorpusValidation:
             ([("a", "u1", [(0, 3), (1, 0)]), ("a", "u2", [(0, 1)])], "u1"),
             ([("a", "u1", [(0, 3)]), ("a", "u2", [(2, 1)]), ("b", "u3", [(1, -4)])], "u3"),
             ([("a", "u1", [(0, 3)]), ("b", "u1", [(1, 2)])], "u1"),
+            ([("a", "u1", [(0, 3)]), ("a", "", [(1, 2)])], ""),
+            ([("a", "u 1", [(0, 3)])], "u 1"),
+            ([("a", "u1", [(0, 3)]), ("a", "u#2", [(1, 2)])], "u#2"),
+            ([("a", "u1,u2", [(0, 3)])], "u1,u2"),
         ],
         ids=["class-index-too-large", "class-index-negative", "zero-frames",
-             "negative-frames", "duplicate-id"],
+             "negative-frames", "duplicate-id", "empty-id", "space-in-id", "hash-in-id",
+             "comma-in-id"],
     )
     def test_invalid_corpus_names_the_utterance(self, rows, utt_id):
         with pytest.raises(ValueError, match=f"utterance (id )?'{utt_id}'"):
@@ -363,8 +373,50 @@ class TestCorpusValidation:
         assert utt != ("u1", "a", [(2, 7), (0, 3)])
 
     def test_empty_corpus_constructs(self):
-        corpus = Corpus(self.INV, ())
+        corpus = Corpus.from_utterances(self.INV, ())
         assert len(corpus) == 0 and corpus.by_speaker == {} and corpus.speakers == ()
+        assert Corpus(self.INV, np.empty((0, 2), np.int64), [0], (), ()) == corpus
+
+    @pytest.mark.parametrize("speaker", ["", "a b", "a\tb", "a#"])
+    def test_speaker_id_a_file_cannot_carry_rejected(self, speaker):
+        with pytest.raises(ValueError, match=re.escape(f"speaker id {speaker!r}")):
+            make_corpus(self.INV, [("a", "u1", [(0, 3)]), (speaker, "u2", [(1, 2)])])
+
+    def test_label_holding_a_comment_mark_rejected(self):
+        with pytest.raises(ValueError, match="phoneme label 'AA#1'"):
+            PhonemeInventory(("SIL", "AA#1"))
+
+    @pytest.mark.parametrize(
+        "phones, offsets, speakers, message",
+        [
+            ([[0, 3], [1, 2]], [1, 2], "ab", "offsets must run from 0 to 2"),
+            ([[0, 3], [1, 2]], [0, 1], "ab", "offsets must run from 0 to 2"),
+            ([[0, 3], [1, 2]], [0, 1, 2, 2], "ab", "offsets must run from 0 to 2"),
+            ([[0, 3], [1, 2]], [0.0, 1.0, 2.0], "ab", "offsets must run from 0 to 2"),
+            ([[0, 3], [1, 2]], [0, 2, 2], "ab", "utterance 'u2' holds no phones"),
+            ([[0, 3], [1, 2]], [0, 3, 2], "ab", "utterance 'u2' holds no phones"),
+            ([[0, 3], [1, 2]], np.array([0, 3, 2], np.uint64), "ab", "'u2' holds no phones"),
+            ([[0, 3], [1.0, 2]], [0, 1, 2], "ab", r"corpus needs \(K, 2\) integer phones"),
+            ([[0, 3, 1], [1, 2, 1]], [0, 1, 2], "ab", r"corpus needs \(K, 2\) integer phones"),
+            ([[0, 3], [1, 2]], [0, 1, 2], "a", "1 speaker ids for 2 utterances"),
+            ([[0, 3], [3, 2]], [0, 1, 2], "ab", r"'u2': phone \[3, 2\] needs a class index in \[0, 3"),
+            ([[0, 3], [1, 0]], [0, 1, 2], "ab", r"'u2': phone \[1, 0\] needs a class index"),
+            ([[0, 3], [1, 2**31]], [0, 1, 2], "ab", "'u2': phones exceed int32"),
+            ([[0, 2**32 + 3], [1, 2]], [0, 1, 2], "ab", "'u1': phones exceed int32"),
+        ],
+    )
+    def test_table_constructor_checks_the_table(self, phones, offsets, speakers, message):
+        with pytest.raises(ValueError, match=message):
+            Corpus(self.INV, np.array(phones), offsets, ("u1", "u2"), tuple(speakers))
+
+    def test_table_constructor_stores_int32_rows_read_only(self):
+        rows = np.array([[0, 3], [1, 2], [2, 2**31 - 1]], dtype=np.int64)
+        corpus = Corpus(self.INV, rows, np.array([0, 2, 3]), ["u1", "u2"], ["a", "b"])
+        assert corpus.phones.dtype == np.int32 and not corpus.phones.flags.writeable
+        assert corpus.phones.tolist() == rows.tolist() and rows.flags.writeable
+        assert corpus == make_corpus(
+            self.INV, [("a", "u1", [(0, 3), (1, 2)]), ("b", "u2", [(2, 2**31 - 1)])]
+        )
 
 
 class TestRoundTrip:
@@ -372,7 +424,7 @@ class TestRoundTrip:
 
     def test_empty_corpus_writes_nothing(self):
         sink = io.StringIO()
-        write_alignment(Corpus(self.INV, ()), sink)
+        write_alignment(Corpus.from_utterances(self.INV, ()), sink)
         assert sink.getvalue() == ""
 
     def test_single_utterance_round_trip(self):
@@ -412,6 +464,27 @@ class TestRoundTrip:
         assert got.getvalue().encode("utf-8") == want.getvalue().encode("utf-8")
         assert parse_alignment(io.StringIO(got.getvalue()), corpus.inventory) == corpus
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(TOKEN, min_size=3, max_size=3, unique=True),
+        st.sampled_from(("label", "speaker", "utterance")),
+        ANY_TEXT,
+    )
+    def test_ids_and_labels_are_refused_or_round_trip(self, tokens, kind, text):
+        # one of the label, the speaker id and the utterance id is any text
+        drawn = dict(zip(("label", "speaker", "utterance"), tokens))
+        drawn[kind] = text
+        try:
+            corpus = Corpus.from_utterances(
+                PhonemeInventory((drawn["label"],)),
+                [AlignedUtterance(drawn["utterance"], drawn["speaker"], [(0, 3)])],
+            )
+        except ValueError:
+            return
+        sink = io.StringIO()
+        write_alignment(corpus, sink)
+        assert parse_alignment(io.StringIO(sink.getvalue()), corpus.inventory) == corpus
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
@@ -450,6 +523,9 @@ class TestCorpusTable:
         assert corpus.rows([2, 0]).tolist() == [[1, 1], [2, 9], [0, 3], [1, 4]]
         with pytest.raises(AttributeError, match="immutable"):
             corpus.phones = corpus.phones.copy()
+        for column in (corpus.offsets, corpus.speaker_index):
+            with pytest.raises(ValueError, match="read-only"):
+                column[1] = 0
 
     @settings(max_examples=50, deadline=None)
     @given(table_corpora())
@@ -464,7 +540,7 @@ class TestCorpusTable:
             assert np.shares_memory(view.phones, corpus.phones)
             assert not view.phones.flags.writeable
             assert np.array_equal(view.phones, corpus.phones[corpus.offsets[i] : corpus.offsets[i + 1]])
-        assert Corpus(corpus.inventory, corpus.utterances) == corpus
+        assert Corpus.from_utterances(corpus.inventory, corpus.utterances) == corpus
 
     @pytest.mark.parametrize("block_lines", [1, 2, 3])
     def test_utterance_across_block_boundaries(self, monkeypatch, block_lines):
@@ -497,19 +573,24 @@ class TestCorpusTable:
             AlignedUtterance("u2", "a", [(1, 2), (3, 1)]),
         )
         with pytest.raises(ValueError) as err:
-            Corpus(self.INV, utterances)
+            Corpus.from_utterances(self.INV, utterances)
         assert str(err.value) == (
             "utterance 'u2': phone [3, 1] needs a class index in [0, 3) and a frame count >= 1"
         )
+        again = AlignedUtterance("u1", "b", [(0, 1)])
         with pytest.raises(ValueError) as err:
-            Corpus(self.INV, utterances + (AlignedUtterance("u1", "b", [(0, 0)]),))
+            Corpus.from_utterances(self.INV, utterances + (again,))
         assert str(err.value) == "duplicate utterance id 'u1'"
 
     def test_no_program_path_builds_the_utterance_tuple(self, monkeypatch):
         def tuple_read(self):
             raise AssertionError("Corpus.utterances was built")
 
+        def object_built(cls, inventory, utterances):
+            raise AssertionError("a corpus was built from utterance objects")
+
         monkeypatch.setattr(Corpus, "utterances", property(tuple_read))
+        monkeypatch.setattr(Corpus, "from_utterances", classmethod(object_built))
         synth = SynthConfig(
             n_speakers=3,
             utts_per_speaker=4,

@@ -100,7 +100,7 @@ class TestScoreTrialsEmbedding:
             for s in range(n_speakers)
             for u in range(n_utts)
         ]
-        return Corpus(inv, tuple(utts))
+        return Corpus.from_utterances(inv, tuple(utts))
 
     def test_self_trial_scores_exactly_one(self, params):
         rng = np.random.default_rng(3)
@@ -132,7 +132,7 @@ class TestScoreTrialsEmbedding:
     def test_sides_that_embed_identically_score_exactly_one(self, params):
         rng = np.random.default_rng(6)
         twin = utterance("s0", "a", rng)
-        corpus = Corpus(
+        corpus = Corpus.from_utterances(
             PhonemeInventory(tuple(f"P{i}" for i in range(5))),
             (twin, AlignedUtterance("b", "s0", twin.phones.copy())),
         )
@@ -199,6 +199,7 @@ class TestGroupedScoring:
 
         with mock.patch.object(model_module, "_GROUP_PHONES", bound):
             assert np.array_equal(embed_sequences(params, seqs), alone)
-            scores = score_trials_embedding(params, Corpus(inventory, tuple(utts)), trials)
+            corpus = Corpus.from_utterances(inventory, tuple(utts))
+            scores = score_trials_embedding(params, corpus, trials)
         want = [cosine_score(alone[i], alone[j]) for i, j in pairs]
         assert np.array_equal(scores.scores, want)

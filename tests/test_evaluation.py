@@ -150,7 +150,7 @@ def toy_corpus(n_speakers=2, n_utts=2, phones_per_utt=3):
         for u in range(n_utts):
             phones = [(0, 5 + s)] * phones_per_utt
             utts.append(AlignedUtterance(f"s{s}-u{u}", f"s{s}", phones))
-    return Corpus(inv, tuple(utts))
+    return Corpus.from_utterances(inv, tuple(utts))
 
 
 class TestBuildTrials:
@@ -176,7 +176,7 @@ class TestBuildTrials:
             AlignedUtterance(f"mid-u{i}", "mid", [(0, 5)])
             for i in range(10)
         ]
-        corpus = Corpus(inv, tuple(utts))
+        corpus = Corpus.from_utterances(inv, tuple(utts))
         trials = build_trials(corpus, 8, 1, seed=0)
         assert trials.skipped_speakers == ("poor",)
         assert all(t.enroll_speaker != "poor" for t in trials.trials)
@@ -253,7 +253,7 @@ def speaker_corpora(draw):
         for s, n in enumerate(counts)
         for u in range(n)
     ]
-    return Corpus(PhonemeInventory(("P0",)), tuple(draw(st.permutations(utts))))
+    return Corpus.from_utterances(PhonemeInventory(("P0",)), tuple(draw(st.permutations(utts))))
 
 
 class TestBuildTrialsMatchesPoolListReference:

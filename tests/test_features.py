@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv.alignment import AlignedUtterance, PhonemeInventory
-from durasv.errors import ConfigError, EmptyInputError
+from durasv.embeddings import embed
+from durasv.errors import ConfigError, EmptyInputError, ShapeMismatchError
 from durasv.features import (
     make_chunks,
     mean_duration_vector,
     sequence_from_utterances,
 )
+from durasv.model import init_model, tiny_gradcheck_config
 
 
 def inventory(n):
@@ -175,3 +179,24 @@ class TestMakeChunks:
             assert c.speaker_id == "sp"
             assert c.source_utterances
             assert all(src in by_id for src in c.source_utterances)
+
+
+# each per-set helper, given utterances over a 2-class inventory
+PER_SET_HELPERS = {
+    "mean_duration_vector": lambda utts: mean_duration_vector(utts, inventory(2)),
+    "make_chunks": lambda utts: make_chunks(utts, inventory(2), np.random.default_rng(0), 1, 4),
+    "embed": lambda utts: embed(
+        init_model(replace(tiny_gradcheck_config(), n_classes=2), np.random.default_rng(0)), utts
+    ),
+}
+
+
+@pytest.mark.parametrize("helper", PER_SET_HELPERS)
+@pytest.mark.parametrize(
+    "phones",
+    [[(0, 0), (1, 3)], [(0, 3), (1, -4)], [(0, 3), (7, 2)]],
+    ids=["frames-0", "frames-minus-4", "class-past-the-inventory"],
+)
+def test_per_set_helpers_refuse_rows_the_inventory_cannot_hold(helper, phones):
+    with pytest.raises((ValueError, ShapeMismatchError), match="utterance 'u1'"):
+        PER_SET_HELPERS[helper]([utterance("s", "u0", [(1, 5)]), utterance("s", "u1", phones)])

@@ -70,7 +70,7 @@ def tiny_corpus():
     for k in range(4):
         utts.append(utt("fast", f"f{k}", [4, 5, 4, 5]))
         utts.append(utt("slow", f"s{k}", [20, 21, 20, 21]))
-    return Corpus(inv, tuple(utts))
+    return Corpus.from_utterances(inv, tuple(utts))
 
 
 class TestScoreTrialsMetric:
@@ -136,7 +136,8 @@ def corpus_and_sets(draw):
             )
         )
         utts.append(AlignedUtterance(f"u{u}", "spk0" if f"u{u}" in enroll else "spk1", phones))
-    corpus = Corpus(PhonemeInventory(tuple(f"P{i}" for i in range(n_classes))), tuple(utts))
+    inventory = PhonemeInventory(tuple(f"P{i}" for i in range(n_classes)))
+    corpus = Corpus.from_utterances(inventory, tuple(utts))
     return corpus, enroll, trial, tuple(draw(st.permutations(enroll))), tuple(
         draw(st.permutations(trial))
     )
@@ -170,7 +171,8 @@ def speaker_corpora(draw):
                 )
             )
             utts.append(AlignedUtterance(f"s{s}-u{u}", f"s{s}", phones))
-    return Corpus(PhonemeInventory(tuple(f"P{i}" for i in range(n_classes))), tuple(utts))
+    inventory = PhonemeInventory(tuple(f"P{i}" for i in range(n_classes)))
+    return Corpus.from_utterances(inventory, tuple(utts))
 
 
 @settings(max_examples=100, deadline=None)

@@ -52,7 +52,7 @@ def reference_generate(profiles, cfg, rng):
             utterances.append(
                 AlignedUtterance(utt_id, profile.speaker_id, np.stack([classes, lengths], axis=1))
             )
-    return Corpus(synthetic_inventory(cfg.n_classes), tuple(utterances))
+    return Corpus.from_utterances(synthetic_inventory(cfg.n_classes), tuple(utterances))
 
 
 def outcome(make):
