@@ -61,16 +61,49 @@ ARPABET_CONSONANTS = (
 STRESS_MARKS = ("", "0", "1", "2")
 POSITION_SUFFIXES = ("_B", "_E", "_I", "_S")
 _MAX_FRAMES = 2**31 - 1
+# Whether a code point can be part of a token: it is none of those
+# ``str.split()`` splits on and ``str.strip()`` strips. No code point above
+# U+3000 is, so the last entry stands for all of them.
+_IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
 
 
 def _check_tokens(kind: str, tokens: Sequence[str], banned: str) -> None:
     """Raise ``ValueError`` for a token an alignment file cannot carry: an
-    empty one, or one holding whitespace or a character of ``banned``."""
-    joined = "\n".join(tokens)
-    if joined.split() != list(tokens) or any(c in joined for c in banned):
+    empty one, or one holding whitespace or a character of ``banned``.
+
+    Whitespace is what ``_IN_TOKEN`` says it is, code point by code point,
+    so ids and labels follow the rule the parser splits lines by.
+    """
+    joined = "".join(tokens)
+    codes = _Text(joined, not joined.isascii()).codes
+    if not (all(tokens) and _IN_TOKEN.take(codes, mode="clip").all()) or any(
+        c in joined for c in banned
+    ):
         bad = next(t for t in tokens if t.split() != [t] or any(c in t for c in banned))
         listed = " or ".join(map(repr, banned))
         raise ValueError(f"{kind} {bad!r} is empty or holds whitespace or {listed}")
+
+
+def _first_empty_run(
+    offsets, n_rows: int, n_runs: int | None, unit: str, error: type[Exception] = ValueError
+) -> int | None:
+    """The index of the first run of ``offsets`` that holds no row, or ``None``.
+
+    The rule for cutting ``n_rows`` rows into runs, run ``i`` holding rows
+    ``offsets[i]:offsets[i + 1]``: ``offsets`` is a 1-D integer array that
+    runs from 0 to ``n_rows``, with one entry per ``unit`` and one more, so
+    ``n_runs + 1`` entries (at least two with no ``n_runs``). Otherwise it
+    raises ``error``. Every run must hold a row: the caller raises, naming
+    the run, for the index this returns.
+    """
+    ends = np.asarray(offsets)
+    sized = ends.size >= 2 if n_runs is None else ends.shape == (n_runs + 1,)
+    if not (sized and ends.ndim == 1 and ends.dtype.kind in "iu") or (
+        ends[[0, -1]].tolist() != [0, n_rows]
+    ):
+        raise error(f"offsets must run from 0 to {n_rows}, one per {unit} and one more")
+    empty = np.flatnonzero(ends[1:] <= ends[:-1])
+    return int(empty[0]) if empty.size else None
 
 
 def _checked_phones(
@@ -90,13 +123,9 @@ def _checked_phones(
         owner = "corpus" if offsets is not None else f"utterance {utterance_ids[0]!r}"
         raise ValueError(f"{owner} needs (K, 2) integer phones")
     ends = np.asarray((0, len(table)) if offsets is None else offsets)
-    if ends.shape != (len(utterance_ids) + 1,) or ends.dtype.kind not in "iu" or (
-        ends[[0, -1]].tolist() != [0, len(table)]
-    ):
-        raise ValueError(f"offsets must run from 0 to {len(table)}, one per utterance and one more")
-    empty = np.flatnonzero(ends[1:] <= ends[:-1])
-    if empty.size:
-        raise ValueError(f"utterance {utterance_ids[empty[0]]!r} holds no phones")
+    empty = _first_empty_run(ends, len(table), len(utterance_ids), "utterance")
+    if empty is not None:
+        raise ValueError(f"utterance {utterance_ids[empty]!r} holds no phones")
     classes, frames = table[:, 0], table[:, 1]
     top = _MAX_FRAMES + 1 if n_classes is None else n_classes
     if len(table) and not (
@@ -356,10 +385,6 @@ _CHUNK_CHARS = 1 << 17
 # Code points of an id token compared as array columns (a multiple of 8);
 # two longer ids that agree on these are compared as strings.
 _ID_WIDTH = 64
-# Whether a code point can be part of a token: it is none of those
-# ``str.split()`` splits on and ``str.strip()`` strips. No code point above
-# U+3000 is, so the last entry stands for all of them.
-_IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
 _NEWLINE, _COMMENT = ord("\n"), ord("#")
 # Utterances whose lines ``write_alignment`` builds as one string.
 _WRITE_UTTERANCES = 1 << 9

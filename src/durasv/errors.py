@@ -23,7 +23,13 @@ class AlignmentParseError(DurasvError):
         self.line = line
 
 
-class DuplicateLabelError(AlignmentParseError):
+class DuplicateLabelError(AlignmentParseError, ValueError):
+    """A phoneme label repeated in an inventory.
+
+    Also a ``ValueError``, as every other rule of an inventory or a corpus
+    raises one, so ``except ValueError`` around a construction catches it.
+    """
+
     def __init__(self, label: str, line: int | None = None):
         super().__init__(f"duplicate phoneme label {label!r}", line)
         self.label = label

@@ -50,6 +50,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .alignment import _first_empty_run
 from .errors import ConfigError, ShapeMismatchError, check_fields
 from .features import Chunk, DurationFeatureSequence
 
@@ -158,11 +159,12 @@ class Batch:
     The ``P`` real phones of all items sit in item order; item ``b`` owns
     ``classes[offsets[b]:offsets[b + 1]]`` and the same run of ``frames``.
     Construction raises ``ShapeMismatchError`` unless ``classes`` and
-    ``frames`` are 1-D of one length ``P``, ``offsets`` rises strictly
-    from 0 to ``P`` (every item has at least one phone), and ``labels``
-    is ``None`` or one label per item. The right-padded ``(B, T)`` grid
-    is only a derived view (``class_idx``, ``lengths``, ``mask``) for
-    readers of that form; the model never builds it.
+    ``frames`` are 1-D of one length ``P``, ``offsets`` are integers that
+    rise strictly from 0 to ``P`` (every item has at least one phone, the
+    rule a corpus's utterances follow; they are stored as int64), and
+    ``labels`` is ``None`` or one label per item. The right-padded
+    ``(B, T)`` grid is only a derived view (``class_idx``, ``lengths``,
+    ``mask``) for readers of that form; the model never builds it.
     """
 
     classes: np.ndarray  # (P,) int64 phone class of each real phone
@@ -176,15 +178,15 @@ class Batch:
     )
 
     def __post_init__(self) -> None:
-        classes, frames, offsets = self.classes, self.frames, self.offsets
-        if classes.dtype.kind != "i" or offsets.dtype.kind != "i":
-            raise ShapeMismatchError("classes and offsets must be integer arrays")
+        classes, frames = self.classes, self.frames
+        if classes.dtype.kind != "i":
+            raise ShapeMismatchError("classes must be an integer array")
         if classes.ndim != 1 or classes.shape != frames.shape:
             raise ShapeMismatchError("classes and frames must be 1-D and of one length")
-        if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != classes.size:
-            raise ShapeMismatchError("offsets must run from 0 to the phone count")
-        if np.any(offsets[1:] <= offsets[:-1]):
+        empty = _first_empty_run(self.offsets, classes.size, None, "batch item", ShapeMismatchError)
+        if empty is not None:
             raise ShapeMismatchError("every batch item needs at least one phone")
+        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64))
         if self.labels is not None and self.labels.shape != (self.size,):
             raise ShapeMismatchError("labels must be one integer per batch item")
 

@@ -126,10 +126,25 @@ def generate_corpus(
     """Sample a corpus of log-normal phone durations from speaker profiles.
 
     Phone classes are uniform over the inventory; lengths are
-    ``max(1, round(exp(Normal(log_mean[class], sigma_token))))`` frames.
-    Each speaker gets its own child random stream, and its rows are
-    checked and narrowed to int32 at once. A frame count beyond int32
-    raises ``ValueError`` naming the first utterance that holds one.
+    ``max(1, round(exp(log_mean[class] + log_std[class] * z)))`` frames
+    for a standard normal ``z``, that is ``exp`` of a
+    ``Normal(log_mean[class], log_std[class])`` draw.
+
+    The draws are the determinism contract: ``rng.spawn`` gives speaker
+    ``i`` the ``i``-th child stream, and each stream makes, per utterance
+    in order, exactly these three calls::
+
+        n_phones = stream.integers(lo, hi + 1)
+        classes = stream.integers(0, n_classes, size=n_phones)
+        z = stream.standard_normal(n_phones)
+
+    ``log_mean[classes] + log_std[classes] * z`` is, bit for bit, what
+    ``stream.normal(log_mean[classes], log_std[classes])`` would draw in
+    place of the third call, as numpy computes ``normal`` by that formula;
+    the tests pin the identity. So each speaker's frame counts are
+    computed in one step over all its utterances, and its rows are checked
+    and narrowed to int32 at once. A frame count beyond int32 raises
+    ``ValueError`` naming the first utterance that holds one.
     """
     lo, hi = config.phones_per_utt
     tables: list[np.ndarray] = []  # each speaker's rows
@@ -138,21 +153,19 @@ def generate_corpus(
     speaker_ids: list[str] = []
     streams = rng.spawn(len(profiles))
     for profile, stream in zip(profiles, streams):
-        first = len(utterance_ids)
-        rows = []
-        for j in range(config.utts_per_speaker):
+        ids = [f"{profile.speaker_id}-u{j:04d}" for j in range(config.utts_per_speaker)]
+        sizes, classes, draws = [], [], []
+        for _ in ids:
             n_phones = int(stream.integers(lo, hi + 1))
-            classes = stream.integers(0, config.n_classes, size=n_phones)
-            log_durations = stream.normal(
-                profile.log_mean[classes], profile.log_std[classes]
-            )
-            frames = np.maximum(1, np.round(np.exp(log_durations))).astype(np.int64)
-            rows.append(np.stack([classes, frames], axis=1))
-            utterance_ids.append(f"{profile.speaker_id}-u{j:04d}")
-            speaker_ids.append(profile.speaker_id)
-        sizes = [len(r) for r in rows]
-        ids = utterance_ids[first:]
-        tables.append(_checked_phones(np.concatenate(rows), np.cumsum([0, *sizes]), ids))
+            sizes.append(n_phones)
+            classes.append(stream.integers(0, config.n_classes, size=n_phones))
+            draws.append(stream.standard_normal(n_phones))
+        c, z = np.concatenate(classes), np.concatenate(draws)
+        log_durations = profile.log_mean[c] + profile.log_std[c] * z
+        frames = np.maximum(1, np.round(np.exp(log_durations))).astype(np.int64)
+        tables.append(_checked_phones(np.stack([c, frames], axis=1), np.cumsum([0, *sizes]), ids))
+        utterance_ids += ids
+        speaker_ids += [profile.speaker_id] * len(ids)
         lengths += sizes
     return Corpus(
         synthetic_inventory(config.n_classes),

@@ -382,6 +382,33 @@ class TestCorpusValidation:
         with pytest.raises(ValueError, match=re.escape(f"speaker id {speaker!r}")):
             make_corpus(self.INV, [("a", "u1", [(0, 3)]), (speaker, "u2", [(1, 2)])])
 
+    def test_duplicate_label_is_a_value_error(self):
+        with pytest.raises(ValueError) as err:
+            PhonemeInventory(("A", "B", "A"))
+        assert isinstance(err.value, DuplicateLabelError) and err.value.line is None
+        assert str(err.value) == "duplicate phoneme label 'A'"
+
+    @pytest.mark.parametrize(
+        "tokens, bad",
+        [
+            (("a", "", "b"), ""),
+            (("\u014b", "", "b"), ""),
+            (("",), ""),
+            (("a", "b\u3000c"), "b\u3000c"),
+            (("\U0001f600", "x\u2003", "y\n"), "x\u2003"),
+            (("a\x1c",), "a\x1c"),
+        ],
+    )
+    def test_token_check_names_the_first_bad_token(self, tokens, bad):
+        with pytest.raises(ValueError, match=re.escape(f"phoneme label {bad!r} is empty")):
+            alignment._check_tokens("phoneme label", tokens, "#")
+
+    def test_code_points_past_the_whitespace_table_are_token_code_points(self):
+        # the table ends at U+3001; str.split() splits on no code point above U+3000
+        tokens = ("\u3001", "\u3002", "\uffff", "\U0010ffff", "\ud800", "a\U0001f600b")
+        alignment._check_tokens("phoneme label", tokens, "#")
+        assert all(t.split() == [t] for t in tokens)
+
     def test_label_holding_a_comment_mark_rejected(self):
         with pytest.raises(ValueError, match="phoneme label 'AA#1'"):
             PhonemeInventory(("SIL", "AA#1"))

@@ -94,6 +94,17 @@ class TestBatch:
         with pytest.raises(ShapeMismatchError):
             Batch(**{**self.WELL_FORMED, **changes})
 
+    @pytest.mark.parametrize(
+        "offsets", [[1, 3], [0, 2], [0, 1, 2], [0.0, 1.0, 3.0], [[0, 1, 3]], [0]]
+    )
+    def test_offsets_follow_the_corpus_rule(self, offsets):
+        with pytest.raises(ShapeMismatchError, match="offsets must run from 0 to 3, one per batch"):
+            Batch(**{**self.WELL_FORMED, "offsets": np.array(offsets)})
+
+    def test_unsigned_offsets_stored_as_int64(self):
+        batch = Batch(**{**self.WELL_FORMED, "offsets": np.array([0, 1, 3], np.uint64)})
+        assert batch.offsets.dtype == np.int64 and batch.offsets.tolist() == [0, 1, 3]
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_grid_views_equal_row_by_row_padding(self, data):

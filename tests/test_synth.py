@@ -143,7 +143,39 @@ class TestGenerateCorpus:
         assert a == b
 
 
+def test_normal_is_loc_plus_scale_times_standard_normal():
+    """``generate_corpus`` draws ``standard_normal`` where the definition
+    draws ``normal(loc, scale)``; the two agree only while numpy computes
+    ``normal`` as ``loc + scale * standard_normal()``, to the bit."""
+    shapes = np.random.default_rng(2024)
+    for seed in range(200):
+        loc = shapes.uniform(-40.0, 40.0, 1000)
+        scale = shapes.uniform(1e-3, 10.0, 1000)
+        drawn = np.random.default_rng(seed).normal(loc, scale)
+        formula = loc + scale * np.random.default_rng(seed).standard_normal(1000)
+        assert np.array_equal(drawn.view(np.uint64), formula.view(np.uint64)), (
+            f"numpy {np.__version__}: Generator.normal(loc, scale) differs from"
+            f" loc + scale * standard_normal() at seed {seed}, so generate_corpus"
+            " no longer reproduces its corpora"
+        )
+
+
 class TestCorpusTable:
+    def test_ingest_shaped_corpus_equals_the_per_utterance_definition(self):
+        cfg = SynthConfig(
+            n_speakers=4,
+            utts_per_speaker=75,
+            phones_per_utt=(10, 30),
+            population_log_mean=np.full(336, np.log(10.0)),
+            sigma_speaker=0.2,
+            sigma_token=0.35,
+            seed=7,
+        )
+        profiles = sample_speakers(cfg, np.random.default_rng([7, 0]))
+        synthesized = generate_corpus(profiles, cfg, np.random.default_rng([7, 1]))
+        assert len(synthesized) == 300 and synthesized.phones[:, 0].max() >= 300
+        assert synthesized == reference_generate(profiles, cfg, np.random.default_rng([7, 1]))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 4),
