@@ -29,7 +29,6 @@ from .evaluation import (
     evaluate,
 )
 from .features import (
-    Chunk,
     DurationFeatureSequence,
     make_chunks,
     mean_duration_vector,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignedUtterance",
     "Batch",
-    "Chunk",
     "Corpus",
     "DurationFeatureSequence",
     "EerCell",

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     AlignmentParseError,
+    ConfigError,
     DuplicateLabelError,
     EmptyInventoryError,
     MalformedLineError,
@@ -67,8 +68,10 @@ _MAX_FRAMES = 2**31 - 1
 _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
 
 
-def _check_tokens(kind: str, tokens: Sequence[str], banned: str) -> None:
-    """Raise ``ValueError`` for a token an alignment file cannot carry: an
+def _check_tokens(
+    kind: str, tokens: Sequence[str], banned: str, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` for a token an alignment file cannot carry: an
     empty one, or one holding whitespace or a character of ``banned``.
 
     Whitespace is what ``_IN_TOKEN`` says it is, code point by code point,
@@ -81,7 +84,7 @@ def _check_tokens(kind: str, tokens: Sequence[str], banned: str) -> None:
     ):
         bad = next(t for t in tokens if t.split() != [t] or any(c in t for c in banned))
         listed = " or ".join(map(repr, banned))
-        raise ValueError(f"{kind} {bad!r} is empty or holds whitespace or {listed}")
+        raise error(f"{kind} {bad!r} is empty or holds whitespace or {listed}")
 
 
 def _first_empty_run(
@@ -727,8 +730,10 @@ def parse_alignment(
 
     Labels listed in ``exclude`` (e.g. silence markers) are dropped before
     the inventory lookup; utterances left empty by the exclusion are
-    omitted. A frame count must fit int32 (at most 2^31 - 1). Every
-    reported error carries its 1-based line number.
+    omitted. An ``exclude`` label no line could carry, being empty or
+    holding whitespace or ``#``, raises ``ConfigError``. A frame count
+    must fit int32 (at most 2^31 - 1). Every reported error carries its
+    1-based line number.
 
     A file-like source, one with ``read``, is read in chunks of text split
     into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
@@ -740,6 +745,7 @@ def parse_alignment(
     then ``,`` in and reappearance of a new utterance's id or a speaker
     change inside an utterance, then the label.
     """
+    _check_tokens("excluded label", exclude, "#", ConfigError)
     parser = _Parser(inventory, exclude)
     if hasattr(source, "read"):
         for block in _chunk_blocks(source):

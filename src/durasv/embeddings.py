@@ -15,20 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import AlignedUtterance, Corpus
-from .errors import EmptyInputError, MixedSpeakerSetError, ShapeMismatchError, ZeroNormError
+from .errors import ShapeMismatchError, ZeroNormError
 from .evaluation import ScoreSet, TrialList, score_trials
-from .features import sequence_from_phones, sequence_from_utterances
+from .features import _speaker_sequence, sequence_from_phones
 from .model import ModelParams, embed_sequences
 
 
 def embed(params: ModelParams, utterances: Sequence[AlignedUtterance]) -> np.ndarray:
     """The ``(embed_dim,)`` embedding of one speaker's concatenated utterances."""
-    if not utterances:
-        raise EmptyInputError("no utterances given")
-    speakers = sorted({u.speaker_id for u in utterances})
-    if len(speakers) != 1:
-        raise MixedSpeakerSetError(tuple(u.utterance_id for u in utterances), speakers)
-    seq = sequence_from_utterances(utterances, params.config.n_classes)
+    seq = _speaker_sequence(utterances, params.config.n_classes)
     return embed_sequences(params, [seq])[0]
 
 

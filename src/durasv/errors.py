@@ -86,8 +86,11 @@ class UnknownUtteranceError(DurasvError):
         self.utterance_id = utterance_id
 
 
-class MixedSpeakerSetError(DurasvError):
-    """A trial side's utterance set holds more than one speaker's utterances."""
+class MixedSpeakerSetError(DurasvError, ValueError):
+    """An utterance set that must be one speaker's, such as a trial side or
+    the input of ``embed`` or ``make_chunks``, holds more than one speaker's
+    utterances. Also a ``ValueError``, as ``DuplicateLabelError`` is.
+    """
 
     def __init__(self, utterance_ids: tuple[str, ...], speakers: list[str]):
         super().__init__(f"utterance set {','.join(utterance_ids)} mixes speakers {speakers}")
@@ -124,8 +127,9 @@ class NoEligibleSpeakersError(DurasvError):
 class DegenerateScoreSetError(DurasvError):
     """Score or trial set unfit for an EER.
 
-    A class, the score polarity or a trial header value is missing, or a
-    score is non-finite.
+    A class, the score polarity or a trial header value is missing, a
+    score is non-finite, or a trial's label or enrollment speaker
+    disagrees with the speakers of its utterance sets.
     """
 
 

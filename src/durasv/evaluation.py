@@ -47,6 +47,8 @@ class Trial:
     def __post_init__(self) -> None:
         enroll, trial = set(self.enroll_utts), set(self.trial_utts)
         for utts, distinct in ((self.enroll_utts, enroll), (self.trial_utts, trial)):
+            if not utts:
+                raise ValueError("empty utterance set")
             if "" in distinct:
                 raise ValueError(f"empty utterance id in set {','.join(utts)!r}")
             if len(distinct) < len(utts):
@@ -213,6 +215,9 @@ def score_trials(
     enrollment sets recur across their nontarget trials. An unknown id
     raises ``UnknownUtteranceError`` and a set holding more than one
     speaker's utterances ``MixedSpeakerSetError``, for the first such set.
+    Then the first trial, in trial order, whose enrollment speaker is not
+    its enrollment set's speaker, or whose label is not whether its two
+    sets are one speaker's, raises ``DegenerateScoreSetError``.
     ``vectors_of`` then maps the sets, each a list of the corpus's
     utterance indices in the set's order, to one ``(S, D)`` array, a row
     per set, and ``compare(vectors, a, b)`` gives the ``(n,)`` scores of
@@ -220,6 +225,7 @@ def score_trials(
     """
     rows: dict[tuple[str, ...], int] = {}
     sets: list[list[int]] = []
+    set_speakers: list[str] = []
     speaker_of = corpus.speaker_index.tolist()
 
     def row_of(utt_ids: tuple[str, ...]) -> int:
@@ -234,10 +240,19 @@ def score_trials(
                 raise MixedSpeakerSetError(utt_ids, names)
             rows[utt_ids] = len(sets)
             sets.append(index)
+            set_speakers.append(corpus.speakers[speaker_of[index[0]]])
         return rows[utt_ids]
 
     sides = [(row_of(t.enroll_utts), row_of(t.trial_utts)) for t in trials.trials]
     a, b = np.array(sides, dtype=np.intp).reshape(-1, 2).T
+    for t, (i, j) in zip(trials.trials, sides):
+        enroll, trial = set_speakers[i], set_speakers[j]
+        if t.enroll_speaker != enroll or t.is_target != (enroll == trial):
+            raise DegenerateScoreSetError(
+                f"trial {','.join(t.enroll_utts)} {','.join(t.trial_utts)} says speaker "
+                f"{t.enroll_speaker!r}, {'target' if t.is_target else 'nontarget'}; "
+                f"the corpus says enrollment speaker {enroll!r}, trial speaker {trial!r}"
+            )
     return ScoreSet(
         np.asarray(compare(vectors_of(sets), a, b), dtype=np.float64),
         np.array([t.is_target for t in trials.trials], dtype=bool),

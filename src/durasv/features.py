@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import AlignedUtterance, PhonemeInventory
-from .errors import ConfigError, EmptyInputError, ShapeMismatchError
+from .errors import ConfigError, EmptyInputError, MixedSpeakerSetError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,6 @@ class DurationFeatureSequence:
         return DurationFeatureSequence(
             self.class_indices[start:stop], self.lengths[start:stop], self.n_classes
         )
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """Training segment of one speaker's phone stream.
-
-    ``shift`` is the number of phones dropped in front of the chunk and
-    ``first_utt_len`` the full length of the utterance the drop started
-    in, so instrumented checks can verify
-    ``0 <= shift <= min(first_utt_len, len(chunk))``.
-    """
-
-    speaker_id: str
-    rows: DurationFeatureSequence
-    source_utterances: tuple[str, ...]
-    shift: int
-    first_utt_len: int
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def sequence_from_utterances(
@@ -103,13 +83,27 @@ def mean_duration_vector(
     return values
 
 
+def _speaker_sequence(
+    utterances: Sequence[AlignedUtterance], n_classes: int
+) -> DurationFeatureSequence:
+    """``sequence_from_utterances`` of one speaker's utterances.
+
+    Raises ``EmptyInputError`` for no utterances and
+    ``MixedSpeakerSetError`` for more than one speaker's.
+    """
+    speakers = sorted({u.speaker_id for u in utterances})
+    if len(speakers) > 1:
+        raise MixedSpeakerSetError(tuple(u.utterance_id for u in utterances), speakers)
+    return sequence_from_utterances(utterances, n_classes)
+
+
 def make_chunks(
     utterances: Sequence[AlignedUtterance],
     inventory: PhonemeInventory,
     rng: np.random.Generator,
     min_len: int = 32,
     max_len: int = 256,
-) -> list[Chunk]:
+) -> list[DurationFeatureSequence]:
     """Cut one speaker's utterances into randomly shifted chunks.
 
     The utterances are shuffled, concatenated into a phone stream, and
@@ -117,53 +111,33 @@ def make_chunks(
     uniformly from ``{min_len, ..., max_len}`` and a shift ``r`` uniformly
     from ``{0, ..., min(len(u1), c)}``, where ``u1`` is the utterance the
     stream currently points into; ``r`` phones are dropped, then up to
-    ``c`` phones form the chunk. A tail shorter than ``min_len`` is
-    dropped. A stream that yields no chunk, one shorter than ``min_len``
-    among them, yields its first ``min(len(stream), max_len)`` phones
-    unshifted, so tiny speakers still contribute. Raises ``ConfigError``
-    unless ``1 <= min_len <= max_len``.
+    ``c`` phones form the chunk. Only the stream's last chunk can hold
+    fewer than ``c`` phones: it takes what is left after its shift, which
+    can be fewer than ``r``, and a tail shorter than ``min_len`` is
+    dropped. A stream that yields
+    no chunk, one shorter than ``min_len`` among them, yields its first
+    ``min(len(stream), max_len)`` phones unshifted, so tiny speakers still
+    contribute. Each chunk is a view of the stream's arrays. Raises
+    ``ConfigError`` unless ``1 <= min_len <= max_len``.
     """
     if not 1 <= min_len <= max_len:
         raise ConfigError(f"chunk lengths need 1 <= min_len <= max_len, got {min_len}..{max_len}")
-    if not utterances:
-        raise EmptyInputError("no utterances given")
-    speakers = {u.speaker_id for u in utterances}
-    if len(speakers) != 1:
-        raise ValueError(f"chunking mixes speakers: {sorted(speakers)}")
-    speaker_id = utterances[0].speaker_id
+    shuffled = [utterances[i] for i in rng.permutation(len(utterances))]
+    stream = _speaker_sequence(shuffled, inventory.size)
+    ends = np.cumsum([len(u) for u in shuffled])  # where each utterance's rows end
 
-    order = rng.permutation(len(utterances))
-    shuffled = [utterances[i] for i in order]
-    stream = sequence_from_utterances(shuffled, inventory.size)
-    total = len(stream)
-
-    # utterance start offsets in the concatenated stream
-    utt_lengths = np.array([len(u) for u in shuffled])
-    starts = np.concatenate([[0], np.cumsum(utt_lengths)[:-1]])
-    utt_ids = [u.utterance_id for u in shuffled]
-
-    def utt_at(pos: int) -> int:
-        return int(np.searchsorted(starts, pos, side="right") - 1)
-
-    def cut(start: int, stop: int, shift: int, first_len: int) -> Chunk:
-        sources = tuple(utt_ids[utt_at(start) : utt_at(stop - 1) + 1])
-        return Chunk(speaker_id, stream.slice(start, stop), sources, shift, first_len)
-
-    chunks: list[Chunk] = []
+    chunks: list[DurationFeatureSequence] = []
     pos = 0
-    while total - pos >= min_len:
+    while len(stream) - pos >= min_len:
         c = int(rng.integers(min_len, max_len + 1))
-        first_len = int(utt_lengths[utt_at(pos)])
-        r = int(rng.integers(0, min(first_len, c) + 1))
+        u1 = shuffled[int(np.searchsorted(ends, pos, side="right"))]
+        r = int(rng.integers(0, min(len(u1), c) + 1))
         pos += r
-        take = min(c, total - pos)
+        take = min(c, len(stream) - pos)
         if take < min_len:
             break
-        chunks.append(cut(pos, pos + take, r, first_len))
+        chunks.append(stream.slice(pos, pos + take))
         pos += take
-    if not chunks:
-        # the stream is shorter than min_len, or the shift starved it; emit
-        # one unshifted chunk so the speaker still contributes
-        return [cut(0, min(total, max_len), 0, int(utt_lengths[0]))]
-    return chunks
-
+    # the stream is shorter than min_len, or the shift starved it; emit one
+    # unshifted chunk so the speaker still contributes
+    return chunks or [stream.slice(0, max_len)]

@@ -52,7 +52,7 @@ import numpy as np
 
 from .alignment import _first_empty_run
 from .errors import ConfigError, ShapeMismatchError, check_fields
-from .features import Chunk, DurationFeatureSequence
+from .features import DurationFeatureSequence
 
 # keeps the pooled standard deviation differentiable at zero variance
 STD_EPS = 1e-8
@@ -300,17 +300,16 @@ class PackedLayout:
 
 
 def pad_batch(
-    items: Sequence[DurationFeatureSequence | Chunk],
+    items: Sequence[DurationFeatureSequence],
     labels: Sequence[int] | None = None,
 ) -> Batch:
     """Lay variable-length sequences end to end in one batch."""
-    rows = [it.rows if isinstance(it, Chunk) else it for it in items]
-    if not rows:
+    if not items:
         raise ShapeMismatchError("a batch needs at least one item")
     return Batch(
-        classes=np.concatenate([r.class_indices for r in rows]).astype(np.int64, copy=False),
-        frames=np.concatenate([r.lengths for r in rows]).astype(np.float64, copy=False),
-        offsets=np.fromiter(accumulate(map(len, rows), initial=0), dtype=np.int64),
+        classes=np.concatenate([r.class_indices for r in items]).astype(np.int64, copy=False),
+        frames=np.concatenate([r.lengths for r in items]).astype(np.float64, copy=False),
+        offsets=np.fromiter(accumulate(map(len, items), initial=0), dtype=np.int64),
         labels=None if labels is None else np.asarray(labels, dtype=np.int64),
     )
 

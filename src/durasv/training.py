@@ -1,4 +1,4 @@
-"""Chunk-based training loop with adaptive-moment updates.
+"""Training loop over per-speaker duration chunks, with adaptive-moment updates.
 
 Every epoch re-draws chunks per speaker from a fresh derived random
 stream, shuffles them, and lays each mini-batch's chunks end to end. All

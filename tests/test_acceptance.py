@@ -31,6 +31,7 @@ from durasv.model import (
 )
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers
 from durasv.training import TrainConfig, train
+from test_features import replay
 
 # desk-scale corpus for the separability criterion: many phoneme classes
 # and short utterances keep per-class duration evidence sparse, which is
@@ -184,8 +185,8 @@ def test_c5_padding_invariance():
             chunks.extend(make_chunks(utts, inv, rng))
         chunks = chunks[:100]
         for chunk in chunks:
-            alone = pad_batch([chunk.rows])
-            padded = pad_batch([chunk.rows, _filler(rng, len(chunk) + 10)])
+            alone = pad_batch([chunk])
+            padded = pad_batch([chunk, _filler(rng, len(chunk) + 10)])
             emb_alone, _ = forward(params, alone)
             emb_padded, _ = forward(params, padded)
             assert np.abs(emb_alone[0] - emb_padded[0]).max() <= 1e-6
@@ -199,13 +200,11 @@ def test_c6_chunk_distribution():
             frames = rng.integers(1, 30, size=600)
             phones = np.stack([np.zeros_like(frames), frames], axis=1)
             utts.append(AlignedUtterance(f"u{i}", "s", phones))
-        inv = PhonemeInventory(("P0",))
-        chunks = make_chunks(utts, inv, np.random.default_rng(405))
+        # the replay asserts every shift r <= min(len(u1), c)
+        chunks, _ = replay(utts, 1, 405)
         assert len(chunks) >= 10_000
         lengths = np.array([len(c) for c in chunks])
         assert lengths.min() >= 32 and lengths.max() <= 256
-        for c in chunks:
-            assert 0 <= c.shift <= min(c.first_utt_len, len(c))
         observed = np.bincount(lengths, minlength=257)[32:257]
         result = stats.chisquare(observed)
         assert result.pvalue > 0.01, f"chi-square p={result.pvalue:.5f}"

@@ -23,6 +23,7 @@ from durasv.alignment import (
 from durasv.embeddings import score_trials_embedding
 from durasv.errors import (
     AlignmentParseError,
+    ConfigError,
     DuplicateLabelError,
     EmptyInventoryError,
     MalformedLineError,
@@ -231,6 +232,11 @@ class TestParseAlignment:
         lines = ["a u1 SIL 9", "a u1 AA1_B 4", "a u1 SIL 2"]
         corpus = parse_alignment(lines, self.INV, exclude=["SIL"])
         assert corpus.utterances[0].phones[:, 0].tolist() == [1]
+
+    @pytest.mark.parametrize("label", ["SIL ", "", "S#IL", "\u2003SIL"])
+    def test_exclusion_label_no_line_can_carry_is_refused(self, label):
+        with pytest.raises(ConfigError, match="excluded label"):
+            parse_alignment(["a u1 SIL 9", "a u1 AA1_B 4"], self.INV, exclude=["SIL", label])
 
     def test_exclusion_can_remove_whole_utterance(self):
         lines = ["a u1 SIL 9", "a u2 AA1_B 4"]

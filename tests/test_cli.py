@@ -56,6 +56,18 @@ def corpus_options(corpus_dir):
     ]
 
 
+def attack(corpus_dir, tmp_path, capsys, model):
+    """``--model`` for ``score``: "metric", or a tiny untrained model file."""
+    if model == "metric":
+        return model
+    path = str(tmp_path / model)
+    argv = ["train", *corpus_options(corpus_dir), "--out", path, "--epochs", "0"]
+    tiny = ["--proj-dim", "4", "--channels", "4", "--embed-dim", "4"]
+    assert main([*argv, *tiny, "--attention-hidden", "4"]) == 0
+    capsys.readouterr()
+    return path
+
+
 def assert_one_line_error(capsys, out_dir, words):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and words in err
@@ -313,12 +325,7 @@ class TestScoreAndEval:
 
     @pytest.mark.parametrize("model", ["metric", "model.bin"])
     def test_mixed_speaker_set_exits_one(self, corpus_dir, tmp_path, capsys, model):
-        if model != "metric":
-            model = str(tmp_path / model)
-            argv = ["train", *corpus_options(corpus_dir), "--out", model, "--epochs", "0"]
-            tiny = ["--proj-dim", "4", "--channels", "4", "--embed-dim", "4"]
-            assert main([*argv, *tiny, "--attention-hidden", "4"]) == 0
-            capsys.readouterr()
+        model = attack(corpus_dir, tmp_path, capsys, model)
         trials = tmp_path / "trials.txt"
         trials.write_text(
             "# trials n_enroll=2 n_trial=1 seed=0\n"
@@ -329,6 +336,32 @@ class TestScoreAndEval:
         argv = ["score", *corpus_options(corpus_dir), "--trials", str(trials)]
         assert main([*argv, "--model", model, "--out", str(out / "scores.txt")]) == 1
         assert_one_line_error(capsys, out, "S000-u0000,S001-u0000 mixes speakers")
+
+    @pytest.mark.parametrize("model", ["metric", "model.bin"])
+    @pytest.mark.parametrize(
+        "field, edit",
+        [(3, {"target": "nontarget", "nontarget": "target"}.get), (0, lambda speaker: "NOBODY")],
+        ids=["flipped-labels", "renamed-enrollment-speaker"],
+    )
+    def test_trials_that_disagree_with_the_corpus_exit_one(
+        self, corpus_dir, tmp_path, capsys, model, field, edit
+    ):
+        model = attack(corpus_dir, tmp_path, capsys, model)
+        trials = tmp_path / "trials.txt"
+        assert run_trials(corpus_dir, trials, n=2) == 0
+        header, *records = trials.read_text().splitlines()
+        edited = [r.split() for r in records]
+        for record in edited:
+            record[field] = edit(record[field])
+        trials.write_text("\n".join([header, *map(" ".join, edited)]) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        argv = ["score", *corpus_options(corpus_dir), "--trials", str(trials)]
+        assert main([*argv, "--model", model, "--out", str(out / "scores.txt")]) == 1
+        speaker, enroll, trial, kind = edited[0]
+        said = f"trial {enroll} {trial} says speaker {speaker!r}, {kind}; the corpus says"
+        assert_one_line_error(capsys, out, said)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_score_exits_one(self, tmp_path, capsys, value):
@@ -375,8 +408,11 @@ class TestConfigErrors:
             (["--n-enroll", "1", "--n-trial", "0"], "n_enroll >= 1"),
             (["--n-enroll", "1", "--n-trial", "1", "--max-nontarget", "-1"], "n_enroll >= 1"),
             (["--n-enroll", "1", "--n-trial", "1", "--seed", "-1"], "seed must be >= 0"),
+            (["--n-enroll", "1", "--n-trial", "1", "--exclude", "SIL "], "excluded label"),
         ],
-        ids=["zero-enroll", "zero-trial", "negative-max-nontarget", "negative-seed"],
+        ids=[
+            "zero-enroll", "zero-trial", "negative-max-nontarget", "negative-seed", "spaced-exclude"
+        ],
     )
     def test_bad_trials_option_exits_one(self, corpus_dir, tmp_path, capsys, options, words):
         out = tmp_path / "out"

@@ -326,6 +326,11 @@ class TestEvaluateAndIo:
         with pytest.raises(ValueError):
             Trial("s", ("u1",), ("u1",), True)
 
+    @pytest.mark.parametrize("enroll, trial", [((), ("u1",)), (("u1",), ())])
+    def test_empty_utterance_set_rejected(self, enroll, trial):
+        with pytest.raises(ValueError, match="empty utterance set"):
+            Trial("s", enroll, trial, False)
+
     @pytest.mark.parametrize(
         "record, words",
         [

@@ -107,6 +107,56 @@ class TestMeanDurationArray:
         assert np.all(vec > 0)
 
 
+def reference_chunks(utterances, rng, min_len=32, max_len=256):
+    """``make_chunks`` as its docstring states it, one draw at a time.
+
+    Returns the chunks, each a ``(k, 2)`` array of (class, frames) rows of
+    the shuffled stream, and every draw as ``(c, r, len(u1))``, the draw
+    whose tail was dropped included.
+    """
+    shuffled = [utterances[i] for i in rng.permutation(len(utterances))]
+    stream = np.concatenate([u.phones for u in shuffled])
+    sizes = [len(u) for u in shuffled]
+    utterance_length = np.repeat(sizes, sizes)  # of the utterance each phone is in
+    chunks, draws = [], []
+    pos = 0
+    while len(stream) - pos >= min_len:
+        c = int(rng.integers(min_len, max_len + 1))
+        first = int(utterance_length[pos])
+        r = int(rng.integers(0, min(first, c) + 1))
+        draws.append((c, r, first))
+        pos += r
+        if len(stream) - pos < min_len:
+            break
+        chunks.append(stream[pos : pos + c])
+        pos += len(chunks[-1])
+    if not chunks:
+        chunks.append(stream[:max_len])
+    return chunks, draws
+
+
+def replay(utterances, n_classes, seed, min_len=32, max_len=256):
+    """Assert that ``make_chunks`` gives ``reference_chunks``'s rows bit for
+    bit, from as many draws, and that every draw keeps its bounds; return
+    the chunks and the draws."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    chunks = make_chunks(utterances, inventory(n_classes), rng, min_len, max_len)
+    want, draws = reference_chunks(utterances, reference_rng, min_len, max_len)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert len(chunks) == len(want)
+    for got, rows in zip(chunks, want):
+        assert got.n_classes == n_classes
+        assert got.class_indices.dtype == np.int64 and got.lengths.dtype == np.float64
+        assert np.array_equal(got.class_indices, rows[:, 0])
+        assert np.array_equal(got.lengths, rows[:, 1])
+    for c, r, first in draws:
+        assert min_len <= c <= max_len
+        assert 0 <= r <= min(first, c)
+    # only the last chunk may fall short of its target length
+    assert all(len(got) == c for got, (c, _, _) in zip(chunks[:-1], draws))
+    return chunks, draws
+
+
 class TestMakeChunks:
     def chunk_stream(self, rng, n_utts=40, lo=30, hi=90):
         utts = []
@@ -126,29 +176,49 @@ class TestMakeChunks:
 
     def test_degenerate_short_stream(self):
         utts = [utterance("sp", "u0", [(0, 2)] * 10)]
-        chunks = make_chunks(utts, inventory(1), np.random.default_rng(0))
+        chunks, draws = replay(utts, 1, 0)
+        assert draws == []
         assert len(chunks) == 1
-        assert len(chunks[0]) == 10
-        assert chunks[0].shift == 0
+        assert chunks[0].lengths.tolist() == [2.0] * 10
 
     def test_fixed_seed_reproduces_chunks(self):
         rng = np.random.default_rng(3)
         utts = self.chunk_stream(rng)
-        first = make_chunks(utts, inventory(6), np.random.default_rng(42))
+        first, _ = replay(utts, 6, 42)
         second = make_chunks(utts, inventory(6), np.random.default_rng(42))
-        assert len(first) == len(second)
+        assert len(first) == len(second) > 1
         for a, b in zip(first, second):
-            assert np.array_equal(a.rows.class_indices, b.rows.class_indices)
-            assert np.array_equal(a.rows.lengths, b.rows.lengths)
-            assert a.shift == b.shift
-            assert a.source_utterances == b.source_utterances
+            assert np.array_equal(a.class_indices, b.class_indices)
+            assert np.array_equal(a.lengths, b.lengths)
 
     def test_shift_bound_holds(self):
+        # replay checks r <= min(len(u1), c) for every draw
         rng = np.random.default_rng(9)
-        utts = self.chunk_stream(rng, n_utts=120)
-        chunks = make_chunks(utts, inventory(6), np.random.default_rng(10))
-        for c in chunks:
-            assert 0 <= c.shift <= min(c.first_utt_len, len(c))
+        _, draws = replay(self.chunk_stream(rng, n_utts=120), 6, 10)
+        assert len(draws) > 30
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(32, 256), (1, 1), (3, 17), (40, 60), (300, 400)]),
+    )
+    def test_replay_on_short_and_long_streams(self, seed, bounds):
+        # 1-5 utterances of 1-299 phones: one-utterance streams, streams
+        # shorter than min_len and streams whose shift starves the tail
+        rng = np.random.default_rng(seed)
+        utts = random_utterances(rng, 4, int(rng.integers(1, 6)), max_phones=299, speaker="sp")
+        replay(utts, 4, seed, *bounds)
+
+    def test_last_chunk_can_be_shorter_than_its_shift(self):
+        # r is drawn against the target length c, and the last chunk takes
+        # only what is left of the stream
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            utts = random_utterances(rng, 4, 3, max_phones=299, speaker="sp")
+            chunks, draws = replay(utts, 4, seed)
+            if len(draws) == len(chunks) and len(chunks[-1]) < draws[-1][1]:
+                return
+        pytest.fail("no stream of 200 ends in a chunk shorter than its shift")
 
     def test_single_speaker_enforced(self):
         utts = [
@@ -169,16 +239,6 @@ class TestMakeChunks:
         utts = [utterance("sp", "u0", [(0, 2)] * n_phones)]
         with pytest.raises(ConfigError, match="1 <= min_len <= max_len"):
             make_chunks(utts, inventory(1), np.random.default_rng(0), min_len, max_len)
-
-    def test_chunks_never_mix_speakers_and_know_sources(self):
-        rng = np.random.default_rng(4)
-        utts = self.chunk_stream(rng)
-        by_id = {u.utterance_id: u for u in utts}
-        chunks = make_chunks(utts, inventory(6), np.random.default_rng(5))
-        for c in chunks:
-            assert c.speaker_id == "sp"
-            assert c.source_utterances
-            assert all(src in by_id for src in c.source_utterances)
 
 
 # each per-set helper, given utterances over a 2-class inventory

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from durasv import metric
 from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.errors import (
+    DegenerateScoreSetError,
     DimensionMismatchError,
     NonPositiveComponentError,
     UnknownUtteranceError,
@@ -114,6 +115,26 @@ class TestScoreTrialsMetric:
         with pytest.raises(UnknownUtteranceError):
             score_trials_metric(corpus, trials)
 
+    @pytest.mark.parametrize(
+        "trial, said",
+        [
+            (Trial("fast", ("f0",), ("s0",), True), "f0 s0 says speaker 'fast', target"),
+            (Trial("fast", ("f0",), ("f1",), False), "f0 f1 says speaker 'fast', nontarget"),
+            (Trial("slow", ("f0",), ("f1",), True), "f0 f1 says speaker 'slow', target"),
+            (Trial("NOBODY", ("f0",), ("s1",), False), "f0 s1 says speaker 'NOBODY'"),
+        ],
+        ids=["cross-speaker-target", "same-speaker-nontarget", "wrong-speaker", "unknown-speaker"],
+    )
+    def test_trial_that_disagrees_with_the_corpus(self, trial, said):
+        good = Trial("slow", ("s2",), ("s3",), True)
+        trials = TrialList((good, trial, Trial("slow", ("s2",), ("f3",), True)), 1, 1, 0)
+        with pytest.raises(DegenerateScoreSetError, match=f"^trial {said}"):
+            score_trials_metric(tiny_corpus(), trials)
+        # the id checks of every set come first
+        unknown = TrialList((trial, Trial("fast", ("f2",), ("missing",), True)), 1, 1, 0)
+        with pytest.raises(UnknownUtteranceError):
+            score_trials_metric(tiny_corpus(), unknown)
+
 
 @st.composite
 def corpus_and_sets(draw):
@@ -148,7 +169,7 @@ def corpus_and_sets(draw):
 def test_metric_score_ignores_utterance_order_within_a_set(drawn):
     corpus, enroll, trial, enroll_again, trial_again = drawn
     trials = TrialList(
-        (Trial("spk0", enroll, trial, True), Trial("spk0", enroll_again, trial_again, False)),
+        (Trial("spk0", enroll, trial, False), Trial("spk0", enroll_again, trial_again, False)),
         len(enroll),
         len(trial),
         seed=0,
