@@ -335,6 +335,8 @@ class Corpus:
     def rows(self, utterance_indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """The phone rows of the given utterances, one after another, as one array."""
         indices = np.asarray(utterance_indices)
+        if not indices.size:  # ``np.asarray([])`` is float; no index is lost in the cast
+            indices = indices.astype(np.int64)
         starts = self.offsets[indices]
         lengths = self.offsets[indices + 1] - starts
         firsts = np.cumsum(lengths) - lengths  # where each utterance's rows land
@@ -731,9 +733,10 @@ def parse_alignment(
     Labels listed in ``exclude`` (e.g. silence markers) are dropped before
     the inventory lookup; utterances left empty by the exclusion are
     omitted. An ``exclude`` label no line could carry, being empty or
-    holding whitespace or ``#``, raises ``ConfigError``. A frame count
-    must fit int32 (at most 2^31 - 1). Every reported error carries its
-    1-based line number.
+    holding whitespace or ``#``, raises ``ConfigError``, and so does one
+    string in place of the sequence of labels. A frame count must fit
+    int32 (at most 2^31 - 1). Every reported error carries its 1-based
+    line number.
 
     A file-like source, one with ``read``, is read in chunks of text split
     into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
@@ -745,6 +748,8 @@ def parse_alignment(
     then ``,`` in and reappearance of a new utterance's id or a speaker
     change inside an utterance, then the label.
     """
+    if isinstance(exclude, str):
+        raise ConfigError(f"exclude {exclude!r} is one string; exclude takes a sequence of labels")
     _check_tokens("excluded label", exclude, "#", ConfigError)
     parser = _Parser(inventory, exclude)
     if hasattr(source, "read"):

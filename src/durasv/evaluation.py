@@ -33,6 +33,8 @@ logger = logging.getLogger(__name__)
 Polarity = Literal["larger-is-similar", "smaller-is-similar"]
 
 CI_CONVENTION = "normal-approximation: z * sqrt(eer*(1-eer)/n), n = total trials"
+# z of the two-sided 95% interval that every report gives
+_CI_Z = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -308,16 +310,13 @@ def compute_eer(scores: ScoreSet) -> tuple[float, float]:
     return float(eer), float(threshold)
 
 
-def eer_confidence_interval(
-    eer: float, n_trials: int, confidence: float = 0.95
-) -> float:
-    """Halfwidth of the binomial normal-approximation interval."""
+def eer_confidence_interval(eer: float, n_trials: int) -> float:
+    """Halfwidth of the 95% binomial normal-approximation interval."""
     if not 0.0 <= eer <= 1.0:
         raise ValueError("eer must lie in [0, 1]")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    return z * float(np.sqrt(eer * (1.0 - eer) / n_trials))
+    return _CI_Z * float(np.sqrt(eer * (1.0 - eer) / n_trials))
 
 
 def evaluate(cells: Iterable[tuple[str, str, ScoreSet]]) -> EerTable:

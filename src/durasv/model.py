@@ -28,6 +28,10 @@ and std, embedding layer). Training runs both on the whole batch.
 and the pooling stage per sequence, so every embedding equals the one a
 batch-1 ``forward`` gives, to the bit.
 
+A ``Batch``'s arrays stay writable after it is built, so nothing about
+them is cached: every pass checks the batch's current classes and
+labels against the config and builds the packed layout it runs on.
+
 Every large intermediate is a 2-D ``(rows, C)`` array in a named work
 buffer, written in place. ``loss_and_grad``, ``forward`` and
 ``loss_value`` run on the buffers the params object owns, so successive
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -154,7 +157,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Batch:
-    """Duration rows of ``B`` items laid end to end, checked once when built.
+    """Duration rows of ``B`` items laid end to end, their shape checked when built.
 
     The ``P`` real phones of all items sit in item order; item ``b`` owns
     ``classes[offsets[b]:offsets[b + 1]]`` and the same run of ``frames``.
@@ -164,18 +167,16 @@ class Batch:
     rule a corpus's utterances follow; they are stored as int64), and
     ``labels`` is ``None`` or one label per item. The right-padded
     ``(B, T)`` grid is only a derived view (``class_idx``, ``lengths``,
-    ``mask``) for readers of that form; the model never builds it.
+    ``mask``) for readers of that form; the model never builds it. The
+    batch keeps no caches: every pass checks its current classes and
+    labels against the model's config, so one changed in place after a
+    pass is checked again.
     """
 
     classes: np.ndarray  # (P,) int64 phone class of each real phone
     frames: np.ndarray  # (P,) float64 its frame count
     offsets: np.ndarray  # (B + 1,) int64 first phone of each item, then P
     labels: np.ndarray | None = None  # (B,) int64
-    # packed layouts already built for this batch, by gap width; the
-    # finite-difference check forwards one batch over a thousand times
-    _layouts: dict[int, "PackedLayout"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         classes, frames = self.classes, self.frames
@@ -193,28 +194,6 @@ class Batch:
     @property
     def size(self) -> int:
         return self.offsets.size - 1
-
-    @cached_property
-    def _value_range(self) -> tuple[int, int, int, int]:
-        """Smallest and largest class, then label (0 and 0 without labels).
-
-        The model checks these against its config on every pass; the
-        finite-difference check passes one batch over a thousand times.
-        """
-        labels = self.labels if self.labels is not None else np.zeros(1, dtype=np.int64)
-        return (
-            int(self.classes.min()),
-            int(self.classes.max()),
-            int(labels.min()),
-            int(labels.max()),
-        )
-
-    def packed(self, gap: int) -> "PackedLayout":
-        """The batch's packed layout with ``gap`` zero rows between items."""
-        layout = self._layouts.get(gap)
-        if layout is None:
-            layout = self._layouts[gap] = PackedLayout.of(self, gap)
-        return layout
 
     def _padded(self, values: np.ndarray) -> np.ndarray:
         """``(B, T)`` grid of per-phone ``values``, each item's run right-padded with 0."""
@@ -275,14 +254,6 @@ class PackedLayout:
             gaps=(before[:, None] + np.arange(gap)).ravel(),
         )
 
-    @cached_property
-    def _class_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Packed rows and coefficients sorted by class, each run's class and start."""
-        order = np.argsort(self.classes, kind="stable")
-        classes = self.classes[order]
-        starts = np.flatnonzero(np.concatenate(([True], classes[1:] != classes[:-1])))
-        return self.slots[order], self.coef[order], classes[starts], starts
-
     def class_sums(self, packed: np.ndarray, n_classes: int, work: _Workspace) -> np.ndarray:
         """Per class, the sum of ``coef`` times the real steps' ``(L, C)`` packed rows.
 
@@ -290,12 +261,14 @@ class PackedLayout:
         packed output; one segmented sum over class-sorted rows, gathered
         into the ``tap`` buffer of ``work``.
         """
-        slots, coef, classes, starts = self._class_runs
-        rows = work.take("tap", slots.size, packed.shape[1])
-        packed.take(slots, axis=0, out=rows, mode="clip")
-        rows *= coef
+        order = np.argsort(self.classes, kind="stable")
+        classes = self.classes[order]
+        starts = np.flatnonzero(np.concatenate(([True], classes[1:] != classes[:-1])))
+        rows = work.take("tap", order.size, packed.shape[1])
+        packed.take(self.slots[order], axis=0, out=rows, mode="clip")
+        rows *= self.coef[order]
         sums = np.zeros((n_classes, packed.shape[1]))
-        sums[classes] = np.add.reduceat(rows, starts, axis=0)
+        sums[classes[starts]] = np.add.reduceat(rows, starts, axis=0)
         return sums
 
 
@@ -434,6 +407,8 @@ class ForwardCache:
     0.0 in the gap rows, and its tanh output. The fields from ``encoded``
     to ``centered`` hold one row per real step, ``(P, .)`` in item order;
     the rest hold one row per item. No field holds a padded step. The
+    pass that built the cache checked the batch's values as they were
+    then; the cache does not follow later changes to the batch. The
     encoder stage fills the fields up to ``att_hidden``;
     ``embed_sequences`` reads only those and pools each item's rows on
     its own, so there the later fields stay ``None``.
@@ -458,29 +433,32 @@ class ForwardCache:
     logits: np.ndarray | None = None
 
 
-def _validate_batch(config: ModelConfig, batch: Batch) -> None:
-    """Check the batch's values against the config; ``Batch`` checked its shape."""
-    low_class, high_class, low_label, high_label = batch._value_range
-    if high_class >= config.n_classes or low_class < 0:
+def _layout(config: ModelConfig, batch: Batch) -> PackedLayout:
+    """The batch's packed layout, once its current values fit the config.
+
+    ``Batch`` checked its shape when built; its classes and labels are
+    checked here, on every pass, as they are now.
+    """
+    classes, labels = batch.classes, batch.labels
+    if classes.min() < 0 or classes.max() >= config.n_classes:
         raise ShapeMismatchError("class index outside the configured inventory")
-    if high_label >= config.n_speakers or low_label < 0:
+    if labels is not None and (labels.min() < 0 or labels.max() >= config.n_speakers):
         raise ShapeMismatchError("speaker label outside the configured range")
+    return PackedLayout.of(batch, config.conv_reach)
 
 
-def _encode(params: ModelParams, batch: Batch, work: _Workspace) -> ForwardCache:
+def _encode(params: ModelParams, layout: PackedLayout, work: _Workspace) -> ForwardCache:
     """The encoder stage: a cache filled up to ``att_hidden``, in ``work``'s buffers.
 
     Projection, convolution blocks and the attention hidden layer run on
-    the batch's packed layout; every product here has one row per packed
-    or real step. Block ``i``'s input lives in buffer ``x{i}``, with
+    the packed layout; every product here has one row per packed or real
+    step. Block ``i``'s input lives in buffer ``x{i}``, with
     ``conv_reach`` zero rows on either side for the taps to read, and its
     output in ``act{i}``.
     """
     cfg = params.config
-    _validate_batch(cfg, batch)
     tensors = params.tensors
     reach = cfg.conv_reach
-    layout = batch.packed(reach)
     rows, n_real, c = layout.rows, layout.classes.size, cfg.encoder_channels
 
     cache = ForwardCache(layout)
@@ -555,10 +533,9 @@ def _pool(
     return alpha, mu, cen, std, pooled, emb
 
 
-def _forward(params: ModelParams, batch: Batch, work: _Workspace) -> ForwardCache:
+def _forward(params: ModelParams, layout: PackedLayout, work: _Workspace) -> ForwardCache:
     tensors = params.tensors
-    cache = _encode(params, batch, work)
-    layout = cache.layout
+    cache = _encode(params, layout, work)
     (
         cache.attention,
         cache.mean,
@@ -573,12 +550,12 @@ def _forward(params: ModelParams, batch: Batch, work: _Workspace) -> ForwardCach
 
 def forward_with_cache(params: ModelParams, batch: Batch) -> ForwardCache:
     """The forward pass with every intermediate, in buffers the caller owns."""
-    return _forward(params, batch, _Workspace())
+    return _forward(params, _layout(params.config, batch), _Workspace())
 
 
 def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings (B, embed_dim) and speaker logits (B, n_speakers)."""
-    cache = _forward(params, batch, params._work)
+    cache = _forward(params, _layout(params.config, batch), params._work)
     return cache.embeddings, cache.logits
 
 
@@ -618,7 +595,7 @@ def embed_sequences(
     work = _Workspace()
     for first, stop in _groups([len(s) for s in sequences]):
         batch = pad_batch(sequences[first:stop])
-        cache = _encode(params, batch, work)
+        cache = _encode(params, _layout(params.config, batch), work)
         bounds = batch.offsets.tolist()
         for row, (s, e) in enumerate(zip(bounds, bounds[1:]), first):
             *_, emb = _pool(
@@ -646,13 +623,17 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
     return loss, dlogits
 
 
+def _loss(params: ModelParams, layout: PackedLayout, labels: np.ndarray) -> float:
+    cache = _forward(params, layout, params._work)
+    loss, _ = _cross_entropy(cache.logits, labels)
+    return loss
+
+
 def loss_value(params: ModelParams, batch: Batch) -> float:
-    """Cross-entropy loss only; used by the finite-difference check."""
+    """Cross-entropy loss only."""
     if batch.labels is None:
         raise ShapeMismatchError("loss needs speaker labels")
-    cache = _forward(params, batch, params._work)
-    loss, _ = _cross_entropy(cache.logits, batch.labels)
-    return loss
+    return _loss(params, _layout(params.config, batch), batch.labels)
 
 
 def loss_and_grad(
@@ -664,8 +645,8 @@ def loss_and_grad(
     cfg = params.config
     tensors = params.tensors
     work = params._work
-    cache = _forward(params, batch, work)
-    layout = cache.layout
+    layout = _layout(cfg, batch)
+    cache = _forward(params, layout, work)
 
     loss, dlogits = _cross_entropy(cache.logits, batch.labels)
     grads: dict[str, np.ndarray] = {}
@@ -809,6 +790,7 @@ def gradient_check(config: ModelConfig, seed: int = 0, n_draws: int = 20) -> Gra
         for v in params.tensors.values():
             v += 0.05 * rng.standard_normal(v.shape)
         batch = _random_batch(config, rng)
+        layout = _layout(config, batch)
 
         _, grads = loss_and_grad(params, batch)
         analytic = _pack(grads)
@@ -821,9 +803,9 @@ def gradient_check(config: ModelConfig, seed: int = 0, n_draws: int = 20) -> Gra
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + _GRADCHECK_STEP
-                up = loss_value(params, batch)
+                up = _loss(params, layout, batch.labels)
                 flat[j] = orig - _GRADCHECK_STEP
-                down = loss_value(params, batch)
+                down = _loss(params, layout, batch.labels)
                 flat[j] = orig
                 numeric[pos] = (up - down) / (2.0 * _GRADCHECK_STEP)
                 pos += 1

@@ -238,6 +238,11 @@ class TestParseAlignment:
         with pytest.raises(ConfigError, match="excluded label"):
             parse_alignment(["a u1 SIL 9", "a u1 AA1_B 4"], self.INV, exclude=["SIL", label])
 
+    def test_one_string_in_place_of_the_exclusion_list_is_refused(self):
+        # a string is a sequence of its characters, so "SIL" would exclude S, I and L
+        with pytest.raises(ConfigError, match="'SIL' is one string; exclude takes a sequence"):
+            parse_alignment(["a u1 SIL 9", "a u1 AA1_B 4"], self.INV, exclude="SIL")
+
     def test_exclusion_can_remove_whole_utterance(self):
         lines = ["a u1 SIL 9", "a u2 AA1_B 4"]
         corpus = parse_alignment(lines, self.INV, exclude=["SIL"])
@@ -553,7 +558,12 @@ class TestCorpusTable:
         assert corpus.utterance_ids == ("u1", "u2", "u3")
         assert corpus.speakers == ("a", "b") and corpus.speaker_index.tolist() == [0, 1, 0]
         assert corpus.by_speaker == {"a": (0, 2), "b": (1,)}
-        assert corpus.rows([2, 0]).tolist() == [[1, 1], [2, 9], [0, 3], [1, 4]]
+        for indices, want in [([2, 0], [[1, 1], [2, 9], [0, 3], [1, 4]]), ([], [])]:
+            rows = corpus.rows(indices)
+            assert rows.dtype == np.int32 and rows.shape == (len(want), 2)
+            assert rows.tolist() == want
+        with pytest.raises(IndexError):  # never truncated to utterance 1
+            corpus.rows([1.5])
         with pytest.raises(AttributeError, match="immutable"):
             corpus.phones = corpus.phones.copy()
         for column in (corpus.offsets, corpus.speaker_index):

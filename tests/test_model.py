@@ -14,6 +14,7 @@ from durasv.features import DurationFeatureSequence
 from durasv.model import (
     Batch,
     ModelConfig,
+    PackedLayout,
     embed_sequences,
     forward,
     forward_with_cache,
@@ -100,6 +101,15 @@ class TestBatch:
     def test_offsets_follow_the_corpus_rule(self, offsets):
         with pytest.raises(ShapeMismatchError, match="offsets must run from 0 to 3, one per batch"):
             Batch(**{**self.WELL_FORMED, "offsets": np.array(offsets)})
+
+    def test_fields_are_the_four_arrays(self):
+        # no cache rides along with the arrays a pass reads
+        assert [f.name for f in dataclasses.fields(Batch)] == [
+            "classes",
+            "frames",
+            "offsets",
+            "labels",
+        ]
 
     def test_unsigned_offsets_stored_as_int64(self):
         batch = Batch(**{**self.WELL_FORMED, "offsets": np.array([0, 1, 3], np.uint64)})
@@ -287,6 +297,19 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             forward(params, bad)
 
+    @pytest.mark.parametrize("array, value", [("classes", 99), ("labels", 3), ("labels", -1)])
+    @pytest.mark.parametrize(
+        "run", [forward, forward_with_cache, loss_and_grad, loss_value], ids=lambda f: f.__name__
+    )
+    def test_values_changed_in_place_after_a_pass_are_checked_again(self, run, array, value):
+        cfg = tiny_gradcheck_config()  # 5 classes, 3 speakers
+        params = init_model(cfg, np.random.default_rng(0))
+        batch = random_batch(np.random.default_rng(1), cfg, [4, 6])
+        run(params, batch)
+        getattr(batch, array)[1] = value
+        with pytest.raises(ShapeMismatchError, match="outside the configured"):
+            run(params, batch)
+
 
 class TestLossAndGrad:
     def test_uniform_logits_loss_is_log_s(self):
@@ -317,6 +340,20 @@ class TestLossAndGrad:
         cfg = dataclasses.replace(tiny_gradcheck_config(), kernel_width=1)
         report = gradient_check(cfg, seed=7, n_draws=4)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+
+    def test_gradient_check_builds_one_layout_per_pass_not_per_forward(self, monkeypatch):
+        built = []
+        of = PackedLayout.of
+
+        def counted(batch, gap):
+            built.append(gap)
+            return of(batch, gap)
+
+        monkeypatch.setattr(PackedLayout, "of", staticmethod(counted))
+        # 2 x 252 coordinates, each forwarded twice, on two layouts per draw
+        report = gradient_check(tiny_gradcheck_config(), n_draws=2)
+        assert report.passed and report.n_parameters == 252
+        assert 1 <= len(built) <= 4
 
     def test_corrupted_gradient_fails_the_check(self, monkeypatch):
         def biased(params, batch):
