@@ -16,7 +16,7 @@ from .alignment import (
     parse_alignment,
     write_alignment,
 )
-from .embeddings import cosine_score, embed, score_trials_embedding
+from .embeddings import cosine_score, score_trials_embedding
 from .evaluation import (
     EerCell,
     EerTable,
@@ -74,7 +74,6 @@ __all__ = [
     "cosine_score",
     "duration_ratio_distance",
     "eer_confidence_interval",
-    "embed",
     "evaluate",
     "forward",
     "generate_corpus",

@@ -333,10 +333,21 @@ class Corpus:
             raise UnknownUtteranceError(utterance_id) from None
 
     def rows(self, utterance_indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The phone rows of the given utterances, one after another, as one array."""
+        """The phone rows of the given utterances, one after another, as one array.
+
+        An index that is not an integer in ``[0, len(self))``, a bool
+        among them, raises ``IndexError`` naming the first such index.
+        """
         indices = np.asarray(utterance_indices)
-        if not indices.size:  # ``np.asarray([])`` is float; no index is lost in the cast
-            indices = indices.astype(np.int64)
+        n = len(self)
+        if indices.size and (
+            indices.dtype.kind not in "iu" or not 0 <= indices.min() <= indices.max() < n
+        ):
+            bad = next(i for i in indices.ravel().tolist() if type(i) is not int or not 0 <= i < n)
+            raise IndexError(f"utterance index {bad!r} is not an integer in [0, {n})")
+        # ``indices + 1`` would wrap in a narrow type, and ``np.asarray([])``
+        # is float; no index is lost in the cast
+        indices = indices.astype(np.int64, copy=False)
         starts = self.offsets[indices]
         lengths = self.offsets[indices + 1] - starts
         firsts = np.cumsum(lengths) - lengths  # where each utterance's rows land

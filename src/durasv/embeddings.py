@@ -10,21 +10,13 @@ follows the utterance list, so permuting it may change the embedding
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .alignment import AlignedUtterance, Corpus
+from .alignment import Corpus
 from .errors import ShapeMismatchError, ZeroNormError
 from .evaluation import ScoreSet, TrialList, score_trials
-from .features import _speaker_sequence, sequence_from_phones
+from .features import sequence_from_phones
 from .model import ModelParams, embed_sequences
-
-
-def embed(params: ModelParams, utterances: Sequence[AlignedUtterance]) -> np.ndarray:
-    """The ``(embed_dim,)`` embedding of one speaker's concatenated utterances."""
-    seq = _speaker_sequence(utterances, params.config.n_classes)
-    return embed_sequences(params, [seq])[0]
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:

@@ -87,9 +87,9 @@ class UnknownUtteranceError(DurasvError):
 
 
 class MixedSpeakerSetError(DurasvError, ValueError):
-    """An utterance set that must be one speaker's, such as a trial side or
-    the input of ``embed`` or ``make_chunks``, holds more than one speaker's
-    utterances. Also a ``ValueError``, as ``DuplicateLabelError`` is.
+    """An utterance set that must be one speaker's, a trial side or the
+    input of ``make_chunks``, holds more than one speaker's utterances.
+    Also a ``ValueError``, as ``DuplicateLabelError`` is.
     """
 
     def __init__(self, utterance_ids: tuple[str, ...], speakers: list[str]):

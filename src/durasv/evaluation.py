@@ -105,13 +105,9 @@ class EerCell:
 @dataclass(frozen=True)
 class EerTable:
     cells: tuple[EerCell, ...]
-    ci_convention: str = CI_CONVENTION
 
     def to_json(self) -> str:
-        payload = {
-            "ci_convention": self.ci_convention,
-            "cells": [vars(c) for c in self.cells],
-        }
+        payload = {"ci_convention": CI_CONVENTION, "cells": [vars(c) for c in self.cells]}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def render(self) -> str:
@@ -358,11 +354,13 @@ def _read_records(
 ) -> tuple[dict[str, object], list[tuple[int, list[str]]]]:
     """Header values and 4-field records of a trial or score file.
 
-    Blank lines are skipped. A ``#`` line contributes its ``key=value``
-    tokens whose key is in ``header_fields``, converted by that entry's
-    function; other tokens are ignored. Every other line must hold four
-    fields, the last being ``target`` or ``nontarget``. Records come back
-    with their 1-based line numbers.
+    Blank lines are skipped. A ``#`` line before the first record
+    contributes its ``key=value`` tokens whose key is in ``header_fields``,
+    converted by that entry's function; other tokens are ignored, and a
+    key given twice raises ``MalformedLineError``. A ``#`` line after the
+    first record is a comment. Every other line must hold four fields, the
+    last being ``target`` or ``nontarget``. Records come back with their
+    1-based line numbers.
     """
     header: dict[str, object] = {}
     records: list[tuple[int, list[str]]] = []
@@ -371,8 +369,10 @@ def _read_records(
         if not line:
             continue
         if line.startswith("#"):
-            for token in line[1:].split():
+            for token in () if records else line[1:].split():
                 key, eq, value = token.partition("=")
+                if eq and key in header:
+                    raise MalformedLineError(f"header value {key}= given twice", lineno)
                 if eq and key in header_fields:
                     try:
                         header[key] = header_fields[key](value)

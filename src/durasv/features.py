@@ -83,20 +83,6 @@ def mean_duration_vector(
     return values
 
 
-def _speaker_sequence(
-    utterances: Sequence[AlignedUtterance], n_classes: int
-) -> DurationFeatureSequence:
-    """``sequence_from_utterances`` of one speaker's utterances.
-
-    Raises ``EmptyInputError`` for no utterances and
-    ``MixedSpeakerSetError`` for more than one speaker's.
-    """
-    speakers = sorted({u.speaker_id for u in utterances})
-    if len(speakers) > 1:
-        raise MixedSpeakerSetError(tuple(u.utterance_id for u in utterances), speakers)
-    return sequence_from_utterances(utterances, n_classes)
-
-
 def make_chunks(
     utterances: Sequence[AlignedUtterance],
     inventory: PhonemeInventory,
@@ -118,12 +104,17 @@ def make_chunks(
     no chunk, one shorter than ``min_len`` among them, yields its first
     ``min(len(stream), max_len)`` phones unshifted, so tiny speakers still
     contribute. Each chunk is a view of the stream's arrays. Raises
-    ``ConfigError`` unless ``1 <= min_len <= max_len``.
+    ``ConfigError`` unless ``1 <= min_len <= max_len``, ``EmptyInputError``
+    for no utterances and ``MixedSpeakerSetError``, its ids in shuffled
+    order, for more than one speaker's.
     """
     if not 1 <= min_len <= max_len:
         raise ConfigError(f"chunk lengths need 1 <= min_len <= max_len, got {min_len}..{max_len}")
     shuffled = [utterances[i] for i in rng.permutation(len(utterances))]
-    stream = _speaker_sequence(shuffled, inventory.size)
+    speakers = sorted({u.speaker_id for u in shuffled})
+    if len(speakers) > 1:
+        raise MixedSpeakerSetError(tuple(u.utterance_id for u in shuffled), speakers)
+    stream = sequence_from_utterances(shuffled, inventory.size)
     ends = np.cumsum([len(u) for u in shuffled])  # where each utterance's rows end
 
     chunks: list[DurationFeatureSequence] = []

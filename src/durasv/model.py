@@ -29,19 +29,19 @@ and the pooling stage per sequence, so every embedding equals the one a
 batch-1 ``forward`` gives, to the bit.
 
 A ``Batch``'s arrays stay writable after it is built, so nothing about
-them is cached: every pass checks the batch's current classes and
-labels against the config and builds the packed layout it runs on.
+them is cached: every pass checks the batch's current classes, frames
+and labels and builds the packed layout it runs on.
 
 Every large intermediate is a 2-D ``(rows, C)`` array in a named work
-buffer, written in place. ``loss_and_grad``, ``forward`` and
-``loss_value`` run on the buffers the params object owns, so successive
-training steps reuse one set of memory instead of allocating and
-faulting in fresh arrays; each buffer grows to the most rows any call
-has asked of it. ``embed_sequences`` runs all its groups on one set of
-its own, freed when it returns, and ``forward_with_cache`` runs on a
-fresh set, so the cache it returns belongs to the caller. The in-place
-arithmetic keeps the operation order of the plain expressions, so every
-result is the same to the bit.
+buffer, written in place. ``loss_and_grad`` and ``forward`` run on the
+buffers the params object owns, so successive training steps reuse one
+set of memory instead of allocating and faulting in fresh arrays; each
+buffer grows to the most rows any call has asked of it.
+``embed_sequences`` runs all its groups on one set of its own, freed
+when it returns, and ``forward_with_cache`` runs on a fresh set, so the
+cache it returns belongs to the caller. The in-place arithmetic keeps
+the operation order of the plain expressions, so every result is the
+same to the bit.
 """
 
 from __future__ import annotations
@@ -137,11 +137,11 @@ class _Workspace:
 class ModelParams:
     """Named parameter tensors in a fixed declaration order.
 
-    A params object also owns the work buffers that ``loss_and_grad``,
-    ``forward`` and ``loss_value`` run on, so that training steps reuse
-    their memory. The buffers are not part of the model: comparisons,
-    ``copy`` and model files leave them out. Two threads must not share
-    one params object; give each thread its own ``copy()``.
+    A params object also owns the work buffers that ``loss_and_grad``
+    and ``forward`` run on, so that training steps reuse their memory.
+    The buffers are not part of the model: comparisons, ``copy`` and
+    model files leave them out. Two threads must not share one params
+    object; give each thread its own ``copy()``.
     """
 
     config: ModelConfig
@@ -164,13 +164,15 @@ class Batch:
     Construction raises ``ShapeMismatchError`` unless ``classes`` and
     ``frames`` are 1-D of one length ``P``, ``offsets`` are integers that
     rise strictly from 0 to ``P`` (every item has at least one phone, the
-    rule a corpus's utterances follow; they are stored as int64), and
-    ``labels`` is ``None`` or one label per item. The right-padded
+    rule a corpus's utterances follow), ``classes`` are integers,
+    ``frames`` real numbers and ``labels`` ``None`` or one integer per
+    item. Classes, offsets and labels are stored as int64 and frames as
+    float64. The right-padded
     ``(B, T)`` grid is only a derived view (``class_idx``, ``lengths``,
     ``mask``) for readers of that form; the model never builds it. The
     batch keeps no caches: every pass checks its current classes and
-    labels against the model's config, so one changed in place after a
-    pass is checked again.
+    labels against the model's config, and its frames, so one changed in
+    place after a pass is checked again.
     """
 
     classes: np.ndarray  # (P,) int64 phone class of each real phone
@@ -179,17 +181,21 @@ class Batch:
     labels: np.ndarray | None = None  # (B,) int64
 
     def __post_init__(self) -> None:
-        classes, frames = self.classes, self.frames
-        if classes.dtype.kind != "i":
-            raise ShapeMismatchError("classes must be an integer array")
+        classes, frames, labels = self.classes, self.frames, self.labels
+        if classes.dtype.kind not in "iu" or frames.dtype.kind not in "iuf":
+            raise ShapeMismatchError("classes must be integers and frames real numbers")
         if classes.ndim != 1 or classes.shape != frames.shape:
             raise ShapeMismatchError("classes and frames must be 1-D and of one length")
         empty = _first_empty_run(self.offsets, classes.size, None, "batch item", ShapeMismatchError)
         if empty is not None:
             raise ShapeMismatchError("every batch item needs at least one phone")
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64))
-        if self.labels is not None and self.labels.shape != (self.size,):
-            raise ShapeMismatchError("labels must be one integer per batch item")
+        object.__setattr__(self, "classes", classes.astype(np.int64, copy=False))
+        object.__setattr__(self, "frames", frames.astype(np.float64, copy=False))
+        if labels is not None:
+            if labels.dtype.kind not in "iu" or labels.shape != (self.size,):
+                raise ShapeMismatchError("labels must be one integer per batch item")
+            object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     @property
     def size(self) -> int:
@@ -276,14 +282,14 @@ def pad_batch(
     items: Sequence[DurationFeatureSequence],
     labels: Sequence[int] | None = None,
 ) -> Batch:
-    """Lay variable-length sequences end to end in one batch."""
+    """Lay variable-length sequences end to end in one batch; ``Batch`` checks them."""
     if not items:
         raise ShapeMismatchError("a batch needs at least one item")
     return Batch(
-        classes=np.concatenate([r.class_indices for r in items]).astype(np.int64, copy=False),
-        frames=np.concatenate([r.lengths for r in items]).astype(np.float64, copy=False),
+        classes=np.concatenate([r.class_indices for r in items]),
+        frames=np.concatenate([r.lengths for r in items]),
         offsets=np.fromiter(accumulate(map(len, items), initial=0), dtype=np.int64),
-        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+        labels=None if labels is None else np.asarray(labels),
     )
 
 
@@ -436,12 +442,15 @@ class ForwardCache:
 def _layout(config: ModelConfig, batch: Batch) -> PackedLayout:
     """The batch's packed layout, once its current values fit the config.
 
-    ``Batch`` checked its shape when built; its classes and labels are
-    checked here, on every pass, as they are now.
+    ``Batch`` checked its shape and types when built; its classes, frames
+    and labels are checked here, on every pass, as they are now.
     """
-    classes, labels = batch.classes, batch.labels
+    classes, frames, labels = batch.classes, batch.frames, batch.labels
     if classes.min() < 0 or classes.max() >= config.n_classes:
         raise ShapeMismatchError("class index outside the configured inventory")
+    # written so that a NaN frame count fails it
+    if not 1.0 <= frames.min() <= frames.max() < math.inf:
+        raise ShapeMismatchError("frame counts must be finite and >= 1")
     if labels is not None and (labels.min() < 0 or labels.max() >= config.n_speakers):
         raise ShapeMismatchError("speaker label outside the configured range")
     return PackedLayout.of(batch, config.conv_reach)
@@ -627,13 +636,6 @@ def _loss(params: ModelParams, layout: PackedLayout, labels: np.ndarray) -> floa
     cache = _forward(params, layout, params._work)
     loss, _ = _cross_entropy(cache.logits, labels)
     return loss
-
-
-def loss_value(params: ModelParams, batch: Batch) -> float:
-    """Cross-entropy loss only."""
-    if batch.labels is None:
-        raise ShapeMismatchError("loss needs speaker labels")
-    return _loss(params, _layout(params.config, batch), batch.labels)
 
 
 def loss_and_grad(
@@ -845,7 +847,6 @@ __all__ = [
     "gradient_check",
     "init_model",
     "loss_and_grad",
-    "loss_value",
     "pad_batch",
     "parameter_shapes",
     "tiny_gradcheck_config",

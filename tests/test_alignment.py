@@ -564,11 +564,27 @@ class TestCorpusTable:
             assert rows.tolist() == want
         with pytest.raises(IndexError):  # never truncated to utterance 1
             corpus.rows([1.5])
+        # never counted from the end, read as a mask or read past the table
+        for indices, bad in [([-3], -3), ([0, -1], -1), ([True, False, True], True), ([0, 3], 3)]:
+            want = rf"^utterance index {bad} is not an integer in \[0, 3\)$"
+            with pytest.raises(IndexError, match=want):
+                corpus.rows(indices)
         with pytest.raises(AttributeError, match="immutable"):
             corpus.phones = corpus.phones.copy()
         for column in (corpus.offsets, corpus.speaker_index):
             with pytest.raises(ValueError, match="read-only"):
                 column[1] = 0
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_rows_at_the_top_of_a_narrow_index_type(self, dtype):
+        # the last index a type holds; one past it wraps in that type, and
+        # an int8 127 + 1 read as -128 lands inside a 256-utterance table
+        top = int(np.iinfo(dtype).max)
+        corpus = make_corpus(
+            self.INV, [("a", f"u{i}", [(i % 3, 1 + i)] * (1 + i % 2)) for i in range(2 * top + 2)]
+        )
+        want = corpus.utterance(f"u{top}").phones.tolist()
+        assert corpus.rows(np.array([top], dtype)).tolist() == want
 
     @settings(max_examples=50, deadline=None)
     @given(table_corpora())

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from durasv import model as model_module
 from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
-from durasv.embeddings import cosine_score, embed, score_trials_embedding
-from durasv.errors import (
-    EmptyInputError,
-    MixedSpeakerSetError,
-    UnknownUtteranceError,
-    ZeroNormError,
-)
+from durasv.embeddings import cosine_score, score_trials_embedding
+from durasv.errors import UnknownUtteranceError, ZeroNormError
 from durasv.evaluation import Trial, TrialList
 from durasv.features import sequence_from_utterances
 from durasv.model import (
@@ -38,32 +33,27 @@ def params():
     return init_model(tiny_gradcheck_config(), np.random.default_rng(8))
 
 
+def set_embedding(params, utterances):
+    """The embedding of the utterances' concatenated sequence."""
+    return embed_sequences(params, [sequence_from_utterances(utterances, 5)])[0]
+
+
 class TestEmbed:
     def test_repeatable(self, params):
         rng = np.random.default_rng(0)
         utts = [utterance("s0", f"u{i}", rng) for i in range(3)]
-        a = embed(params, utts)
-        b = embed(params, utts)
+        a = set_embedding(params, utts)
+        b = set_embedding(params, utts)
         assert np.array_equal(a, b)
         assert a.dtype == np.float64 and a.shape == (params.config.embed_dim,)
-
-    def test_empty_input(self, params):
-        with pytest.raises(EmptyInputError):
-            embed(params, [])
-
-    def test_mixed_speakers_rejected(self, params):
-        rng = np.random.default_rng(1)
-        utts = [utterance("s0", "a", rng), utterance("s1", "b", rng)]
-        with pytest.raises(MixedSpeakerSetError, match="a,b mixes speakers"):
-            embed(params, utts)
 
     def test_order_sensitivity_is_allowed(self, params):
         # the encoder sees context, so permuted input may embed differently;
         # this documents the behavior rather than asserting equality
         rng = np.random.default_rng(2)
         utts = [utterance("s0", f"u{i}", rng) for i in range(4)]
-        fwd = embed(params, utts)
-        rev = embed(params, list(reversed(utts)))
+        fwd = set_embedding(params, utts)
+        rev = set_embedding(params, list(reversed(utts)))
         assert fwd.shape == rev.shape
         assert np.all(np.isfinite(fwd)) and np.all(np.isfinite(rev))
 
@@ -108,7 +98,7 @@ class TestScoreTrialsEmbedding:
         # same utterance set on both sides is impossible through Trial
         # (disjointness), so exercise the cache path with equal content
         utts = corpus.utterances_of("s0")[:2]
-        a = embed(params, utts)
+        a = set_embedding(params, utts)
         assert cosine_score(a, a) == 1.0
 
     def test_scores_all_trials(self, params):
@@ -137,7 +127,7 @@ class TestScoreTrialsEmbedding:
             (twin, AlignedUtterance("b", "s0", twin.phones.copy())),
         )
         trials = TrialList((Trial("s0", ("a",), ("b",), True),), 1, 1, 0)
-        v = embed(params, [twin])
+        v = set_embedding(params, [twin])
         # the rule, not the arithmetic, gives 1.0 here
         assert np.dot(v, v) / (np.linalg.norm(v) * np.linalg.norm(v)) != 1.0
         assert score_trials_embedding(params, corpus, trials).scores.tolist() == [1.0]

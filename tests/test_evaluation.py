@@ -353,6 +353,34 @@ class TestEvaluateAndIo:
             read_trials(io.StringIO(text))
         assert info.value.line == 4
 
+    def test_comment_after_the_records_sets_no_header_value(self):
+        text = (
+            "# scores polarity=smaller-is-similar\n"
+            "e1 t1 0.1 target\n"
+            "e2 t2 0.9 nontarget\n"
+            "# reviewed: the polarity=larger-is-similar convention does not apply here\n"
+        )
+        scores = read_scores(io.StringIO(text))
+        assert scores.polarity == "smaller-is-similar"
+        assert compute_eer(scores)[0] == 0.0
+        trials = read_trials(
+            io.StringIO("# trials n_enroll=2 n_trial=1 seed=0\ns u1,u2 u3 target\n# seed=7 next\n")
+        )
+        assert trials.seed == 0
+
+    @pytest.mark.parametrize(
+        "head, line",
+        [
+            ("# scores polarity=smaller-is-similar polarity=larger-is-similar\n", 1),
+            ("# scores polarity=smaller-is-similar\n\n# polarity=smaller-is-similar\n", 3),
+        ],
+        ids=["one-line", "two-lines"],
+    )
+    def test_header_value_given_twice_is_refused(self, head, line):
+        with pytest.raises(MalformedLineError, match="polarity= given twice") as info:
+            read_scores(io.StringIO(f"{head}e1 t1 0.1 target\ne2 t2 0.9 nontarget\n"))
+        assert info.value.line == line
+
     @pytest.mark.parametrize(
         "header, missing",
         [

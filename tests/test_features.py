@@ -1,19 +1,15 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv.alignment import AlignedUtterance, PhonemeInventory
-from durasv.embeddings import embed
-from durasv.errors import ConfigError, EmptyInputError, ShapeMismatchError
+from durasv.errors import ConfigError, EmptyInputError, MixedSpeakerSetError, ShapeMismatchError
 from durasv.features import (
     make_chunks,
     mean_duration_vector,
     sequence_from_utterances,
 )
-from durasv.model import init_model, tiny_gradcheck_config
 
 
 def inventory(n):
@@ -224,9 +220,14 @@ class TestMakeChunks:
         utts = [
             utterance("a", "u0", [(0, 1)] * 40),
             utterance("b", "u1", [(0, 1)] * 40),
+            utterance("a", "u2", [(0, 1)] * 40),
         ]
-        with pytest.raises(ValueError):
+        # the ids come in the order the draw shuffled them to
+        order = ",".join(f"u{i}" for i in np.random.default_rng(0).permutation(3))
+        want = rf"^utterance set {order} mixes speakers \['a', 'b'\]$"
+        with pytest.raises(MixedSpeakerSetError, match=want) as caught:
             make_chunks(utts, inventory(1), np.random.default_rng(0))
+        assert isinstance(caught.value, ValueError)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -245,9 +246,6 @@ class TestMakeChunks:
 PER_SET_HELPERS = {
     "mean_duration_vector": lambda utts: mean_duration_vector(utts, inventory(2)),
     "make_chunks": lambda utts: make_chunks(utts, inventory(2), np.random.default_rng(0), 1, 4),
-    "embed": lambda utts: embed(
-        init_model(replace(tiny_gradcheck_config(), n_classes=2), np.random.default_rng(0)), utts
-    ),
 }
 
 

@@ -21,7 +21,6 @@ from durasv.model import (
     gradient_check,
     init_model,
     loss_and_grad,
-    loss_value,
     pad_batch,
     tiny_gradcheck_config,
 )
@@ -79,6 +78,11 @@ class TestBatch:
             {"offsets": np.array([0.0, 1.0, 3.0])},
             {"classes": np.array([[0, 1, 2]]), "frames": np.array([[3.0, 4.0, 5.0]])},
             {"classes": np.array([], dtype=np.int64), "frames": np.array([]), "offsets": np.array([0])},
+            {"labels": np.array([0.0, 1.5])},
+            {"labels": np.array([0.0, 1.0])},
+            {"labels": np.array([True, False])},
+            {"classes": np.array([0.0, 1.0, 2.0])},
+            {"frames": np.array(["3", "4", "5"])},
         ],
         ids=[
             "offsets-not-from-0",
@@ -89,6 +93,11 @@ class TestBatch:
             "float-offsets",
             "2-d-rows",
             "no-items",
+            "float-labels",
+            "whole-float-labels",
+            "bool-labels",
+            "float-classes",
+            "text-frames",
         ],
     )
     def test_malformed_batch_rejected(self, changes):
@@ -114,6 +123,27 @@ class TestBatch:
     def test_unsigned_offsets_stored_as_int64(self):
         batch = Batch(**{**self.WELL_FORMED, "offsets": np.array([0, 1, 3], np.uint64)})
         assert batch.offsets.dtype == np.int64 and batch.offsets.tolist() == [0, 1, 3]
+
+    def test_integer_classes_and_labels_stored_as_int64_and_frames_as_float64(self):
+        batch = Batch(
+            classes=np.array([0, 1, 2], np.int32),
+            frames=np.array([3, 4, 5], np.int32),
+            offsets=np.array([0, 1, 3]),
+            labels=np.array([1, 0], np.uint8),
+        )
+        assert batch.classes.dtype == np.int64 and batch.classes.tolist() == [0, 1, 2]
+        assert batch.frames.dtype == np.float64 and batch.frames.tolist() == [3.0, 4.0, 5.0]
+        assert batch.labels.dtype == np.int64 and batch.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "classes, labels",
+        [([1.7, 2.2, 0.9], [1]), ([1, 2, 0], [1.5])],
+        ids=["float-classes", "float-label"],
+    )
+    def test_pad_batch_never_truncates_to_integers(self, classes, labels):
+        item = DurationFeatureSequence(np.array(classes), np.array([3.0, 4.0, 5.0]), 5)
+        with pytest.raises(ShapeMismatchError, match="integer"):
+            pad_batch([item], labels)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -299,7 +329,7 @@ class TestForward:
 
     @pytest.mark.parametrize("array, value", [("classes", 99), ("labels", 3), ("labels", -1)])
     @pytest.mark.parametrize(
-        "run", [forward, forward_with_cache, loss_and_grad, loss_value], ids=lambda f: f.__name__
+        "run", [forward, forward_with_cache, loss_and_grad], ids=lambda f: f.__name__
     )
     def test_values_changed_in_place_after_a_pass_are_checked_again(self, run, array, value):
         cfg = tiny_gradcheck_config()  # 5 classes, 3 speakers
@@ -309,6 +339,38 @@ class TestForward:
         getattr(batch, array)[1] = value
         with pytest.raises(ShapeMismatchError, match="outside the configured"):
             run(params, batch)
+
+
+    @pytest.mark.parametrize("value", [-3.0, 0.0, 0.5, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "run", [forward, forward_with_cache, loss_and_grad], ids=lambda f: f.__name__
+    )
+    def test_frame_counts_below_1_or_not_finite_rejected(self, run, value):
+        cfg = tiny_gradcheck_config()
+        params = init_model(cfg, np.random.default_rng(0))
+        fresh = Batch(
+            classes=np.array([0, 1, 2]),
+            frames=np.array([value, 4.0, 5.0]),
+            offsets=np.array([0, 1, 3]),
+            labels=np.array([0, 1]),
+        )
+        with pytest.raises(ShapeMismatchError, match="frame counts must be finite and >= 1"):
+            run(params, fresh)
+        batch = random_batch(np.random.default_rng(1), cfg, [4, 6])
+        run(params, batch)
+        batch.frames[5] = value
+        with pytest.raises(ShapeMismatchError, match="frame counts must be finite and >= 1"):
+            run(params, batch)
+
+    @pytest.mark.parametrize("value", [-3.0, np.nan])
+    def test_embed_sequences_refuses_bad_frame_counts(self, value):
+        cfg = tiny_gradcheck_config()
+        params = init_model(cfg, np.random.default_rng(0))
+        good = random_sequence(np.random.default_rng(1), cfg.n_classes, 6)
+        bad = random_sequence(np.random.default_rng(2), cfg.n_classes, 6)
+        bad.lengths[3] = value
+        with pytest.raises(ShapeMismatchError, match="frame counts must be finite and >= 1"):
+            embed_sequences(params, [good, bad])
 
 
 class TestLossAndGrad:
@@ -373,7 +435,7 @@ class TestLossAndGrad:
         stepped = params.copy()
         for name in stepped.tensors:
             stepped.tensors[name] -= 1e-3 * grads[name]
-        assert loss_value(stepped, batch) < loss
+        assert loss_and_grad(stepped, batch)[0] < loss
 
     def test_grads_cover_every_tensor(self):
         cfg = tiny_gradcheck_config()

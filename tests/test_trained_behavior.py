@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from durasv.embeddings import cosine_score, embed
-from durasv.model import ModelConfig
+from durasv.embeddings import cosine_score
+from durasv.features import sequence_from_utterances
+from durasv.model import ModelConfig, embed_sequences
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers
 from durasv.training import TrainConfig, train
 
@@ -33,9 +34,14 @@ def trained():
 def test_one_vs_eight_utterance_embeddings_cohere(trained):
     corpus, params = trained
     spk_a, spk_b = corpus.speakers[0], corpus.speakers[1]
-    a_single = embed(params, corpus.utterances_of(spk_a)[:1])
-    a_eight = embed(params, corpus.utterances_of(spk_a)[1:9])
-    b_eight = embed(params, corpus.utterances_of(spk_b)[:8])
+    sets = [
+        corpus.utterances_of(spk_a)[:1],
+        corpus.utterances_of(spk_a)[1:9],
+        corpus.utterances_of(spk_b)[:8],
+    ]
+    a_single, a_eight, b_eight = embed_sequences(
+        params, [sequence_from_utterances(utts, 24) for utts in sets]
+    )
     for vec in (a_single, a_eight, b_eight):
         assert vec.shape == (16,)
         assert np.all(np.isfinite(vec))
