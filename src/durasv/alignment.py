@@ -20,15 +20,15 @@ from a corpus is an unchecked view of its run.
 
 ``parse_alignment`` parses its source in blocks of whole lines. A
 file-like source is read in chunks of text, each block ending at a
-chunk's last ``'\n'``; any other iterable gives one line per element.
-Each block's code points, one byte each when the block is ASCII and four
-when not, are worked on in numpy: whitespace and comments are masked,
-tokens counted per line, frame counts converted, labels looked up in a
-hash table, and utterance runs found by comparing adjacent ids. Each
-block's rows and the first rows of its new utterances are appended to
-the table, so no per-utterance object is made. It reports the same
-errors, with the same line numbers, as checking the lines one by one
-would.
+chunk's last ``'\n'``; any other iterable gives one line per element,
+a ``'\n'`` in it read as a space. Each block's code points, one byte
+each when the block is ASCII and four when not, are worked on in numpy:
+whitespace and comments are masked, tokens counted per line, frame
+counts converted, labels looked up in a hash table, and utterance runs
+found by comparing adjacent ids. Each block's rows and the first rows of
+its new utterances are appended to the table, so no per-utterance object
+is made. It reports the same errors, with the same line numbers, as
+checking the lines one by one would.
 """
 
 from __future__ import annotations
@@ -336,10 +336,13 @@ class Corpus:
         """The phone rows of the given utterances, one after another, as one array.
 
         An index that is not an integer in ``[0, len(self))``, a bool
-        among them, raises ``IndexError`` naming the first such index.
+        among them, raises ``IndexError`` naming the first such index, and
+        so does an index array that is not 1-D, naming its shape.
         """
         indices = np.asarray(utterance_indices)
         n = len(self)
+        if indices.ndim != 1:
+            raise IndexError(f"utterance indices must be 1-D, got shape {indices.shape}")
         if indices.size and (
             indices.dtype.kind not in "iu" or not 0 <= indices.min() <= indices.max() < n
         ):
@@ -463,22 +466,17 @@ class _Text:
         ]
 
 
-def _tokenize(
-    text: _Text, line_ends: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tokenize(text: _Text) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each token's start and end, and the number of tokens on each line.
 
-    Line ``i`` ends at ``line_ends[i]``, a non-token code point or the end
-    of the text, and the next starts one code point later. With no
-    ``line_ends`` a line ends at each ``'\\n'`` and at the end of a text
-    that does not end with one. A ``#`` hides the rest of its line.
+    A line ends at each ``'\\n'`` and at the end of a text that does not
+    end with one. A ``#`` hides the rest of its line.
     """
     codes = text.codes
-    if line_ends is None:
-        line_ends = np.flatnonzero(codes == _NEWLINE)
-        if not text.text.endswith("\n"):
-            line_ends = np.append(line_ends, codes.size)
-    line_starts = np.concatenate(([0], line_ends[:-1] + 1))
+    eols = np.flatnonzero(codes == _NEWLINE)
+    if not text.text.endswith("\n"):
+        eols = np.append(eols, codes.size)
+    line_starts = np.concatenate(([0], eols[:-1] + 1))
     solid = np.zeros(codes.size + 2, dtype=bool)  # one non-token cell at each end
     _IN_TOKEN.take(codes, out=solid[1:-1], mode="clip")
     marks = np.flatnonzero(codes == _COMMENT)
@@ -488,7 +486,7 @@ def _tokenize(
         first[1:] = line[1:] != line[:-1]
         inside = np.zeros(codes.size + 1, dtype=np.int8)
         inside[marks[first]] = 1
-        inside[line_ends[line[first]]] = -1
+        inside[eols[line[first]]] = -1
         solid[1:-1] &= np.cumsum(inside[:-1], dtype=np.int8) == 0
     edges = np.flatnonzero(solid[1:] != solid[:-1])
     starts, ends = edges[0::2], edges[1::2]
@@ -640,13 +638,13 @@ class _Parser:
             list(itertools.compress(self.speaker_ids, keep)),
         )
 
-    def feed(self, block: str, line_ends: np.ndarray | None = None) -> None:
+    def feed(self, block: str) -> None:
         """Parse one block of whole lines, ended as ``_tokenize`` says.
 
         Raise for its first bad line, checks in the documented order.
         """
         text = _Text(block, not block.isascii())
-        starts, ends, counts = _tokenize(text, line_ends)
+        starts, ends, counts = _tokenize(text)
         first_line = self.n_lines + 1
         self.n_lines += counts.size
         miscounted = np.flatnonzero((counts != 0) & (counts != 4))
@@ -751,13 +749,14 @@ def parse_alignment(
 
     A file-like source, one with ``read``, is read in chunks of text split
     into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
-    deliver them. Any other iterable gives one line per element. Either way
-    the lines are parsed in blocks, each tokenized and checked in numpy at
-    one byte per code point when the block is ASCII and four when not. The
-    first bad line in file order raises. Within a line the checks run in this order: field
-    count, integer frame count, frame count >= 1, frame count <= 2^31 - 1,
-    then ``,`` in and reappearance of a new utterance's id or a speaker
-    change inside an utterance, then the label.
+    deliver them. Any other iterable gives one line per element, each
+    ``'\\n'`` in it read as a space. Either way the lines are parsed in
+    blocks, each tokenized and checked in numpy at one byte per code point
+    when the block is ASCII and four when not. The first bad line in file
+    order raises. Within a line the checks run in this order: field count,
+    integer frame count, frame count >= 1, frame count <= 2^31 - 1, then
+    ``,`` in and reappearance of a new utterance's id or a speaker change
+    inside an utterance, then the label.
     """
     if isinstance(exclude, str):
         raise ConfigError(f"exclude {exclude!r} is one string; exclude takes a sequence of labels")
@@ -769,8 +768,7 @@ def parse_alignment(
     else:
         lines = iter(source)
         while block := list(itertools.islice(lines, _BLOCK_LINES)):
-            lengths = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-            parser.feed("\n".join(block), np.cumsum(lengths + 1) - 1)
+            parser.feed("\n".join(line.replace("\n", " ") for line in block) + "\n")
     return parser.corpus()
 
 

@@ -247,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=20)
+    defaults = signature(gradient_check).parameters
+    p.add_argument("--seed", type=int, default=defaults["seed"].default)
+    p.add_argument("--draws", type=int, default=defaults["n_draws"].default)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

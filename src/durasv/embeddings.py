@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import Corpus
-from .errors import ShapeMismatchError, ZeroNormError
+from .errors import ShapeMismatchError, ZeroNormError, vector_pair
 from .evaluation import ScoreSet, TrialList, score_trials
 from .features import sequence_from_phones
 from .model import ModelParams, embed_sequences
@@ -21,11 +21,8 @@ from .model import ModelParams, embed_sequences
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; identical vectors score exactly 1."""
-    va, vb = np.asarray(a, np.float64), np.asarray(b, np.float64)
-    if va.shape != vb.shape:
-        raise ShapeMismatchError(f"embedding shapes differ: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
+    va, vb = vector_pair(a, b)
+    na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:
         raise ZeroNormError("cosine undefined for a zero-norm embedding")
     if np.array_equal(va, vb):

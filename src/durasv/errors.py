@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all durasv modules, the config field check and the text opener."""
+"""Exception hierarchy shared by all durasv modules, the argument checks and the text opener."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import IO, Iterator
+
+import numpy as np
 
 
 class DurasvError(Exception):
@@ -52,8 +54,7 @@ class NonPositiveLengthError(AlignmentParseError):
 
 
 class MalformedLineError(AlignmentParseError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message, line)
+    pass
 
 
 class NotUtf8Error(DurasvError):
@@ -69,10 +70,6 @@ class NotUtf8Error(DurasvError):
 
 
 class EmptyInputError(DurasvError):
-    pass
-
-
-class DimensionMismatchError(DurasvError):
     pass
 
 
@@ -161,6 +158,15 @@ def integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of a per-pair score as float64 arrays, which must be
+    1-D of one non-zero length (else :class:`ShapeMismatchError`)."""
+    va, vb = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    if not (va.ndim == 1 and va.shape == vb.shape and va.size):
+        raise ShapeMismatchError(f"need 1-D vectors of one non-zero length: {va.shape} {vb.shape}")
+    return va, vb
 
 
 def check_fields(config) -> None:

@@ -26,6 +26,7 @@ from .errors import (
     MixedSpeakerSetError,
     NoEligibleSpeakersError,
     UnknownUtteranceError,
+    integer,
 )
 
 logger = logging.getLogger(__name__)
@@ -39,7 +40,12 @@ _CI_Z = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
 
 @dataclass(frozen=True)
 class Trial:
-    """One verification comparison between disjoint utterance sets."""
+    """One verification comparison between disjoint utterance sets.
+
+    Each set is a sequence of utterance ids; one string in its place
+    raises ``ValueError``, as an empty set, an empty or repeated id and
+    overlapping sets do.
+    """
 
     enroll_speaker: str
     enroll_utts: tuple[str, ...]
@@ -49,6 +55,8 @@ class Trial:
     def __post_init__(self) -> None:
         enroll, trial = set(self.enroll_utts), set(self.trial_utts)
         for utts, distinct in ((self.enroll_utts, enroll), (self.trial_utts, trial)):
+            if isinstance(utts, str):
+                raise ValueError(f"utterance set {utts!r} is one string, not a sequence of ids")
             if not utts:
                 raise ValueError("empty utterance set")
             if "" in distinct:
@@ -70,7 +78,11 @@ class TrialList:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Per-trial scores, target labels, and score polarity."""
+    """Per-trial scores, target labels, and score polarity.
+
+    A polarity that is not one of ``Polarity``'s two values raises
+    ``DegenerateScoreSetError``, as a non-finite score does.
+    """
 
     scores: np.ndarray  # (n,) float64
     labels: np.ndarray  # (n,) bool, True = target trial
@@ -86,6 +98,10 @@ class ScoreSet:
             raise ValueError("scores and labels differ in length")
         if not np.all(np.isfinite(self.scores)):
             raise DegenerateScoreSetError("score set holds non-finite scores")
+        try:
+            _polarity(self.polarity)
+        except ValueError:
+            raise DegenerateScoreSetError(f"unknown score polarity {self.polarity!r}") from None
 
 
 @dataclass(frozen=True)
@@ -135,6 +151,9 @@ def build_trials(
     enrollment set with up to ``max_nontarget_per_speaker`` trial sets
     sampled from other speakers. Deterministic under ``seed``.
     """
+    n_enroll, n_trial = integer("n_enroll", n_enroll), integer("n_trial", n_trial)
+    seed = integer("seed", seed)
+    max_nontarget_per_speaker = integer("max_nontarget_per_speaker", max_nontarget_per_speaker)
     if n_enroll < 1 or n_trial < 1 or max_nontarget_per_speaker < 0:
         raise ConfigError("need n_enroll >= 1, n_trial >= 1 and max_nontarget >= 0")
     if seed < 0:
@@ -310,7 +329,7 @@ def eer_confidence_interval(eer: float, n_trials: int) -> float:
     """Halfwidth of the 95% binomial normal-approximation interval."""
     if not 0.0 <= eer <= 1.0:
         raise ValueError("eer must lie in [0, 1]")
-    if n_trials < 1:
+    if integer("n_trials", n_trials) < 1:
         raise ValueError("n_trials must be >= 1")
     return _CI_Z * float(np.sqrt(eer * (1.0 - eer) / n_trials))
 

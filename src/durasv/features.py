@@ -87,26 +87,26 @@ def make_chunks(
     utterances: Sequence[AlignedUtterance],
     inventory: PhonemeInventory,
     rng: np.random.Generator,
-    min_len: int = 32,
-    max_len: int = 256,
+    min_len: int,
+    max_len: int,
 ) -> list[DurationFeatureSequence]:
     """Cut one speaker's utterances into randomly shifted chunks.
 
     The utterances are shuffled, concatenated into a phone stream, and
     consumed left to right. Per chunk a target length ``c`` is drawn
-    uniformly from ``{min_len, ..., max_len}`` and a shift ``r`` uniformly
-    from ``{0, ..., min(len(u1), c)}``, where ``u1`` is the utterance the
-    stream currently points into; ``r`` phones are dropped, then up to
-    ``c`` phones form the chunk. Only the stream's last chunk can hold
-    fewer than ``c`` phones: it takes what is left after its shift, which
-    can be fewer than ``r``, and a tail shorter than ``min_len`` is
-    dropped. A stream that yields
-    no chunk, one shorter than ``min_len`` among them, yields its first
-    ``min(len(stream), max_len)`` phones unshifted, so tiny speakers still
-    contribute. Each chunk is a view of the stream's arrays. Raises
-    ``ConfigError`` unless ``1 <= min_len <= max_len``, ``EmptyInputError``
-    for no utterances and ``MixedSpeakerSetError``, its ids in shuffled
-    order, for more than one speaker's.
+    uniformly from ``{min_len, ..., max_len}`` (the paper's 32 and 256 are
+    ``TrainConfig``'s defaults) and a shift ``r`` uniformly from
+    ``{0, ..., min(len(u1), c)}``, where ``u1`` is the utterance the stream
+    currently points into; ``r`` phones are dropped, then up to ``c``
+    phones form the chunk. Only the stream's last chunk can hold fewer than
+    ``c`` phones: it takes what is left after its shift, which can be fewer
+    than ``r``, and a tail shorter than ``min_len`` is dropped. A stream
+    that yields no chunk, one shorter than ``min_len`` among them, yields
+    its first ``min(len(stream), max_len)`` phones unshifted, so tiny
+    speakers still contribute. Each chunk is a view of the stream's arrays.
+    Raises ``ConfigError`` unless ``1 <= min_len <= max_len``,
+    ``EmptyInputError`` for no utterances and ``MixedSpeakerSetError``, its
+    ids in shuffled order, for more than one speaker's.
     """
     if not 1 <= min_len <= max_len:
         raise ConfigError(f"chunk lengths need 1 <= min_len <= max_len, got {min_len}..{max_len}")

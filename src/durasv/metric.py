@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .alignment import Corpus
-from .errors import DimensionMismatchError, NonPositiveComponentError
+from .errors import NonPositiveComponentError, vector_pair
 from .evaluation import ScoreSet, TrialList, score_trials
 
 # (row, class) cells of the arrays batched scoring builds at once
@@ -23,16 +23,10 @@ _CHUNK_CELLS = 1 << 16
 
 
 def duration_ratio_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric ratio distance between two positive duration profiles."""
-    va, vb = np.asarray(a, np.float64), np.asarray(b, np.float64)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise DimensionMismatchError(f"vector shapes differ: {va.shape} vs {vb.shape}")
-    if va.size == 0:
-        raise DimensionMismatchError("empty vectors")
-    if np.any(va <= 0.0) or np.any(vb <= 0.0):
-        raise NonPositiveComponentError(
-            "mean duration vectors must be strictly positive (fill guarantees this)"
-        )
+    """Symmetric ratio distance between two finite positive duration profiles."""
+    va, vb = vector_pair(a, b)
+    if not np.all((va > 0.0) & (va < np.inf) & (vb > 0.0) & (vb < np.inf)):  # NaN fails too
+        raise NonPositiveComponentError("mean duration vectors must be finite and positive")
     return float(1.0 - np.mean(np.minimum(va / vb, vb / va)))
 
 

@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .alignment import _first_empty_run
-from .errors import ConfigError, ShapeMismatchError, check_fields
+from .errors import ConfigError, ShapeMismatchError, check_fields, integer
 from .features import DurationFeatureSequence
 
 # keeps the pooled standard deviation differentiable at zero variance
@@ -778,6 +778,7 @@ def gradient_check(config: ModelConfig, seed: int = 0, n_draws: int = 20) -> Gra
     relative error uses a 1e-5 floor in the denominator so coordinates with
     near-zero gradients are judged on absolute error.
     """
+    seed, n_draws = integer("seed", seed), integer("n_draws", n_draws)
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     if n_draws < 1:

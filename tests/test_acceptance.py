@@ -181,8 +181,9 @@ def test_c5_padding_invariance():
             ]
             utts.append(AlignedUtterance(f"u{i}", "s", phones))
         chunks = []
+        bounds = (TrainConfig.chunk_min, TrainConfig.chunk_max)
         while len(chunks) < 100:
-            chunks.extend(make_chunks(utts, inv, rng))
+            chunks.extend(make_chunks(utts, inv, rng, *bounds))
         chunks = chunks[:100]
         for chunk in chunks:
             alone = pad_batch([chunk])

@@ -564,6 +564,11 @@ class TestCorpusTable:
             assert rows.tolist() == want
         with pytest.raises(IndexError):  # never truncated to utterance 1
             corpus.rows([1.5])
+        for indices in ([[0, 1]], np.zeros((2, 0), int), 1):
+            shape = re.escape(str(np.shape(indices)))
+            want = rf"^utterance indices must be 1-D, got shape {shape}$"
+            with pytest.raises(IndexError, match=want):
+                corpus.rows(indices)
         # never counted from the end, read as a mask or read past the table
         for indices, bad in [([-3], -3), ([0, -1], -1), ([True, False, True], True), ([0, 3], 3)]:
             want = rf"^utterance index {bad} is not an integer in \[0, 3\)$"
@@ -697,7 +702,7 @@ SEPARATORS = (" ", "\t", "  ", "\xa0", "\u2003", "\u0085", "\x1c")
 # faulty line gets two codes so that faults meet on one line
 RUN_FAULT = st.sampled_from(range(12))
 FAULTY_LINE = st.sampled_from((False,) * 3 + (True,))
-LINE_FAULT = st.sampled_from(range(1, 10))
+LINE_FAULT = st.sampled_from(range(1, 11))
 ODD_FRAMES = ("+5", "٥", "1_0", "0", "2147483648", "2147483647", "x", "-3", "007", "00000000012")
 
 
@@ -709,7 +714,8 @@ def alignment_lines(draw):
     a ``,``; a run may hold only ``SIL``, which excluding it empties.
     Single lines may lose or gain a field, change speaker, take an odd
     frame count or an unknown label, hold a comment, a blank line after
-    them or unusual whitespace.
+    them or unusual whitespace, or end with a ``'\\n'``, as lines read from
+    a file do, or hold one.
     """
     lines = []
     utt_ids = []
@@ -750,6 +756,9 @@ def alignment_lines(draw):
             elif 8 in faults:
                 cut = draw(st.integers(0, len(line)))
                 line = line[:cut] + "#" + line[cut:]
+            if 10 in faults:
+                cut = draw(st.sampled_from((len(line), draw(st.integers(0, len(line))))))
+                line = line[:cut] + "\n" + line[cut:]
             lines.append(line)
             if 9 in faults:
                 lines.append(draw(st.sampled_from(("", "   ", "# only a comment", "\u2003"))))

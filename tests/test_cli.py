@@ -620,6 +620,15 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "2", "--draws", "2"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_defaults_are_gradient_checks(self):
+        from inspect import signature
+
+        from durasv.model import gradient_check
+
+        args = build_parser().parse_args(["gradcheck"])
+        defaults = signature(gradient_check).parameters
+        assert (args.seed, args.draws) == (defaults["seed"].default, defaults["n_draws"].default)
+
     def test_corrupt_gradient_exits_one(self, capsys, monkeypatch):
         def biased(params, batch):
             loss, grads = loss_and_grad(params, batch)

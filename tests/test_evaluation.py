@@ -89,6 +89,15 @@ class TestComputeEer:
         with pytest.raises(DegenerateScoreSetError):
             compute_eer(score_set([0.5], []))
 
+    def test_unknown_polarity_refused(self):
+        # any other string was read as larger-is-similar: this typo turned
+        # an EER of 0.0 into 1.0 in compute_eer and evaluate
+        scores, labels = np.array([0.1, 0.2, 0.8, 0.9]), np.array([True, True, False, False])
+        assert compute_eer(ScoreSet(scores, labels, "smaller-is-similar"))[0] == 0.0
+        for polarity in ("smaller_is_similar", "", None):
+            with pytest.raises(DegenerateScoreSetError, match="unknown score polarity"):
+                ScoreSet(scores, labels, polarity)
+
     def test_polarity_flip_is_exact(self):
         rng = np.random.default_rng(0)
         s = score_set(rng.normal(1, 1, 50), rng.normal(0, 1, 70))
@@ -141,6 +150,9 @@ class TestConfidenceInterval:
             eer_confidence_interval(1.5, 10)
         with pytest.raises(ValueError):
             eer_confidence_interval(0.5, 0)
+        for n_trials in (True, 10.0, "10"):
+            with pytest.raises(ConfigError, match="n_trials must be an integer"):
+                eer_confidence_interval(0.5, n_trials)
 
 
 def toy_corpus(n_speakers=2, n_utts=2, phones_per_utt=3):
@@ -186,6 +198,22 @@ class TestBuildTrials:
         a = build_trials(corpus, 2, 2, seed=9)
         b = build_trials(corpus, 2, 2, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "args",
+        [(True, True, 0), (1, 1, True), (1.0, 1, 0), (1, 1, 0.5), (1, 1, 0, 2.0), (1, "1", 0)],
+    )
+    def test_integer_arguments_only(self, args):
+        # (True, True, 0) once gave a trial file headed n_enroll=True
+        # n_trial=True, which read_trials refuses
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build_trials(toy_corpus(), *args)
+
+    def test_numpy_integer_arguments_taken(self):
+        corpus = toy_corpus(4, 6)
+        got = build_trials(corpus, np.int64(2), np.int32(2), np.uint8(9), np.int16(20))
+        assert got == build_trials(corpus, 2, 2, 9, 20)
+        assert type(got.n_enroll) is type(got.seed) is int
 
     def test_no_eligible_speakers(self):
         with pytest.raises(NoEligibleSpeakersError):
@@ -325,6 +353,13 @@ class TestEvaluateAndIo:
     def test_enroll_trial_overlap_rejected(self):
         with pytest.raises(ValueError):
             Trial("s", ("u1",), ("u1",), True)
+
+    @pytest.mark.parametrize("enroll, trial", [("ab", ("cd",)), (("ab",), "cd"), ("ab", "cd")])
+    def test_one_string_for_an_utterance_set_rejected(self, enroll, trial):
+        # a string is a sequence of one-letter ids: write_trials once wrote
+        # "s a,b c,d target" for Trial("s", "ab", "cd", True)
+        with pytest.raises(ValueError, match="is one string"):
+            Trial("s", enroll, trial, True)
 
     @pytest.mark.parametrize("enroll, trial", [((), ("u1",)), (("u1",), ())])
     def test_empty_utterance_set_rejected(self, enroll, trial):

@@ -10,6 +10,10 @@ from durasv.features import (
     mean_duration_vector,
     sequence_from_utterances,
 )
+from durasv.training import TrainConfig
+
+# the paper's chunk lengths U{32..256}, whose one home is TrainConfig
+PAPER_BOUNDS = (TrainConfig.chunk_min, TrainConfig.chunk_max)
 
 
 def inventory(n):
@@ -131,7 +135,7 @@ def reference_chunks(utterances, rng, min_len=32, max_len=256):
     return chunks, draws
 
 
-def replay(utterances, n_classes, seed, min_len=32, max_len=256):
+def replay(utterances, n_classes, seed, min_len=PAPER_BOUNDS[0], max_len=PAPER_BOUNDS[1]):
     """Assert that ``make_chunks`` gives ``reference_chunks``'s rows bit for
     bit, from as many draws, and that every draw keeps its bounds; return
     the chunks and the draws."""
@@ -165,7 +169,7 @@ class TestMakeChunks:
     def test_lengths_stay_in_range(self):
         rng = np.random.default_rng(0)
         utts = self.chunk_stream(rng)
-        chunks = make_chunks(utts, inventory(6), np.random.default_rng(1))
+        chunks = make_chunks(utts, inventory(6), np.random.default_rng(1), *PAPER_BOUNDS)
         assert chunks
         for c in chunks:
             assert 32 <= len(c) <= 256
@@ -181,7 +185,7 @@ class TestMakeChunks:
         rng = np.random.default_rng(3)
         utts = self.chunk_stream(rng)
         first, _ = replay(utts, 6, 42)
-        second = make_chunks(utts, inventory(6), np.random.default_rng(42))
+        second = make_chunks(utts, inventory(6), np.random.default_rng(42), *PAPER_BOUNDS)
         assert len(first) == len(second) > 1
         for a, b in zip(first, second):
             assert np.array_equal(a.class_indices, b.class_indices)
@@ -226,12 +230,12 @@ class TestMakeChunks:
         order = ",".join(f"u{i}" for i in np.random.default_rng(0).permutation(3))
         want = rf"^utterance set {order} mixes speakers \['a', 'b'\]$"
         with pytest.raises(MixedSpeakerSetError, match=want) as caught:
-            make_chunks(utts, inventory(1), np.random.default_rng(0))
+            make_chunks(utts, inventory(1), np.random.default_rng(0), *PAPER_BOUNDS)
         assert isinstance(caught.value, ValueError)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            make_chunks([], inventory(1), np.random.default_rng(0))
+            make_chunks([], inventory(1), np.random.default_rng(0), *PAPER_BOUNDS)
 
     @pytest.mark.parametrize("n_phones", [30, 100])
     @pytest.mark.parametrize("min_len, max_len", [(50, 10), (0, 10), (-3, 10)])

@@ -9,10 +9,11 @@ from durasv import metric
 from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
 from durasv.errors import (
     DegenerateScoreSetError,
-    DimensionMismatchError,
     NonPositiveComponentError,
+    ShapeMismatchError,
     UnknownUtteranceError,
 )
+from durasv.embeddings import cosine_score
 from durasv.evaluation import Trial, TrialList, build_trials, compute_eer
 from durasv.features import mean_duration_vector
 from durasv.metric import duration_ratio_distance, score_trials_metric
@@ -36,12 +37,20 @@ class TestRatioDistance:
         ) == pytest.approx(0.25, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             duration_ratio_distance(np.ones(3), np.ones(4))
 
     def test_non_positive_component(self):
         with pytest.raises(NonPositiveComponentError):
             duration_ratio_distance(np.array([1.0, 0.0]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component(self, bad):
+        # NaN and inf fail the positivity test on either side; an inf
+        # component used to score its class as a ratio of 0
+        for a, b in [([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, bad])]:
+            with pytest.raises(NonPositiveComponentError):
+                duration_ratio_distance(np.array(a), np.array(b))
 
     @settings(max_examples=80, deadline=None)
     @given(positive_vectors, st.integers(0, 2**31))
@@ -59,6 +68,24 @@ class TestRatioDistance:
         a = rng.uniform(1.0, 50.0, size=64)
         expected = 1.0 - min(c, 1.0 / c)
         assert duration_ratio_distance(a, c * a) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("score", [duration_ratio_distance, cosine_score])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.ones(3), np.ones(4)),  # lengths that differ
+        (np.ones((2, 3)), np.ones((2, 3))),  # two equal 2-D arrays
+        (np.ones(()), np.ones(())),  # 0-d arrays
+        (np.ones(0), np.ones(0)),  # empty arrays
+    ],
+    ids=["lengths", "2-d", "0-d", "empty"],
+)
+def test_per_pair_scores_take_two_vectors_of_one_length(score, a, b):
+    # one rule for both attacks' per-pair scores; cosine_score once scored
+    # two equal matrices as 1.0 and two empty arrays as a zero norm
+    with pytest.raises(ShapeMismatchError, match="1-D vectors of one non-zero length"):
+        score(a, b)
 
 
 def tiny_corpus():

@@ -403,6 +403,11 @@ class TestLossAndGrad:
         report = gradient_check(cfg, seed=7, n_draws=4)
         assert report.passed, f"max rel error {report.max_rel_error:.3e}"
 
+    @pytest.mark.parametrize("options", [{"seed": True}, {"seed": 1.0}, {"n_draws": 2.0}])
+    def test_gradient_check_takes_integer_arguments_only(self, options):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            gradient_check(tiny_gradcheck_config(), **options)
+
     def test_gradient_check_builds_one_layout_per_pass_not_per_forward(self, monkeypatch):
         built = []
         of = PackedLayout.of
