@@ -43,8 +43,8 @@ class Trial:
     """One verification comparison between disjoint utterance sets.
 
     Each set is a sequence of utterance ids; one string in its place
-    raises ``ValueError``, as an empty set, an empty or repeated id and
-    overlapping sets do.
+    raises ``ValueError``, as an empty set, an empty or repeated id,
+    overlapping sets and an ``is_target`` that is not a ``bool`` do.
     """
 
     enroll_speaker: str
@@ -53,6 +53,9 @@ class Trial:
     is_target: bool
 
     def __post_init__(self) -> None:
+        # any truthy value would be written and checked as a target trial
+        if not isinstance(self.is_target, bool):
+            raise ValueError(f"is_target must be a bool, got {self.is_target!r}")
         enroll, trial = set(self.enroll_utts), set(self.trial_utts)
         for utts, distinct in ((self.enroll_utts, enroll), (self.trial_utts, trial)):
             if isinstance(utts, str):

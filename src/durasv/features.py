@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import AlignedUtterance, PhonemeInventory
-from .errors import ConfigError, EmptyInputError, MixedSpeakerSetError, ShapeMismatchError
+from .errors import ConfigError, EmptyInputError, MixedSpeakerSetError, ShapeMismatchError, integer
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,12 @@ def make_chunks(
     that yields no chunk, one shorter than ``min_len`` among them, yields
     its first ``min(len(stream), max_len)`` phones unshifted, so tiny
     speakers still contribute. Each chunk is a view of the stream's arrays.
-    Raises ``ConfigError`` unless ``1 <= min_len <= max_len``,
-    ``EmptyInputError`` for no utterances and ``MixedSpeakerSetError``, its
-    ids in shuffled order, for more than one speaker's.
+    Raises ``ConfigError`` unless ``min_len`` and ``max_len`` are integers
+    with ``1 <= min_len <= max_len``, ``EmptyInputError`` for no
+    utterances and ``MixedSpeakerSetError``, its ids in shuffled order, for
+    more than one speaker's.
     """
+    min_len, max_len = integer("min_len", min_len), integer("max_len", max_len)
     if not 1 <= min_len <= max_len:
         raise ConfigError(f"chunk lengths need 1 <= min_len <= max_len, got {min_len}..{max_len}")
     shuffled = [utterances[i] for i in rng.permutation(len(utterances))]

@@ -20,6 +20,14 @@ embedding does not depend on the other items of its batch. ``loss_and_grad``
 returns the exact gradient of the mean softmax cross-entropy;
 ``gradient_check`` compares it against central finite differences.
 
+A perturbed parameter leaves every stage before the first that reads it
+as it was, so each of ``gradient_check``'s perturbed passes starts at
+that stage and reads the earlier stages' outputs from the buffers of a
+clean pass: block ``i``'s padded input ``x{i}`` for ``block{i}_*``, the
+encoder output ``enc`` for ``att_w`` and ``att_b``, and ``enc`` with the
+attention hidden layer ``att`` for the pooling and head tensors. Every
+loss, and so the report, is the one a full pass gives, to the bit.
+
 The forward pass runs in two stages: the encoder stage (projection,
 convolution blocks and the attention hidden layer, on the packed layout)
 and the pooling stage (attention scores, per-item softmax, weighted mean
@@ -342,13 +350,14 @@ def _conv2d(
 
     ``xp`` holds the ``T = len(out)`` input rows between two equal
     margins of zero rows, each at least as wide as the kernel reaches;
-    ``w`` is ``(K, Cin, Cout)``. Each tap's product goes to the ``(T,
-    Cout)`` buffer ``tap`` and is added from zero in kernel order.
+    ``w`` is ``(K, Cin, Cout)``. The first tap's product is written to
+    ``out`` and each later one, in kernel order, goes to the ``(T, Cout)``
+    buffer ``tap`` and is added.
     """
     t = out.shape[0]
     first = (xp.shape[0] - t) // 2 - dilation * (w.shape[0] - 1) // 2
-    out.fill(0.0)
-    for j in range(w.shape[0]):
+    np.matmul(xp[first : first + t], w[0], out=out)
+    for j in range(1, w.shape[0]):
         s = first + j * dilation
         out += np.matmul(xp[s : s + t], w[j], out=tap)
     return out
@@ -366,13 +375,17 @@ def _conv2d_backward(
 
     ``dxp`` has the shape of ``xp`` and ends up holding the input
     gradient in the rows where ``xp`` holds the input; ``tap`` is a ``(T,
-    Cin)`` buffer.
+    Cin)`` buffer. The first tap's product fills its window of ``dxp``
+    and the rows after it start at zero; the rows before it are margin
+    that no tap reaches, left as they were.
     """
     t = dz.shape[0]
     first = (xp.shape[0] - t) // 2 - dilation * (w.shape[0] - 1) // 2
     dw = np.empty_like(w)
-    dxp.fill(0.0)
-    for j in range(w.shape[0]):
+    np.dot(xp[first : first + t].T, dz, out=dw[0])
+    np.matmul(dz, w[0].T, out=dxp[first : first + t])
+    dxp[first + t :] = 0.0
+    for j in range(1, w.shape[0]):
         s = first + j * dilation
         np.dot(xp[s : s + t].T, dz, out=dw[j])
         dxp[s : s + t] += np.matmul(dz, w[j].T, out=tap)
@@ -456,14 +469,24 @@ def _layout(config: ModelConfig, batch: Batch) -> PackedLayout:
     return PackedLayout.of(batch, config.conv_reach)
 
 
-def _encode(params: ModelParams, layout: PackedLayout, work: _Workspace) -> ForwardCache:
+def _encode(
+    params: ModelParams, layout: PackedLayout, work: _Workspace, start: int = 0
+) -> ForwardCache:
     """The encoder stage: a cache filled up to ``att_hidden``, in ``work``'s buffers.
 
     Projection, convolution blocks and the attention hidden layer run on
     the packed layout; every product here has one row per packed or real
     step. Block ``i``'s input lives in buffer ``x{i}``, with
     ``conv_reach`` zero rows on either side for the taps to read, and its
-    output in ``act{i}``.
+    output in ``act{i}``; the real rows of the last block's output live
+    in ``enc`` and the attention hidden layer in ``att``.
+
+    ``start`` is the first stage run: 0 the projection, ``i + 1``
+    convolution block ``i``, ``n_blocks + 1`` the attention hidden layer,
+    and ``n_blocks + 2`` none of them. A stage skipped is read from the
+    buffers where the last pass on ``work`` left it, so a pass that starts
+    at stage ``s`` equals a full pass to the bit whenever the tensors read
+    before stage ``s`` have not changed since that pass on this layout.
     """
     cfg = params.config
     tensors = params.tensors
@@ -471,25 +494,30 @@ def _encode(params: ModelParams, layout: PackedLayout, work: _Workspace) -> Forw
     rows, n_real, c = layout.rows, layout.classes.size, cfg.encoder_channels
 
     cache = ForwardCache(layout)
-    xp = work.padded("x0", rows, reach, cfg.proj_dim)
-    x = xp[reach : reach + rows]
-    proj = work.take("tap", n_real, cfg.proj_dim)
-    tensors["proj"].take(layout.classes, axis=0, out=proj, mode="clip")
-    proj *= layout.coef
-    x[layout.slots] = proj
+    if start == 0:
+        x = work.padded("x0", rows, reach, cfg.proj_dim)[reach : reach + rows]
+        proj = work.take("tap", n_real, cfg.proj_dim)
+        tensors["proj"].take(layout.classes, axis=0, out=proj, mode="clip")
+        proj *= layout.coef
+        x[layout.slots] = proj
+    c_in = cfg.proj_dim
     for i, dilation in enumerate(cfg.dilations):
-        x[layout.gaps] = 0.0
+        xp = work.take(f"x{i}", rows + 2 * reach, c_in)
+        x = xp[reach : reach + rows]
         act = work.take(f"act{i}", rows, c)
+        cache.block_inputs.append(x[None])
+        cache.block_acts.append(act[None])
+        c_in = c
+        if i + 1 < start:
+            continue
+        x[layout.gaps] = 0.0
         _conv2d(xp, tensors[f"block{i}_w"], dilation, act, work.take("tap", rows, c))
         act += tensors[f"block{i}_b"]
         np.tanh(act, out=act)
-        cache.block_inputs.append(x[None])
-        cache.block_acts.append(act[None])
         # the block's output, act + residual, is the next block's input;
         # the last block's goes to the spent tap buffer
         if i + 1 < cfg.n_blocks:
-            xp = work.padded(f"x{i + 1}", rows, reach, c)
-            h = xp[reach : reach + rows]
+            h = work.padded(f"x{i + 1}", rows, reach, c)[reach : reach + rows]
         else:
             h = work.take("tap", rows, c)
         if x.shape[1] == c:
@@ -497,12 +525,14 @@ def _encode(params: ModelParams, layout: PackedLayout, work: _Workspace) -> Forw
         else:
             np.matmul(x, tensors[f"block{i}_res"], out=h)
             h += act
-        x = h
-    cache.encoded = x.take(layout.slots, axis=0, out=work.take("enc", n_real, c), mode="clip")
-    u = work.take("att", n_real, cfg.attention_hidden)
-    np.matmul(cache.encoded, tensors["att_w"], out=u)
-    u += tensors["att_b"]
-    cache.att_hidden = np.tanh(u, out=u)
+    cache.encoded = work.take("enc", n_real, c)
+    if start <= cfg.n_blocks:
+        h.take(layout.slots, axis=0, out=cache.encoded, mode="clip")
+    u = cache.att_hidden = work.take("att", n_real, cfg.attention_hidden)
+    if start <= cfg.n_blocks + 1:
+        np.matmul(cache.encoded, tensors["att_w"], out=u)
+        u += tensors["att_b"]
+        np.tanh(u, out=u)
     return cache
 
 
@@ -542,9 +572,12 @@ def _pool(
     return alpha, mu, cen, std, pooled, emb
 
 
-def _forward(params: ModelParams, layout: PackedLayout, work: _Workspace) -> ForwardCache:
+def _forward(
+    params: ModelParams, layout: PackedLayout, work: _Workspace, start: int = 0
+) -> ForwardCache:
+    """Both stages and the logits; ``start`` is ``_encode``'s first stage."""
     tensors = params.tensors
-    cache = _encode(params, layout, work)
+    cache = _encode(params, layout, work, start)
     (
         cache.attention,
         cache.mean,
@@ -619,23 +652,30 @@ def embed_sequences(
     return out
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _mean_nll(logp: np.ndarray, labels: np.ndarray) -> float:
+    """Mean over the rows of minus each row's log-probability of its label."""
+    return -float(logp[np.arange(labels.size), labels].mean())
+
+
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
     b = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - logsumexp
-    loss = -float(logp[np.arange(b), labels].mean())
+    logp = _log_softmax(logits)
     dlogits = np.exp(logp)
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
-    return loss, dlogits
+    return _mean_nll(logp, labels), dlogits
 
 
-def _loss(params: ModelParams, layout: PackedLayout, labels: np.ndarray) -> float:
-    cache = _forward(params, layout, params._work)
-    loss, _ = _cross_entropy(cache.logits, labels)
-    return loss
+def _loss(params: ModelParams, layout: PackedLayout, labels: np.ndarray, start: int) -> float:
+    """The mean cross-entropy alone, of a pass on the params' buffers from stage ``start``."""
+    cache = _forward(params, layout, params._work, start)
+    return _mean_nll(_log_softmax(cache.logits), labels)
 
 
 def loss_and_grad(
@@ -743,6 +783,15 @@ _GRADCHECK_BATCH = 3
 _GRADCHECK_MAX_T = 12
 
 
+def _first_reader(name: str, n_blocks: int) -> int:
+    """The first ``_encode`` stage that reads parameter ``name``."""
+    if name == "proj":
+        return 0
+    if name.startswith("block"):
+        return int(name[len("block") : name.index("_")]) + 1
+    return n_blocks + (1 if name in ("att_w", "att_b") else 2)
+
+
 def _random_batch(config: ModelConfig, rng: np.random.Generator) -> Batch:
     items = []
     labels = []
@@ -777,6 +826,16 @@ def gradient_check(config: ModelConfig, seed: int = 0, n_draws: int = 20) -> Gra
     Every parameter coordinate is perturbed by ``+-_GRADCHECK_STEP``. The
     relative error uses a 1e-5 floor in the denominator so coordinates with
     near-zero gradients are judged on absolute error.
+
+    Each perturbed loss comes from a pass that starts at the first stage
+    reading the perturbed tensor (see ``_encode``): the projection for
+    ``proj``, convolution block ``i`` for ``block{i}_*``, the attention
+    hidden layer for ``att_w`` and ``att_b``, and pooling for the rest.
+    Before a tensor's perturbations, one clean pass leaves the earlier
+    stages' outputs in the params' buffers. Those stages do not read the
+    tensor, so a pass from the projection would recompute the same
+    values, and each loss equals that pass's to the bit: the report is
+    the one full passes give.
     """
     seed, n_draws = integer("seed", seed), integer("n_draws", n_draws)
     if seed < 0:
@@ -802,13 +861,16 @@ def gradient_check(config: ModelConfig, seed: int = 0, n_draws: int = 20) -> Gra
         numeric = np.empty_like(analytic)
         pos = 0
         for name, tensor in params.tensors.items():
+            start = _first_reader(name, config.n_blocks)
+            # refill the buffers that the perturbed passes read
+            _forward(params, layout, params._work)
             flat = tensor.reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + _GRADCHECK_STEP
-                up = _loss(params, layout, batch.labels)
+                up = _loss(params, layout, batch.labels, start)
                 flat[j] = orig - _GRADCHECK_STEP
-                down = _loss(params, layout, batch.labels)
+                down = _loss(params, layout, batch.labels, start)
                 flat[j] = orig
                 numeric[pos] = (up - down) / (2.0 * _GRADCHECK_STEP)
                 pos += 1

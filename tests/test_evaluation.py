@@ -361,6 +361,12 @@ class TestEvaluateAndIo:
         with pytest.raises(ValueError, match="is one string"):
             Trial("s", enroll, trial, True)
 
+    @pytest.mark.parametrize("is_target", ["no", 1, 0, None, np.True_])
+    def test_non_bool_is_target_rejected(self, is_target):
+        # "no" is truthy: it was written as "s a b target" and scored as one
+        with pytest.raises(ValueError, match="is_target must be a bool"):
+            Trial("s", ("a",), ("b",), is_target)
+
     @pytest.mark.parametrize("enroll, trial", [((), ("u1",)), (("u1",), ())])
     def test_empty_utterance_set_rejected(self, enroll, trial):
         with pytest.raises(ValueError, match="empty utterance set"):

@@ -245,6 +245,27 @@ class TestMakeChunks:
         with pytest.raises(ConfigError, match="1 <= min_len <= max_len"):
             make_chunks(utts, inventory(1), np.random.default_rng(0), min_len, max_len)
 
+    @pytest.mark.parametrize(
+        "min_len, max_len, name",
+        [
+            (32.5, 40.5, "min_len"),
+            (32, 40.0, "max_len"),
+            (True, 40, "min_len"),
+            ("32", 40, "min_len"),
+        ],
+    )
+    def test_non_integer_chunk_bounds_rejected(self, min_len, max_len, name):
+        # 32.5 was a bare TypeError from a slice deep in the sampler
+        utts = [utterance("sp", "u0", [(0, 2)] * 100)]
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            make_chunks(utts, inventory(1), np.random.default_rng(0), min_len, max_len)
+
+    def test_numpy_integer_chunk_bounds_taken(self):
+        utts = [utterance("sp", "u0", [(0, 2)] * 100)]
+        got = make_chunks(utts, inventory(1), np.random.default_rng(0), np.int64(32), np.int32(40))
+        want = make_chunks(utts, inventory(1), np.random.default_rng(0), 32, 40)
+        assert [len(c) for c in got] == [len(c) for c in want]
+
 
 # each per-set helper, given utterances over a 2-class inventory
 PER_SET_HELPERS = {

@@ -11,6 +11,7 @@ from durasv.embeddings import score_trials_embedding
 from durasv.errors import ConfigError, ShapeMismatchError
 from durasv.evaluation import build_trials
 from durasv.features import DurationFeatureSequence
+from durasv import model
 from durasv.model import (
     Batch,
     ModelConfig,
@@ -459,6 +460,105 @@ class TestLossAndGrad:
         batch = pad_batch([random_sequence(rng, cfg.n_classes, 5)])
         with pytest.raises(ShapeMismatchError):
             loss_and_grad(params, batch)
+
+
+def gradcheck_draw(config, seed, draw):
+    """The jittered params and the batch of ``gradient_check``'s draw ``draw``."""
+    rng = np.random.default_rng([seed, draw])
+    params = init_model(config, rng)
+    for v in params.tensors.values():
+        v += 0.05 * rng.standard_normal(v.shape)
+    return params, model._random_batch(config, rng)
+
+
+def full_forward_gradient_check(config, seed, n_draws):
+    """``gradient_check`` with every perturbed loss from a pass that starts
+    at the projection: the reference for the passes that resume later."""
+    step = model._GRADCHECK_STEP
+    errors = []
+    for draw in range(n_draws):
+        params, batch = gradcheck_draw(config, seed, draw)
+        layout = model._layout(config, batch)
+        analytic = model._pack(loss_and_grad(params, batch)[1])
+        numeric = np.empty_like(analytic)
+        pos = 0
+        for tensor in params.tensors.values():
+            flat = tensor.reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + step
+                up = model._loss(params, layout, batch.labels, 0)
+                flat[j] = orig - step
+                down = model._loss(params, layout, batch.labels, 0)
+                flat[j] = orig
+                numeric[pos] = (up - down) / (2.0 * step)
+                pos += 1
+        rel = np.abs(analytic - numeric) / np.maximum(1e-5, np.abs(analytic) + np.abs(numeric))
+        errors.append((float(rel.max()), float(rel.mean())))
+    return model.GradCheckReport(
+        max(e[0] for e in errors), float(np.mean([e[1] for e in errors])), n_draws, analytic.size
+    )
+
+
+class TestResumedDifferences:
+    """``gradient_check``'s perturbed passes start at the first stage that
+    reads the perturbed tensor, and give a full pass's loss to the bit."""
+
+    CONFIGS = {
+        "tiny": tiny_gradcheck_config(),
+        # reach 0: no gap rows
+        "kernel-width-1": dataclasses.replace(tiny_gradcheck_config(), kernel_width=1),
+        # a residual projection, block0_res, read by block 0's stage
+        "proj-dim-3": dataclasses.replace(tiny_gradcheck_config(), proj_dim=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_resumed_loss_equals_full_forward_loss(self, name):
+        cfg = self.CONFIGS[name]
+        params, batch = gradcheck_draw(cfg, 5, 0)
+        layout = model._layout(cfg, batch)
+        full = params.copy()
+        clean = model._loss(full, layout, batch.labels, 0)
+        starts = set()
+        for tensor, values in params.tensors.items():
+            start = model._first_reader(tensor, cfg.n_blocks)
+            starts.add(start)
+            model._forward(params, layout, params._work)
+            flat, full_flat = values.reshape(-1), full.tensors[tensor].reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                for value in (orig + model._GRADCHECK_STEP, orig - model._GRADCHECK_STEP):
+                    flat[j] = full_flat[j] = value
+                    resumed = model._loss(params, layout, batch.labels, start)
+                    assert resumed == model._loss(full, layout, batch.labels, 0), (tensor, j)
+                flat[j] = full_flat[j] = orig
+            # the last perturbed pass read the tensor; att_v0 shifts every
+            # attention score alike, which the softmax can ignore to the bit
+            assert resumed != clean or tensor == "att_v0", tensor
+        assert starts == set(range(cfg.n_blocks + 3))
+
+    @pytest.mark.parametrize("seed, n_draws", [(0, 2), (7, 4)])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_report_equals_full_forward_report(self, name, seed, n_draws):
+        cfg = self.CONFIGS[name]
+        want = full_forward_gradient_check(cfg, seed, n_draws)
+        assert gradient_check(cfg, seed=seed, n_draws=n_draws) == want
+
+    def test_few_passes_start_at_the_projection(self, monkeypatch):
+        starts = []
+        encode = model._encode
+
+        def counted(params, layout, work, start=0):
+            starts.append(start)
+            return encode(params, layout, work, start)
+
+        monkeypatch.setattr(model, "_encode", counted)
+        gradient_check(tiny_gradcheck_config(), n_draws=2)
+        # per draw, loss_and_grad, one clean pass for each of the 15 tensors
+        # and 2 x 252 perturbed passes, of which only proj's 2 x 20 start at
+        # the projection: 56, where a full pass per difference made 505
+        assert len(starts) == 2 * (1 + 15 + 2 * 252)
+        assert starts.count(0) <= 2 * 56
 
 
 class TestCrossItemIndependence:
