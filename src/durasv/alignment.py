@@ -69,14 +69,20 @@ _IN_TOKEN = ~np.char.isspace(np.arange(0x3002, dtype=np.uint32).view("<U1"))
 
 
 def _check_tokens(
-    kind: str, tokens: Sequence[str], banned: str, error: type[Exception] = ValueError
-) -> None:
-    """Raise ``error`` for a token an alignment file cannot carry: an
-    empty one, or one holding whitespace or a character of ``banned``.
+    kind: str, tokens: Sequence[str], banned: str, error: type[Exception] = ValueError,
+    name: str = "tokens",
+) -> tuple[str, ...]:
+    """``tokens``, the argument ``name``, as a tuple of ``kind`` tokens.
 
-    Whitespace is what ``_IN_TOKEN`` says it is, code point by code point,
-    so ids and labels follow the rule the parser splits lines by.
+    Raise ``error`` for one string in place of the sequence, and for a
+    token an alignment file cannot carry: an empty one, or one holding
+    whitespace or a character of ``banned``. Whitespace is what
+    ``_IN_TOKEN`` says it is, code point by code point, so ids and labels
+    follow the rule the parser splits lines by.
     """
+    if isinstance(tokens, str):
+        raise error(f"{name} {tokens!r} is one string; {name} takes a sequence of {kind}s")
+    tokens = tuple(tokens)
     joined = "".join(tokens)
     codes = _Text(joined, not joined.isascii()).codes
     if not (all(tokens) and _IN_TOKEN.take(codes, mode="clip").all()) or any(
@@ -85,6 +91,7 @@ def _check_tokens(
         bad = next(t for t in tokens if t.split() != [t] or any(c in t for c in banned))
         listed = " or ".join(map(repr, banned))
         raise error(f"{kind} {bad!r} is empty or holds whitespace or {listed}")
+    return tokens
 
 
 def _first_empty_run(
@@ -152,15 +159,20 @@ def _checked_phones(
 
 @dataclass(frozen=True)
 class PhonemeInventory:
-    """Ordered set of phoneme-class labels with label -> index lookup."""
+    """Ordered set of phoneme-class labels with label -> index lookup.
+
+    The labels are kept as a tuple; one string in place of the sequence
+    raises ``ValueError``, as a label an alignment file cannot carry does.
+    """
 
     symbols: tuple[str, ...]
     index_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        symbols = _check_tokens("phoneme label", self.symbols, "#", name="symbols")
+        object.__setattr__(self, "symbols", symbols)
         if not self.symbols:
             raise EmptyInventoryError()
-        _check_tokens("phoneme label", self.symbols, "#")
         index = dict(zip(self.symbols, range(len(self.symbols))))
         if len(index) < len(self.symbols):  # a label's entry holds its last index
             raise DuplicateLabelError(next(s for i, s in enumerate(self.symbols) if index[s] != i))
@@ -229,9 +241,11 @@ class Corpus:
     ``Corpus(inventory, phones, offsets, utterance_ids, speaker_ids)``,
     one speaker id per utterance, checks the table once: rows as
     :class:`AlignedUtterance` does with classes below the inventory size,
-    unique utterance ids, and ids an alignment file can carry (none empty
-    or holding whitespace or ``#``, no utterance id holding ``,``); each
-    raises ``ValueError``. ``from_utterances`` takes utterance objects.
+    unique utterance ids, ids an alignment file can carry (none empty or
+    holding whitespace or ``#``, no utterance id holding ``,``), and id
+    sequences that are not one string; each failure raises ``ValueError``.
+    The utterance ids are kept as a tuple. ``from_utterances`` takes
+    utterance objects.
     """
 
     inventory: PhonemeInventory
@@ -251,7 +265,8 @@ class Corpus:
         utterance_ids: Sequence[str],
         speaker_ids: Sequence[str],
     ) -> None:
-        utterance_ids = tuple(utterance_ids)
+        utterance_ids = _check_tokens("utterance id", utterance_ids, "#,", name="utterance_ids")
+        speaker_ids = _check_tokens("speaker id", speaker_ids, "#", name="speaker_ids")
         if len(speaker_ids) != len(utterance_ids):
             raise ValueError(f"{len(speaker_ids)} speaker ids for {len(utterance_ids)} utterances")
         by_utterance = dict(zip(utterance_ids, range(len(utterance_ids))))
@@ -259,8 +274,6 @@ class Corpus:
             dup = next(u for i, u in enumerate(utterance_ids) if by_utterance[u] != i)
             raise ValueError(f"duplicate utterance id {dup!r}")
         speakers = tuple(dict.fromkeys(speaker_ids))  # in order of first appearance
-        _check_tokens("utterance id", utterance_ids, "#,")
-        _check_tokens("speaker id", speakers, "#")
         phones = _checked_phones(phones, offsets, utterance_ids, inventory.size)
         number = dict(zip(speakers, range(len(speakers))))
         speaker_index = np.fromiter(
@@ -758,9 +771,7 @@ def parse_alignment(
     ``,`` in and reappearance of a new utterance's id or a speaker change
     inside an utterance, then the label.
     """
-    if isinstance(exclude, str):
-        raise ConfigError(f"exclude {exclude!r} is one string; exclude takes a sequence of labels")
-    _check_tokens("excluded label", exclude, "#", ConfigError)
+    exclude = _check_tokens("excluded label", exclude, "#", ConfigError, "exclude")
     parser = _Parser(inventory, exclude)
     if hasattr(source, "read"):
         for block in _chunk_blocks(source):

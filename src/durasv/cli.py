@@ -12,17 +12,18 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from importlib.metadata import PackageNotFoundError, version
 from inspect import signature
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import evaluation, synth
 from .alignment import Corpus, load_inventory, parse_alignment, write_alignment
 from .embeddings import score_trials_embedding
-from .errors import ConfigError, DurasvError, open_text
+from .errors import ConfigError, DurasvError, field_kinds, open_text
 from .metric import score_trials_metric
 from .model import ModelConfig, gradient_check, tiny_gradcheck_config
 from .model_io import load_model, save_model
@@ -52,6 +53,21 @@ def _load_corpus(align_path: str, inventory_path: str, exclude: list[str]) -> Co
         inventory = load_inventory(handle)
     with open_text(align_path) as handle:
         return parse_alignment(handle, inventory, exclude)
+
+
+def _add_config_options(parser: argparse.ArgumentParser, cls, skip: tuple[str, ...] = ()) -> None:
+    """One option per field of config dataclass ``cls`` not in ``skip``, dest the field name."""
+    named = {"learning_rate": "--lr", "encoder_channels": "--channels"}
+    kinds = field_kinds(cls)
+    for f in fields(cls):
+        if f.name not in skip:
+            kind, nargs = kinds[f.name]
+            base, op, least = get_args(kind)
+            parser.add_argument(
+                named.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name, type=base,
+                nargs=nargs, default=None if f.default is MISSING else f.default,
+                required=f.default is MISSING, help=f"{'each ' if nargs else ''}{op} {least}",
+            )
 
 
 def _from_args(cls, args: argparse.Namespace, **derived):
@@ -195,24 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--log", default=None, help="training log path")
-    # the options below reach ModelConfig/TrainConfig by dest name (_from_args);
-    # their defaults are the dataclass field defaults
-    p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--proj-dim", type=int, default=ModelConfig.proj_dim)
-    p.add_argument(
-        "--channels", dest="encoder_channels", type=int, default=ModelConfig.encoder_channels
-    )
-    p.add_argument(
-        "--dilations", type=int, nargs="+", default=ModelConfig.dilations, help="one per block"
-    )
-    p.add_argument("--kernel-width", type=int, default=ModelConfig.kernel_width)
-    p.add_argument("--embed-dim", type=int, default=ModelConfig.embed_dim)
-    p.add_argument("--attention-hidden", type=int, default=ModelConfig.attention_hidden)
-    p.add_argument("--chunk-min", type=int, default=TrainConfig.chunk_min)
-    p.add_argument("--chunk-max", type=int, default=TrainConfig.chunk_max)
+    _add_config_options(p, TrainConfig)
+    _add_config_options(p, ModelConfig, skip=("n_classes", "n_speakers"))  # from the corpus
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(

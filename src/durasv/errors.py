@@ -6,9 +6,8 @@ import math
 import numbers
 import operator
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Annotated, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -147,17 +146,30 @@ class ConfigError(DurasvError, ValueError):
     """
 
 
-def integer(name: str, value) -> int:
-    """``value`` as a plain int. ``operator.index`` takes Python and numpy
-    integers but no float or string, so a value is never rounded; a bool is
-    refused too.
+def integer(name: str, value, least: int) -> int:
+    """``value`` as a plain int, once it is at least ``least``. ``operator.index``
+    takes Python and numpy integers but no float or string, so a value is
+    never rounded; a bool is refused too.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}")
+    return value
+
+
+# The range kinds of config fields; ``check_fields`` reads one from a
+# field's annotation, alone or as the elements of a tuple. An int kind's
+# range is ``>= least``, as ``integer`` checks it.
+Count = Annotated[int, ">=", 1]
+Natural = Annotated[int, ">=", 0]
+Positive = Annotated[float, ">", 0]
+NonNegative = Annotated[float, ">=", 0]
 
 
 def vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -169,39 +181,55 @@ def vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return va, vb
 
 
-def check_fields(config) -> None:
-    """Store the numbers of a frozen config dataclass as plain ints and floats.
+def field_kinds(cls) -> dict[str, tuple]:
+    """``(kind, nargs)`` for each field of dataclass ``cls`` annotated with a
+    range kind, ``nargs`` ``"+"`` for a ``tuple[kind, ...]`` and else ``None``."""
+    kinds = {}
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        if get_origin(hint) is tuple and get_origin(get_args(hint)[0]) is Annotated:
+            kinds[name] = get_args(hint)[0], "+"
+        elif get_origin(hint) is Annotated:
+            kinds[name] = hint, None
+    return kinds
 
-    A field is read by its annotation, a string under postponed evaluation:
-    ``int`` and ``tuple[int, ...]`` fields take only integers (see
-    :func:`integer`), ``float`` fields only finite numbers.
-    """
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int":
-            value = integer(f.name, value)
-        elif f.type.startswith("tuple[int"):
-            try:
-                value = tuple(integer(f.name, v) for v in value)
-            except TypeError:
-                raise ConfigError(f"{f.name} must be integers, got {value!r}") from None
-        elif f.type == "float":
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-            value = float(value)
+
+def _in_range(name: str, kind, value) -> int | float:
+    base, op, least = get_args(kind)
+    if base is int:
+        return integer(name, value, least)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if value < least or (op == ">" and value == least):
+        raise ConfigError(f"{name} must be {op} {least}")
+    return float(value)
+
+
+def check_fields(config) -> None:
+    """Store the numbers of a frozen config dataclass as plain ints and floats,
+    each checked by its field's range kind (see :func:`field_kinds`): an ``int``
+    kind takes integers (see :func:`integer`), a ``float`` kind finite numbers."""
+    for name, (kind, nargs) in field_kinds(type(config)).items():
+        value = getattr(config, name)
+        if nargs is None:
+            value = _in_range(name, kind, value)
         else:
-            continue
-        object.__setattr__(config, f.name, value)
+            try:
+                items = tuple(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be a sequence, got {value!r}") from None
+            value = tuple(_in_range(name, kind, v) for v in items)
+        object.__setattr__(config, name, value)
 
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """``path`` opened as UTF-8 text. A byte that is not UTF-8 raises
-    :class:`NotUtf8Error`, counting lines as ``open()`` does: they end at
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped. A
+    byte that is not UTF-8 raises :class:`NotUtf8Error`, counting bytes
+    from the start of the file and lines as ``open()`` does: they end at
     ``\\n``, ``\\r\\n`` and a lone ``\\r``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             yield handle
         except UnicodeDecodeError:

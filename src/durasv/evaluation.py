@@ -20,7 +20,6 @@ import numpy as np
 
 from .alignment import Corpus
 from .errors import (
-    ConfigError,
     DegenerateScoreSetError,
     MalformedLineError,
     MixedSpeakerSetError,
@@ -42,9 +41,10 @@ _CI_Z = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
 class Trial:
     """One verification comparison between disjoint utterance sets.
 
-    Each set is a sequence of utterance ids; one string in its place
-    raises ``ValueError``, as an empty set, an empty or repeated id,
-    overlapping sets and an ``is_target`` that is not a ``bool`` do.
+    Each set is a sequence of utterance ids, kept as a tuple; one string
+    in its place raises ``ValueError``, as an empty set, an empty or
+    repeated id, overlapping sets and an ``is_target`` that is not a
+    ``bool`` do.
     """
 
     enroll_speaker: str
@@ -56,10 +56,15 @@ class Trial:
         # any truthy value would be written and checked as a target trial
         if not isinstance(self.is_target, bool):
             raise ValueError(f"is_target must be a bool, got {self.is_target!r}")
+        # tuples pass as they are: a trial list builds thousands of trials
+        if not (type(self.enroll_utts) is tuple and type(self.trial_utts) is tuple):
+            for name in ("enroll_utts", "trial_utts"):
+                utts = getattr(self, name)
+                if isinstance(utts, str):
+                    raise ValueError(f"utterance set {utts!r} is one string, not a sequence of ids")
+                object.__setattr__(self, name, tuple(utts))
         enroll, trial = set(self.enroll_utts), set(self.trial_utts)
         for utts, distinct in ((self.enroll_utts, enroll), (self.trial_utts, trial)):
-            if isinstance(utts, str):
-                raise ValueError(f"utterance set {utts!r} is one string, not a sequence of ids")
             if not utts:
                 raise ValueError("empty utterance set")
             if "" in distinct:
@@ -154,13 +159,9 @@ def build_trials(
     enrollment set with up to ``max_nontarget_per_speaker`` trial sets
     sampled from other speakers. Deterministic under ``seed``.
     """
-    n_enroll, n_trial = integer("n_enroll", n_enroll), integer("n_trial", n_trial)
-    seed = integer("seed", seed)
-    max_nontarget_per_speaker = integer("max_nontarget_per_speaker", max_nontarget_per_speaker)
-    if n_enroll < 1 or n_trial < 1 or max_nontarget_per_speaker < 0:
-        raise ConfigError("need n_enroll >= 1, n_trial >= 1 and max_nontarget >= 0")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    n_enroll, n_trial = integer("n_enroll", n_enroll, 1), integer("n_trial", n_trial, 1)
+    seed = integer("seed", seed, 0)
+    max_nontarget_per_speaker = integer("max_nontarget_per_speaker", max_nontarget_per_speaker, 0)
     rng = np.random.default_rng([seed, n_enroll, n_trial])
 
     eligible: list[str] = []
@@ -307,9 +308,10 @@ def compute_eer(scores: ScoreSet) -> tuple[float, float]:
     if tar.size == 0 or non.size == 0:
         raise DegenerateScoreSetError("need at least one target and one nontarget")
 
-    # candidate thresholds: every score, plus one past the maximum
+    # candidate thresholds: every score, plus one past the maximum, or the
+    # next float up where adding 1 rounds back to it (|score| >= 2^53)
     cand = np.unique(np.concatenate([tar, non]))
-    cand = np.append(cand, cand[-1] + 1.0)
+    cand = np.append(cand, max(cand[-1] + 1.0, np.nextafter(cand[-1], np.inf)))
     # accept iff score >= t
     far = 1.0 - np.searchsorted(non, cand, side="left") / non.size
     frr = np.searchsorted(tar, cand, side="left") / tar.size
@@ -332,8 +334,7 @@ def eer_confidence_interval(eer: float, n_trials: int) -> float:
     """Halfwidth of the 95% binomial normal-approximation interval."""
     if not 0.0 <= eer <= 1.0:
         raise ValueError("eer must lie in [0, 1]")
-    if integer("n_trials", n_trials) < 1:
-        raise ValueError("n_trials must be >= 1")
+    integer("n_trials", n_trials, 1)
     return _CI_Z * float(np.sqrt(eer * (1.0 - eer) / n_trials))
 
 

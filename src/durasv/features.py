@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import AlignedUtterance, PhonemeInventory
-from .errors import ConfigError, EmptyInputError, MixedSpeakerSetError, ShapeMismatchError, integer
+from .errors import EmptyInputError, MixedSpeakerSetError, ShapeMismatchError, integer
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,8 @@ def make_chunks(
     utterances and ``MixedSpeakerSetError``, its ids in shuffled order, for
     more than one speaker's.
     """
-    min_len, max_len = integer("min_len", min_len), integer("max_len", max_len)
-    if not 1 <= min_len <= max_len:
-        raise ConfigError(f"chunk lengths need 1 <= min_len <= max_len, got {min_len}..{max_len}")
+    min_len = integer("min_len", min_len, 1)
+    max_len = integer("max_len", max_len, min_len)
     shuffled = [utterances[i] for i in rng.permutation(len(utterances))]
     speakers = sorted({u.speaker_id for u in shuffled})
     if len(speakers) > 1:

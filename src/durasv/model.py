@@ -62,7 +62,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .alignment import _first_empty_run
-from .errors import ConfigError, ShapeMismatchError, check_fields, integer
+from .errors import ConfigError, Count, ShapeMismatchError, check_fields, integer
 from .features import DurationFeatureSequence
 
 # keeps the pooled standard deviation differentiable at zero variance
@@ -78,23 +78,19 @@ _GROUP_PHONES = 192
 class ModelConfig:
     """Encoder dimensions; one dilated convolution block per dilation."""
 
-    n_classes: int
-    n_speakers: int
-    proj_dim: int = 128
-    encoder_channels: int = 128
-    dilations: tuple[int, ...] = (1, 2, 3)
-    kernel_width: int = 3
-    embed_dim: int = 128
-    attention_hidden: int = 64
+    n_classes: Count
+    n_speakers: Count
+    proj_dim: Count = 128
+    encoder_channels: Count = 128
+    dilations: tuple[Count, ...] = (1, 2, 3)
+    kernel_width: Count = 3
+    embed_dim: Count = 128
+    attention_hidden: Count = 64
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if any(v < 1 for v in vars(self).values() if isinstance(v, int)):
-            raise ConfigError("all model dimensions must be >= 1")
         if not self.dilations:
             raise ConfigError("need at least one dilation")
-        if min(self.dilations) < 1:
-            raise ConfigError("dilations must be >= 1")
         if self.kernel_width % 2 == 0:
             raise ConfigError("kernel width must be odd for centered padding")
 
@@ -837,11 +833,7 @@ def gradient_check(config: ModelConfig, seed: int = 0, n_draws: int = 20) -> Gra
     values, and each loss equals that pass's to the bit: the report is
     the one full passes give.
     """
-    seed, n_draws = integer("seed", seed), integer("n_draws", n_draws)
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if n_draws < 1:
-        raise ConfigError("n_draws must be >= 1")
+    seed, n_draws = integer("seed", seed, 0), integer("n_draws", n_draws, 1)
     errors: list[float] = []
     n_params = 0
     for draw in range(n_draws):

@@ -16,7 +16,9 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .alignment import Corpus, PhonemeInventory, _checked_phones
-from .errors import ConfigError, check_fields, integer, open_text
+from .errors import (
+    ConfigError, Count, Natural, NonNegative, Positive, check_fields, integer, open_text
+)
 
 
 @dataclass(frozen=True)
@@ -28,25 +30,19 @@ class SpeakerProfile:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_speakers: int
-    utts_per_speaker: int
-    phones_per_utt: tuple[int, int]
+    n_speakers: Count
+    utts_per_speaker: Count
+    phones_per_utt: tuple[Count, ...]  # [lo, hi]
     population_log_mean: np.ndarray  # (N,)
-    sigma_speaker: float
-    sigma_token: float
-    seed: int
+    sigma_speaker: NonNegative
+    sigma_token: Positive
+    seed: Natural
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.n_speakers < 1 or self.utts_per_speaker < 1:
-            raise ConfigError("need at least one speaker and one utterance each")
         span = self.phones_per_utt
-        if len(span) != 2 or not 1 <= span[0] <= span[1]:
-            raise ConfigError("phones_per_utt must be [lo, hi] with 1 <= lo <= hi")
-        if self.sigma_speaker < 0.0:
-            raise ConfigError("sigma_speaker must be >= 0")
-        if self.sigma_token <= 0.0:
-            raise ConfigError("sigma_token must be > 0")
+        if len(span) != 2 or span[0] > span[1]:
+            raise ConfigError("phones_per_utt must be [lo, hi] with lo <= hi")
         try:
             mean = np.asarray(self.population_log_mean)
             usable = mean.dtype.kind in "iuf" and mean.ndim == 1 and mean.size > 0
@@ -55,8 +51,6 @@ class SynthConfig:
         if not (usable and np.isfinite(mean).all()):
             raise ConfigError("population_log_mean must be a non-empty 1-d array of finite numbers")
         object.__setattr__(self, "population_log_mean", mean.astype(np.float64))
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
     @property
     def n_classes(self) -> int:
@@ -72,10 +66,10 @@ class SynthConfig:
         if not isinstance(data, Mapping):
             raise ConfigError("bad synthesis config: not a JSON object")
         data = dict(data)
-        n_classes = integer("n_classes", data.pop("n_classes")) if "n_classes" in data else None
+        n_classes = integer("n_classes", data.pop("n_classes"), 1) if "n_classes" in data else None
         if not isinstance(data.get("population_log_mean", []), (list, tuple, np.ndarray)):
-            if n_classes is None or n_classes < 1:
-                raise ConfigError("a single-number population_log_mean needs n_classes >= 1")
+            if n_classes is None:
+                raise ConfigError("a single-number population_log_mean needs n_classes")
             data["population_log_mean"] = np.full(n_classes, data["population_log_mean"])
         try:
             config = cls(**data)

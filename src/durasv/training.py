@@ -16,11 +16,8 @@ import numpy as np
 
 from .alignment import Corpus
 from .errors import (
-    ConfigError,
-    InsufficientSpeakersError,
-    ShapeMismatchError,
-    TrainingDivergedError,
-    check_fields,
+    ConfigError, Count, InsufficientSpeakersError, Natural, Positive, ShapeMismatchError,
+    TrainingDivergedError, check_fields,
 )
 from .features import make_chunks
 from .model import Batch, ModelConfig, ModelParams, init_model, loss_and_grad, pad_batch
@@ -34,21 +31,17 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    seed: int = 0
-    chunk_min: int = 32
-    chunk_max: int = 256
+    epochs: Natural
+    batch_size: Count = 32
+    learning_rate: Positive = 1e-3
+    seed: Natural = 0
+    chunk_min: Count = 32
+    chunk_max: Count = 256
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ConfigError("need epochs >= 0, batch size >= 1 and learning rate > 0")
-        if not 1 <= self.chunk_min <= self.chunk_max:
-            raise ConfigError("chunk lengths must satisfy 1 <= chunk_min <= chunk_max")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if self.chunk_min > self.chunk_max:
+            raise ConfigError("chunk lengths must satisfy chunk_min <= chunk_max")
 
 
 @dataclass

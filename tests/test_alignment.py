@@ -28,8 +28,10 @@ from durasv.errors import (
     EmptyInventoryError,
     MalformedLineError,
     NonPositiveLengthError,
+    NotUtf8Error,
     UnknownPhonemeError,
     UnknownUtteranceError,
+    open_text,
 )
 from durasv.evaluation import build_trials
 from durasv.metric import score_trials_metric
@@ -180,6 +182,30 @@ class TestInventory:
         inv = arpabet_positional_inventory()
         for i, label in enumerate(inv.symbols):
             assert inv.index_of[label] == i
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+    def test_files_read_alike_with_and_without_a_mark(self, tmp_path, mark):
+        # a marked alignment once gave the speakers ('\ufeffS001', 'S001'),
+        # and a marked inventory left its first label unmatched
+        (tmp_path / "inventory.txt").write_bytes(mark + b"AA\nB\n")
+        (tmp_path / "alignment.txt").write_bytes(mark + b"S001 u1 AA 3\nS001 u2 B 4\n")
+        with open_text(tmp_path / "inventory.txt") as handle:
+            inventory = load_inventory(handle)
+        with open_text(tmp_path / "alignment.txt") as handle:
+            corpus = parse_alignment(handle, inventory)
+        assert inventory.symbols == ("AA", "B")
+        assert corpus.speakers == ("S001",) and corpus.utterance_ids == ("u1", "u2")
+        assert corpus.phones.tolist() == [[0, 3], [1, 4]]
+
+    def test_bad_byte_counted_from_the_first_byte_of_a_marked_file(self, tmp_path):
+        path = tmp_path / "inventory.txt"
+        path.write_bytes(b"\xef\xbb\xbfAA\n\xe9B\n")
+        with pytest.raises(NotUtf8Error) as err:
+            with open_text(path) as handle:
+                load_inventory(handle)
+        assert (err.value.line, err.value.offset) == (2, 6)
 
 
 class TestParseAlignment:
@@ -398,6 +424,27 @@ class TestCorpusValidation:
             PhonemeInventory(("A", "B", "A"))
         assert isinstance(err.value, DuplicateLabelError) and err.value.line is None
         assert str(err.value) == "duplicate phoneme label 'A'"
+
+    def test_label_and_id_sequences_kept_as_tuples(self):
+        assert PhonemeInventory(["a", "b"]) == PhonemeInventory(("a", "b"))
+        assert PhonemeInventory(["a", "b"]).symbols == ("a", "b")
+        corpus = Corpus(self.INV, np.array([[0, 3], [1, 2]]), [0, 1, 2], ["u1", "u2"], ["a", "a"])
+        assert corpus.utterance_ids == ("u1", "u2") and corpus.speakers == ("a",)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("ABC",), "symbols"),
+            ((INV, np.array([[0, 3], [1, 2]]), [0, 1, 2], "ab", "ss"), "utterance_ids"),
+            ((INV, np.array([[0, 3], [1, 2]]), [0, 1, 2], ("a", "b"), "ss"), "speaker_ids"),
+        ],
+        ids=["inventory-labels", "utterance-ids", "speaker-ids"],
+    )
+    def test_one_string_in_place_of_a_sequence_refused(self, args, name):
+        # a string is a sequence of its characters: "ABC" built the labels A, B and C
+        build = PhonemeInventory if len(args) == 1 else Corpus
+        with pytest.raises(ValueError, match=f"^{name} '[a-zA-Z]+' is one string; {name} takes"):
+            build(*args)
 
     @pytest.mark.parametrize(
         "tokens, bad",

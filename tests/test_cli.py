@@ -1,5 +1,6 @@
+import argparse
 import json
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from durasv.alignment import Corpus, arpabet_positional_inventory, write_alignment
 from durasv.cli import build_parser, main
-from durasv.model import loss_and_grad
+from durasv.model import ModelConfig, loss_and_grad
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers
+from durasv.training import TrainConfig
 
 
 @pytest.fixture
@@ -183,6 +185,16 @@ class TestTrialsCommand:
         with open(tmp_path / "alignment.txt", "w", encoding="utf-8") as sink:
             write_alignment(Corpus.from_utterances(inventory, corpus.utterances), sink)
         assert run_trials(tmp_path, tmp_path / "trials.txt") == 0
+
+    def test_byte_order_mark_changes_no_trial(self, corpus_dir, tmp_path):
+        # a BOM once made "\ufeffS001" a speaker of its own, next to "S001"
+        assert run_trials(corpus_dir, tmp_path / "plain.txt") == 0
+        for name in ("alignment.txt", "inventory.txt"):
+            path = corpus_dir / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run_trials(corpus_dir, tmp_path / "marked.txt") == 0
+        marked = (tmp_path / "marked.txt").read_bytes()
+        assert marked == (tmp_path / "plain.txt").read_bytes()
 
 
 class TestScoreAndEval:
@@ -379,10 +391,10 @@ class TestConfigErrors:
         "options, words",
         [
             (["--kernel-width", "2"], "kernel width"),
-            (["--batch-size", "0"], "batch size"),
+            (["--batch-size", "0"], "batch_size must be >= 1"),
             (["--dilations", "0"], "dilations"),
             (["--chunk-min", "300", "--chunk-max", "256"], "chunk_min <= chunk_max"),
-            (["--chunk-min", "0"], "1 <= chunk_min"),
+            (["--chunk-min", "0"], "chunk_min must be >= 1"),
             (["--seed", "-1"], "seed must be >= 0"),
         ],
         ids=[
@@ -404,9 +416,12 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "options, words",
         [
-            (["--n-enroll", "0", "--n-trial", "1"], "n_enroll >= 1"),
-            (["--n-enroll", "1", "--n-trial", "0"], "n_enroll >= 1"),
-            (["--n-enroll", "1", "--n-trial", "1", "--max-nontarget", "-1"], "n_enroll >= 1"),
+            (["--n-enroll", "0", "--n-trial", "1"], "n_enroll must be >= 1"),
+            (["--n-enroll", "1", "--n-trial", "0"], "n_trial must be >= 1"),
+            (
+                ["--n-enroll", "1", "--n-trial", "1", "--max-nontarget", "-1"],
+                "max_nontarget_per_speaker must be >= 0",
+            ),
             (["--n-enroll", "1", "--n-trial", "1", "--seed", "-1"], "seed must be >= 0"),
             (["--n-enroll", "1", "--n-trial", "1", "--exclude", "SIL "], "excluded label"),
         ],
@@ -466,7 +481,36 @@ class TestConfigErrors:
         assert_one_line_error(capsys, out, "8 phone classes, inventory has 6")
 
 
+def test_eer_of_scores_past_two_to_the_53(tmp_path, capsys):
+    # 2e16 + 1.0 rounds back to 2e16, so no threshold rejected both trials
+    # and compute_eer died with an IndexError
+    scores = tmp_path / "big.scores"
+    scores.write_text(
+        "# scores polarity=larger-is-similar\ne1 t1 2e16 target\ne2 t2 2e16 nontarget\n"
+    )
+    assert main(["eval", str(scores), "--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["cells"][0]["eer"] == 0.5
+
+
 class TestTrainCommand:
+    def test_one_option_per_config_field(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest: a for a in sub.choices["train"]._actions}
+        config = [
+            f for cls in (ModelConfig, TrainConfig) for f in fields(cls)
+            if f.name not in ("n_classes", "n_speakers")
+        ]
+        others = {"help", "align", "inventory", "exclude", "out", "log"}
+        assert set(options) == {f.name for f in config} | others
+        named = {"learning_rate": ["--lr"], "encoder_channels": ["--channels"]}
+        for f in config:
+            option = options[f.name]
+            assert option.option_strings == named.get(f.name, ["--" + f.name.replace("_", "-")])
+            assert option.required == (f.default is MISSING)
+            assert option.default == (None if option.required else f.default)
+            assert option.type is (float if f.name == "learning_rate" else int)
+            assert option.nargs == ("+" if f.name == "dilations" else None)
+
     def test_train_and_embedding_score_pipeline(self, corpus_dir, tmp_path):
         model = tmp_path / "model.bin"
         rc = main(

@@ -85,6 +85,11 @@ class TestComputeEer:
         eer, _ = compute_eer(score_set([0.9, 0.8, 0.4], [0.5, 0.2, 0.1]))
         assert eer == pytest.approx(1.0 / 3.0, abs=1e-15)
 
+    def test_scores_past_two_to_the_53(self):
+        # 2e16 + 1.0 == 2e16: the threshold past the top score must still be above it
+        assert compute_eer(score_set([2e16], [2e16]))[0] == 0.5
+        assert compute_eer(score_set([-2e16], [-2e16]))[0] == 0.5
+
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateScoreSetError):
             compute_eer(score_set([0.5], []))
@@ -230,10 +235,14 @@ class TestBuildTrials:
 
 def reference_build_trials(corpus, n_enroll, n_trial, seed, max_nontarget_per_speaker=20):
     """The pool-list construction ``build_trials`` must agree with."""
-    if n_enroll < 1 or n_trial < 1 or max_nontarget_per_speaker < 0:
-        raise ConfigError("need n_enroll >= 1, n_trial >= 1 and max_nontarget >= 0")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    for name, value, least in [
+        ("n_enroll", n_enroll, 1),
+        ("n_trial", n_trial, 1),
+        ("seed", seed, 0),
+        ("max_nontarget_per_speaker", max_nontarget_per_speaker, 0),
+    ]:
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}")
     rng = np.random.default_rng([seed, n_enroll, n_trial])
     eligible = [s for s in corpus.speakers if len(corpus.by_speaker[s]) >= n_enroll + n_trial]
     skipped = [s for s in corpus.speakers if s not in eligible]
@@ -360,6 +369,12 @@ class TestEvaluateAndIo:
         # "s a,b c,d target" for Trial("s", "ab", "cd", True)
         with pytest.raises(ValueError, match="is one string"):
             Trial("s", enroll, trial, True)
+
+    def test_utterance_sets_kept_as_tuples(self):
+        # a list once built, and then failed scoring with "unhashable type: 'list'"
+        trial, same = Trial("s", ["a"], ["b"], True), Trial("s", ("a",), ("b",), True)
+        assert trial.enroll_utts == ("a",) and trial.trial_utts == ("b",)
+        assert trial == same and hash(trial) == hash(same)
 
     @pytest.mark.parametrize("is_target", ["no", 1, 0, None, np.True_])
     def test_non_bool_is_target_rejected(self, is_target):

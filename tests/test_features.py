@@ -242,7 +242,8 @@ class TestMakeChunks:
     def test_chunk_bounds_rejected(self, n_phones, min_len, max_len):
         # 30 phones is less than min_len = 50 and 100 more: both paths check
         utts = [utterance("sp", "u0", [(0, 2)] * n_phones)]
-        with pytest.raises(ConfigError, match="1 <= min_len <= max_len"):
+        want = f"^max_len must be >= {min_len}$" if min_len >= 1 else "^min_len must be >= 1$"
+        with pytest.raises(ConfigError, match=want):
             make_chunks(utts, inventory(1), np.random.default_rng(0), min_len, max_len)
 
     @pytest.mark.parametrize(
