@@ -61,12 +61,13 @@ def _add_config_options(parser: argparse.ArgumentParser, cls, skip: tuple[str, .
     kinds = field_kinds(cls)
     for f in fields(cls):
         if f.name not in skip:
-            kind, nargs = kinds[f.name]
+            kind, is_tuple = kinds[f.name]
             base, op, least = get_args(kind)
             parser.add_argument(
                 named.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name, type=base,
-                nargs=nargs, default=None if f.default is MISSING else f.default,
-                required=f.default is MISSING, help=f"{'each ' if nargs else ''}{op} {least}",
+                nargs="+" if is_tuple else None,
+                default=None if f.default is MISSING else f.default, required=f.default is MISSING,
+                help=f"{'each ' if is_tuple else ''}{op} {least}",
             )
 
 

@@ -182,14 +182,14 @@ def vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def field_kinds(cls) -> dict[str, tuple]:
-    """``(kind, nargs)`` for each field of dataclass ``cls`` annotated with a
-    range kind, ``nargs`` ``"+"`` for a ``tuple[kind, ...]`` and else ``None``."""
+    """``(kind, is_tuple)`` for each field of dataclass ``cls`` annotated with
+    a range kind, ``is_tuple`` true for a ``tuple[kind, ...]``."""
     kinds = {}
     for name, hint in get_type_hints(cls, include_extras=True).items():
         if get_origin(hint) is tuple and get_origin(get_args(hint)[0]) is Annotated:
-            kinds[name] = get_args(hint)[0], "+"
+            kinds[name] = get_args(hint)[0], True
         elif get_origin(hint) is Annotated:
-            kinds[name] = hint, None
+            kinds[name] = hint, False
     return kinds
 
 
@@ -209,9 +209,9 @@ def check_fields(config) -> None:
     """Store the numbers of a frozen config dataclass as plain ints and floats,
     each checked by its field's range kind (see :func:`field_kinds`): an ``int``
     kind takes integers (see :func:`integer`), a ``float`` kind finite numbers."""
-    for name, (kind, nargs) in field_kinds(type(config)).items():
+    for name, (kind, is_tuple) in field_kinds(type(config)).items():
         value = getattr(config, name)
-        if nargs is None:
+        if not is_tuple:
             value = _in_range(name, kind, value)
         else:
             try:

@@ -56,13 +56,11 @@ class Trial:
         # any truthy value would be written and checked as a target trial
         if not isinstance(self.is_target, bool):
             raise ValueError(f"is_target must be a bool, got {self.is_target!r}")
-        # tuples pass as they are: a trial list builds thousands of trials
-        if not (type(self.enroll_utts) is tuple and type(self.trial_utts) is tuple):
-            for name in ("enroll_utts", "trial_utts"):
-                utts = getattr(self, name)
-                if isinstance(utts, str):
-                    raise ValueError(f"utterance set {utts!r} is one string, not a sequence of ids")
-                object.__setattr__(self, name, tuple(utts))
+        for name in ("enroll_utts", "trial_utts"):
+            utts = getattr(self, name)
+            if isinstance(utts, str):
+                raise ValueError(f"utterance set {utts!r} is one string, not a sequence of ids")
+            object.__setattr__(self, name, tuple(utts))
         enroll, trial = set(self.enroll_utts), set(self.trial_utts)
         for utts, distinct in ((self.enroll_utts, enroll), (self.trial_utts, trial)):
             if not utts:
@@ -309,9 +307,12 @@ def compute_eer(scores: ScoreSet) -> tuple[float, float]:
         raise DegenerateScoreSetError("need at least one target and one nontarget")
 
     # candidate thresholds: every score, plus one past the maximum, or the
-    # next float up where adding 1 rounds back to it (|score| >= 2^53)
+    # next float up where adding 1 rounds back to it (|score| >= 2^53); that
+    # is inf past the largest float, and a threshold may overflow, so
+    # overflow is let through and a non-finite threshold refused below
     cand = np.unique(np.concatenate([tar, non]))
-    cand = np.append(cand, max(cand[-1] + 1.0, np.nextafter(cand[-1], np.inf)))
+    with np.errstate(over="ignore"):
+        cand = np.append(cand, max(cand[-1] + 1.0, np.nextafter(cand[-1], np.inf)))
     # accept iff score >= t
     far = 1.0 - np.searchsorted(non, cand, side="left") / non.size
     frr = np.searchsorted(tar, cand, side="left") / tar.size
@@ -326,7 +327,10 @@ def compute_eer(scores: ScoreSet) -> tuple[float, float]:
     r1, r2 = frr[i - 1], frr[i]
     lam = (a1 - r1) / ((a1 - r1) - (a2 - r2))
     eer = a1 + lam * (a2 - a1)
-    threshold = cand[i - 1] + lam * (cand[i] - cand[i - 1])
+    with np.errstate(over="ignore"):
+        threshold = cand[i - 1] + lam * (cand[i] - cand[i - 1])
+    if not np.isfinite(threshold):
+        raise DegenerateScoreSetError("EER threshold lies past the largest finite float")
     return float(eer), float(threshold)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -490,6 +491,20 @@ def test_eer_of_scores_past_two_to_the_53(tmp_path, capsys):
     )
     assert main(["eval", str(scores), "--out", str(tmp_path / "r.json")]) == 0
     assert json.loads((tmp_path / "r.json").read_text())["cells"][0]["eer"] == 0.5
+
+
+def test_eer_threshold_past_the_largest_float_refused(tmp_path, capsys):
+    # the next float up from the largest is inf, which went into the report
+    # as "threshold": Infinity, not JSON
+    scores = tmp_path / "max.scores"
+    top = sys.float_info.max
+    scores.write_text(
+        f"# scores polarity=larger-is-similar\ne1 t1 {top!r} target\ne2 t2 {top!r} nontarget\n"
+    )
+    assert main(["eval", str(scores), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "largest finite float" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 class TestTrainCommand:

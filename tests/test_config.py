@@ -63,9 +63,9 @@ def test_every_number_field_carries_a_known_kind(cls):
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
 def test_each_field_refuses_its_kinds_first_bad_value(cls, name):
-    kind, nargs = field_kinds(cls)[name]
+    kind, is_tuple = field_kinds(cls)[name]
     bad, bound = FIRST_BAD[kind]
-    value = bad if nargs is None else (bad, bad)
+    value = (bad, bad) if is_tuple else bad
     with pytest.raises(ConfigError, match=f"^{name} must be {bound}$"):
         cls(**{**VALID[cls], name: value})
 

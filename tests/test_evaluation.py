@@ -1,4 +1,5 @@
 import io
+import sys
 from typing import get_args
 
 import numpy as np
@@ -89,6 +90,16 @@ class TestComputeEer:
         # 2e16 + 1.0 == 2e16: the threshold past the top score must still be above it
         assert compute_eer(score_set([2e16], [2e16]))[0] == 0.5
         assert compute_eer(score_set([-2e16], [-2e16]))[0] == 0.5
+
+    def test_threshold_past_the_largest_float_refused(self):
+        # no finite float lies above the top score, nor between the two
+        # scores' interpolation when their difference overflows
+        top = sys.float_info.max
+        for tar, non in (([top], [top]), ([-1e308], [-1e308, 1e308])):
+            with pytest.raises(DegenerateScoreSetError, match="past the largest finite float"):
+                compute_eer(score_set(tar, non))
+        # the top candidate may be inf while the crossing lies below it
+        assert compute_eer(score_set([top], [0.0])) == (0.0, top)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateScoreSetError):
