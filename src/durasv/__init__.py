@@ -8,7 +8,6 @@ and a synthetic corpus generator for quantitative validation.
 """
 
 from .alignment import (
-    AlignedUtterance,
     Corpus,
     PhonemeInventory,
     arpabet_positional_inventory,
@@ -52,7 +51,6 @@ from .training import TrainConfig, TrainResult, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedUtterance",
     "Batch",
     "Corpus",
     "DurationFeatureSequence",

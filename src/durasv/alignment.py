@@ -15,8 +15,8 @@ integers, never converted to seconds, and at most 2^31 - 1: in memory a
 ``(P, 2)`` int32 array of (class index, frame count) rows, with each
 utterance a run of rows between two offsets. Its one constructor checks
 the table and the ids by these rules, whether the parser, the
-synthesizer or a caller built it; an :class:`AlignedUtterance` taken
-from a corpus is an unchecked view of its run.
+synthesizer or a caller built it; an :class:`AlignedUtterance` is a
+view of one run, taken from a corpus and never built on its own.
 
 ``parse_alignment`` parses its source in blocks of whole lines. A
 file-like source is read in chunks of text, each block ending at a
@@ -49,6 +49,7 @@ from .errors import (
     NonPositiveLengthError,
     UnknownPhonemeError,
     UnknownUtteranceError,
+    text_source,
 )
 
 ARPABET_VOWELS = (
@@ -74,16 +75,20 @@ def _check_tokens(
 ) -> tuple[str, ...]:
     """``tokens``, the argument ``name``, as a tuple of ``kind`` tokens.
 
-    Raise ``error`` for one string in place of the sequence, and for a
-    token an alignment file cannot carry: an empty one, or one holding
-    whitespace or a character of ``banned``. Whitespace is what
-    ``_IN_TOKEN`` says it is, code point by code point, so ids and labels
-    follow the rule the parser splits lines by.
+    Raise ``error`` for one string in place of the sequence, for a token
+    that is not a string, and for a token an alignment file cannot carry:
+    an empty one, or one holding whitespace or a character of ``banned``.
+    Whitespace is what ``_IN_TOKEN`` says it is, code point by code point,
+    so ids and labels follow the rule the parser splits lines by.
     """
     if isinstance(tokens, str):
         raise error(f"{name} {tokens!r} is one string; {name} takes a sequence of {kind}s")
     tokens = tuple(tokens)
-    joined = "".join(tokens)
+    try:
+        joined = "".join(tokens)
+    except TypeError:
+        bad = next(t for t in tokens if not isinstance(t, str))
+        raise error(f"{kind} {bad!r} is not a string") from None
     codes = _Text(joined, not joined.isascii()).codes
     if not (all(tokens) and _IN_TOKEN.take(codes, mode="clip").all()) or any(
         c in joined for c in banned
@@ -117,23 +122,22 @@ def _first_empty_run(
 
 
 def _checked_phones(
-    phones, offsets: np.ndarray | None, utterance_ids: Sequence[str], n_classes: int | None = None
+    phones, offsets: Sequence[int] | np.ndarray, utterance_ids: Sequence[str],
+    n_classes: int | None = None,
 ) -> np.ndarray:
     """``phones`` as a read-only int32 array, once every row is checked.
 
     Utterance ``utterance_ids[i]`` holds rows ``offsets[i]:offsets[i + 1]``,
-    at least one (``None``: one utterance holds every row). Rows are integer
-    (class, frames) pairs, the class in ``[0, n_classes)`` (``>= 0`` with no
-    ``n_classes``) and frames in ``[1, 2^31 - 1]``, so the cast never wraps.
-    A ``ValueError`` names the utterance of the first bad row, looked for
-    only once column minima and maxima show one.
+    at least one. Rows are integer (class, frames) pairs, the class in
+    ``[0, n_classes)`` (``>= 0`` with no ``n_classes``) and frames in
+    ``[1, 2^31 - 1]``, so the cast never wraps. A ``ValueError`` names the
+    utterance of the first bad row, looked for only once column minima and
+    maxima show one.
     """
     table = np.asarray(phones)
     if table.dtype.kind not in "iu" or table.shape[1:] != (2,):
-        owner = "corpus" if offsets is not None else f"utterance {utterance_ids[0]!r}"
-        raise ValueError(f"{owner} needs (K, 2) integer phones")
-    ends = np.asarray((0, len(table)) if offsets is None else offsets)
-    empty = _first_empty_run(ends, len(table), len(utterance_ids), "utterance")
+        raise ValueError("corpus needs (K, 2) integer phones")
+    empty = _first_empty_run(offsets, len(table), len(utterance_ids), "utterance")
     if empty is not None:
         raise ValueError(f"utterance {utterance_ids[empty]!r} holds no phones")
     classes, frames = table[:, 0], table[:, 1]
@@ -143,7 +147,7 @@ def _checked_phones(
         and 1 <= frames.min() <= frames.max() <= _MAX_FRAMES
     ):
         row = np.argmax((classes < 0) | (classes >= top) | (frames < 1) | (frames > _MAX_FRAMES))
-        utt_id = utterance_ids[np.searchsorted(ends, row, "right") - 1]
+        utt_id = utterance_ids[np.searchsorted(offsets, row, "right") - 1]
         values = table[row].tolist()
         if not all(-_MAX_FRAMES - 1 <= v <= _MAX_FRAMES for v in values):
             raise ValueError(f"utterance {utt_id!r}: phones exceed int32")
@@ -189,39 +193,20 @@ class PhonemeInventory:
         return label in self.index_of
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class AlignedUtterance:
-    """Speaker-labeled phones in temporal order.
+    """One utterance of a :class:`Corpus`, as a view of its run of rows.
 
-    ``phones`` is one read-only ``(K, 2)`` int32 array, ``K >= 1``, of
-    (class index >= 0, frame count >= 1) rows. Other integer arrays are
-    stored as int32; a value outside the int32 range is rejected, never
-    wrapped. A :class:`Corpus` bounds the classes by its inventory.
+    ``phones`` is the read-only ``(K, 2)`` int32 slice, ``K >= 1``, of the
+    corpus table that holds the utterance's (class index, frame count)
+    rows, checked when the corpus was built. ``Corpus.utterance``,
+    ``utterances_of`` and ``utterances`` give views; none is built on its
+    own.
     """
 
     utterance_id: str
     speaker_id: str
-    phones: np.ndarray  # (K, 2) int32
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phones", _checked_phones(self.phones, None, (self.utterance_id,)))
-
-    @classmethod
-    def _view(cls, utterance_id: str, speaker_id: str, phones: np.ndarray) -> AlignedUtterance:
-        """An utterance over rows of a corpus table, which were checked when it was built."""
-        view = object.__new__(cls)
-        object.__setattr__(view, "utterance_id", utterance_id)
-        object.__setattr__(view, "speaker_id", speaker_id)
-        object.__setattr__(view, "phones", phones)
-        return view
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AlignedUtterance)
-            and self.utterance_id == other.utterance_id
-            and self.speaker_id == other.speaker_id
-            and np.array_equal(self.phones, other.phones)
-        )
+    phones: np.ndarray  # (K, 2) int32, read-only
 
     def __len__(self) -> int:
         return len(self.phones)
@@ -239,13 +224,14 @@ class Corpus:
     ``phones``.
 
     ``Corpus(inventory, phones, offsets, utterance_ids, speaker_ids)``,
-    one speaker id per utterance, checks the table once: rows as
-    :class:`AlignedUtterance` does with classes below the inventory size,
-    unique utterance ids, ids an alignment file can carry (none empty or
-    holding whitespace or ``#``, no utterance id holding ``,``), and id
-    sequences that are not one string; each failure raises ``ValueError``.
-    The utterance ids are kept as a tuple. ``from_utterances`` takes
-    utterance objects.
+    one speaker id per utterance, is the one way a corpus is built. It
+    checks the table once: integer rows of a class below the inventory size
+    and a frame count in ``[1, 2^31 - 1]``, stored as int32 and never
+    wrapped; offsets that give every utterance a row; unique utterance
+    ids; ids an alignment file can carry (none empty or holding whitespace
+    or ``#``, no utterance id holding ``,``); and id sequences that are
+    not one string. Each failure raises ``ValueError``. The utterance ids
+    are kept as a tuple.
     """
 
     inventory: PhonemeInventory
@@ -294,16 +280,6 @@ class Corpus:
         table["by_speaker"] = by_speaker
         table["by_utterance"] = by_utterance
 
-    @classmethod
-    def from_utterances(
-        cls, inventory: PhonemeInventory, utterances: Iterable[AlignedUtterance]
-    ) -> Corpus:
-        """The corpus of the given utterance objects, in their order."""
-        utts = tuple(utterances)
-        phones = np.concatenate([np.empty((0, 2), np.int32), *(u.phones for u in utts)])
-        ids, speakers = [u.utterance_id for u in utts], [u.speaker_id for u in utts]
-        return cls(inventory, phones, np.cumsum([0, *map(len, utts)]), ids, speakers)
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Corpus is immutable: cannot set {name!r}")
 
@@ -329,7 +305,7 @@ class Corpus:
     def _view(self, i: int) -> AlignedUtterance:
         lo, hi = self.offsets[i : i + 2].tolist()
         speaker = self.speakers[self.speaker_index[i]]
-        return AlignedUtterance._view(self.utterance_ids[i], speaker, self.phones[lo:hi])
+        return AlignedUtterance(self.utterance_ids[i], speaker, self.phones[lo:hi])
 
     @functools.cached_property
     def utterances(self) -> tuple[AlignedUtterance, ...]:
@@ -392,12 +368,12 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     Blank lines and ``#`` comments are skipped. Raises
     :class:`DuplicateLabelError` or, for a label holding whitespace, which
     no alignment token can match, :class:`MalformedLineError`, each with
-    the offending 1-based line number; or :class:`EmptyInventoryError`
-    when no labels remain.
+    the offending 1-based line number; :class:`EmptyInventoryError` when
+    no labels remain; or ``ValueError`` for one string as ``source``.
     """
     labels: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(text_source(source), start=1):
         label = raw.split("#", 1)[0].strip()
         if not label:
             continue
@@ -763,17 +739,18 @@ def parse_alignment(
     A file-like source, one with ``read``, is read in chunks of text split
     into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
     deliver them. Any other iterable gives one line per element, each
-    ``'\\n'`` in it read as a space. Either way the lines are parsed in
-    blocks, each tokenized and checked in numpy at one byte per code point
-    when the block is ASCII and four when not. The first bad line in file
-    order raises. Within a line the checks run in this order: field count,
-    integer frame count, frame count >= 1, frame count <= 2^31 - 1, then
-    ``,`` in and reappearance of a new utterance's id or a speaker change
-    inside an utterance, then the label.
+    ``'\\n'`` in it read as a space; one string raises ``ValueError``.
+    Either way the lines are parsed in blocks, each tokenized and checked
+    in numpy at one byte per code point when the block is ASCII and four
+    when not. The first bad line in file order raises. Within a line the
+    checks run in this order: field count, integer frame count, frame
+    count >= 1, frame count <= 2^31 - 1, then ``,`` in and reappearance
+    of a new utterance's id or a speaker change inside an utterance, then
+    the label.
     """
     exclude = _check_tokens("excluded label", exclude, "#", ConfigError, "exclude")
     parser = _Parser(inventory, exclude)
-    if hasattr(source, "read"):
+    if hasattr(text_source(source), "read"):
         for block in _chunk_blocks(source):
             parser.feed(block)
     else:

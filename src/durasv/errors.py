@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Annotated, Iterator, get_args, get_origin, get_type_hints
+from typing import IO, Annotated, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -220,6 +221,18 @@ def check_fields(config) -> None:
                 raise ConfigError(f"{name} must be a sequence, got {value!r}") from None
             value = tuple(_in_range(name, kind, v) for v in items)
         object.__setattr__(config, name, value)
+
+
+def text_source(source: IO[str] | Iterable[str]) -> IO[str] | Iterable[str]:
+    """``source``, a reader's open file or iterable of lines. One string, a
+    path among them, would be read as lines of one character each, so it
+    raises ``ValueError``."""
+    if isinstance(source, str):
+        raise ValueError(
+            f"source {reprlib.repr(source)} is one string;"
+            " source takes an open file or an iterable of lines"
+        )
+    return source
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from typing import IO, Callable, Iterable, Literal, get_args
 
 import numpy as np
 
-from .alignment import Corpus
+from .alignment import Corpus, _check_tokens
 from .errors import (
     DegenerateScoreSetError,
     MalformedLineError,
@@ -26,6 +26,7 @@ from .errors import (
     NoEligibleSpeakersError,
     UnknownUtteranceError,
     integer,
+    text_source,
 )
 
 logger = logging.getLogger(__name__)
@@ -364,11 +365,21 @@ def evaluate(cells: Iterable[tuple[str, str, ScoreSet]]) -> EerTable:
 
 
 def write_trials(trial_list: TrialList, sink: IO[str]) -> None:
+    """Write a trial file that ``read_trials`` reads back as ``trial_list``.
+
+    Its speaker and utterance ids must be ones a corpus holds, and no
+    utterance id may hold ``,``, which joins a set's ids; otherwise
+    ``ValueError`` is raised before anything is written.
+    """
+    trials = trial_list.trials
+    _check_tokens("speaker id", dict.fromkeys(t.enroll_speaker for t in trials), "#")
+    sets = dict.fromkeys(s for t in trials for s in (t.enroll_utts, t.trial_utts))
+    _check_tokens("utterance id", dict.fromkeys(u for s in sets for u in s), "#,")
     sink.write(
         f"# trials n_enroll={trial_list.n_enroll} n_trial={trial_list.n_trial} "
         f"seed={trial_list.seed} skipped={len(trial_list.skipped_speakers)}\n"
     )
-    for t in trial_list.trials:
+    for t in trials:
         kind = "target" if t.is_target else "nontarget"
         sink.write(
             f"{t.enroll_speaker} {','.join(t.enroll_utts)} "
@@ -387,11 +398,11 @@ def _read_records(
     key given twice raises ``MalformedLineError``. A ``#`` line after the
     first record is a comment. Every other line must hold four fields, the
     last being ``target`` or ``nontarget``. Records come back with their
-    1-based line numbers.
+    1-based line numbers. One string as ``source`` raises ``ValueError``.
     """
     header: dict[str, object] = {}
     records: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(text_source(source), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -447,11 +458,20 @@ def read_trials(source: IO[str] | Iterable[str]) -> TrialList:
 
 
 def write_scores(scores: ScoreSet, sink: IO[str]) -> None:
-    """Write ``<enroll_id> <trial_id> <score> <target|nontarget>`` lines."""
+    """Write ``<enroll_id> <trial_id> <score> <target|nontarget>`` lines.
+
+    Each id, a set's utterance ids joined by ``,``, and the model name must
+    be one token a corpus id could be, ``,`` allowed in the ids, so that
+    ``read_scores`` reads every record and header value back; otherwise
+    ``ValueError`` is raised before anything is written.
+    """
     if scores.enroll_ids is None or scores.trial_ids is None:
         raise ValueError("score set lacks the trial ids needed for serialization")
+    _check_tokens("enrollment id", dict.fromkeys(scores.enroll_ids), "#")
+    _check_tokens("trial id", dict.fromkeys(scores.trial_ids), "#")
     meta = [f"polarity={scores.polarity}"]
     if scores.model is not None:
+        _check_tokens("model name", (scores.model,), "#")
         meta.append(f"model={scores.model}")
     if scores.n_enroll is not None:
         meta.append(f"n_enroll={scores.n_enroll}")

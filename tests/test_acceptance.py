@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from durasv.alignment import AlignedUtterance, PhonemeInventory
+from durasv.alignment import PhonemeInventory
 from durasv.cli import main
 from durasv.embeddings import score_trials_embedding
 from durasv.evaluation import (
@@ -31,6 +31,7 @@ from durasv.model import (
 )
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers
 from durasv.training import TrainConfig, train
+from test_alignment import make_corpus
 from test_features import replay
 
 # desk-scale corpus for the separability criterion: many phoneme classes
@@ -87,20 +88,20 @@ def test_c1_raw_feature_rows():
     with criterion(1, "duration feature rows: one nonzero per row, frame sum exact"):
         rng = np.random.default_rng(2024)
         inv = PhonemeInventory(tuple(f"P{i}" for i in range(17)))
-        total_rows = 0
+        rows = []
         for u in range(1000):
             k = int(rng.integers(1, 25))
             phones = [
                 (int(rng.integers(0, 17)), int(rng.integers(1, 80))) for _ in range(k)
             ]
-            utt = AlignedUtterance(f"u{u}", "s", phones)
+            rows.append(("s", f"u{u}", phones))
+        for utt, (_, _, phones) in zip(make_corpus(inv, rows).utterances, rows, strict=True):
             dense = sequence_from_utterances([utt], inv.size).to_dense()
             assert np.all((dense != 0).sum(axis=1) == 1)
             for row, (class_index, frames) in zip(dense, phones):
                 assert row[class_index] == frames
             assert dense.sum() == sum(frames for _, frames in phones)
-            total_rows += k
-        assert total_rows >= 1000
+        assert sum(len(phones) for _, _, phones in rows) >= 1000
 
 
 def test_c2_ratio_metric_identities():
@@ -173,13 +174,14 @@ def test_c5_padding_invariance():
         params = init_model(config, np.random.default_rng(31))
         rng = np.random.default_rng(32)
         inv = PhonemeInventory(tuple(f"P{i}" for i in range(48)))
-        utts = []
+        rows = []
         for i in range(60):
             k = int(rng.integers(40, 120))
             phones = [
                 (int(rng.integers(0, 48)), int(rng.integers(1, 40))) for _ in range(k)
             ]
-            utts.append(AlignedUtterance(f"u{i}", "s", phones))
+            rows.append(("s", f"u{i}", phones))
+        utts = make_corpus(inv, rows).utterances
         chunks = []
         bounds = (TrainConfig.chunk_min, TrainConfig.chunk_max)
         while len(chunks) < 100:
@@ -196,11 +198,11 @@ def test_c5_padding_invariance():
 def test_c6_chunk_distribution():
     with criterion(6, "chunk lengths uniform on [32,256] (chi-square), shifts bounded"):
         rng = np.random.default_rng(404)
-        utts = []
+        rows = []
         for i in range(4000):
             frames = rng.integers(1, 30, size=600)
-            phones = np.stack([np.zeros_like(frames), frames], axis=1)
-            utts.append(AlignedUtterance(f"u{i}", "s", phones))
+            rows.append(("s", f"u{i}", np.stack([np.zeros_like(frames), frames], axis=1)))
+        utts = make_corpus(PhonemeInventory(("P0",)), rows).utterances
         # the replay asserts every shift r <= min(len(u1), c)
         chunks, _ = replay(utts, 1, 405)
         assert len(chunks) >= 10_000

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from durasv import alignment
 from durasv.alignment import (
-    AlignedUtterance,
     Corpus,
     PhonemeInventory,
     arpabet_positional_inventory,
@@ -33,7 +32,7 @@ from durasv.errors import (
     UnknownUtteranceError,
     open_text,
 )
-from durasv.evaluation import build_trials
+from durasv.evaluation import build_trials, read_scores, read_trials
 from durasv.metric import score_trials_metric
 from durasv.model import tiny_gradcheck_config
 from durasv.synth import SynthConfig, generate_corpus, sample_speakers, synthetic_inventory
@@ -43,15 +42,14 @@ from durasv.training import TrainConfig, train
 def reference_parse(source, inventory, exclude=()):
     """The line-by-line parser ``parse_alignment`` must agree with."""
     excluded = frozenset(exclude)
-    utterances = []
+    rows = []
     finished = set()
     cur_utt = cur_spk = None
     cur_phones = []
 
     def flush():
         if cur_phones:
-            phones = np.array(cur_phones, dtype=np.int32).reshape(-1, 2)
-            utterances.append(AlignedUtterance(cur_utt, cur_spk, phones))
+            rows.append((cur_spk, cur_utt, cur_phones))
 
     for lineno, raw in enumerate(source, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -91,10 +89,10 @@ def reference_parse(source, inventory, exclude=()):
             continue
         if label not in inventory:
             raise UnknownPhonemeError(label, lineno)
-        cur_phones += (inventory.index_of[label], frames)
+        cur_phones.append((inventory.index_of[label], frames))
 
     flush()
-    return Corpus.from_utterances(inventory, tuple(utterances))
+    return make_corpus(inventory, rows)
 
 
 def outcome(parse):
@@ -106,9 +104,21 @@ def outcome(parse):
 
 
 def make_corpus(inventory, rows):
-    """rows: list of (speaker, utt, [(class_index, frames), ...])"""
-    utts = tuple(AlignedUtterance(utt, spk, phones) for spk, utt, phones in rows)
-    return Corpus.from_utterances(inventory, utts)
+    """The corpus of ``rows``, each a (speaker, utterance, phones) triple in
+    corpus order, ``phones`` a sequence of (class index, frames) pairs.
+
+    The tests' one way to build a corpus from per-utterance rows: the
+    rows are stacked into one table and passed to ``Corpus``, which checks
+    them; utterance objects are then views taken from the corpus.
+    """
+    tables = [np.asarray(phones, dtype=np.int64).reshape(-1, 2) for _, _, phones in rows]
+    return Corpus(
+        inventory,
+        np.concatenate([np.empty((0, 2), np.int64), *tables]),
+        np.cumsum([0, *map(len, tables)]),
+        [utt for _, utt, _ in rows],
+        [spk for spk, _, _ in rows],
+    )
 
 
 def reference_write(corpus, sink):
@@ -134,16 +144,16 @@ ANY_TEXT = st.text(st.characters() | st.sampled_from(" \t\r\x85#,"), max_size=4)
 
 @st.composite
 def table_corpora(draw):
-    """Tuple-built corpora over drawn labels, ids and frame counts."""
+    """Row-built corpora over drawn labels, ids and frame counts."""
     symbols = draw(st.lists(TOKEN, min_size=1, max_size=4, unique=True))
     speakers = draw(st.lists(TOKEN, min_size=1, max_size=3, unique=True))
     frames = st.one_of(st.integers(1, 12), st.integers(1, 2**31 - 1))
     phones = st.lists(st.tuples(st.integers(0, len(symbols) - 1), frames), min_size=1, max_size=5)
-    utterances = tuple(
-        AlignedUtterance(utt_id, draw(st.sampled_from(speakers)), draw(phones))
+    rows = [
+        (draw(st.sampled_from(speakers)), utt_id, draw(phones))
         for utt_id in draw(st.lists(TOKEN, max_size=8, unique=True))
-    )
-    return Corpus.from_utterances(PhonemeInventory(tuple(symbols)), utterances)
+    ]
+    return make_corpus(PhonemeInventory(tuple(symbols)), rows)
 
 
 class TestInventory:
@@ -372,45 +382,8 @@ class TestCorpusValidation:
         with pytest.raises(ValueError, match=f"utterance (id )?'{utt_id}'"):
             make_corpus(self.INV, rows)
 
-    @pytest.mark.parametrize("phones", [[], (), np.zeros((0, 2), dtype=np.int32)])
-    def test_empty_utterance_rejected(self, phones):
-        with pytest.raises(ValueError, match="utterance 'u7'"):
-            AlignedUtterance("u7", "a", phones)
-
-    @pytest.mark.parametrize("column", [0, 1])
-    @pytest.mark.parametrize("value", [2**31, 2**32 + 5, -(2**31) - 1, 2**63, 2**64])
-    def test_value_outside_int32_rejected_not_wrapped(self, value, column):
-        phones = [[1, 3], [1, 3]]
-        phones[1][column] = value
-        with pytest.raises(ValueError, match="utterance 'u1'"):
-            AlignedUtterance("u1", "a", np.array(phones))
-
-    @pytest.mark.parametrize(
-        "phones", [[(1, 2, 3)], [1, 2], np.array([[0, 1.5]]), np.ones((1, 2, 1), dtype=int)]
-    )
-    def test_phones_must_be_k_by_2_integers(self, phones):
-        with pytest.raises(ValueError, match="utterance 'u1'"):
-            AlignedUtterance("u1", "a", phones)
-
-    def test_phones_stored_as_int32(self):
-        utt = AlignedUtterance("u1", "a", [(2, 7), (0, 2**31 - 1)])
-        assert utt.phones.dtype == np.int32 and utt.phones.shape == (2, 2)
-        assert utt.phones.tolist() == [[2, 7], [0, 2**31 - 1]]
-        assert len(utt) == 2
-        with pytest.raises(ValueError, match="read-only"):
-            utt.phones[0, 1] = 0
-
-    def test_equality_compares_ids_and_phone_values(self):
-        utt = AlignedUtterance("u1", "a", [(2, 7), (0, 3)])
-        assert utt == AlignedUtterance("u1", "a", np.array([[2, 7], [0, 3]], np.int64))
-        assert utt != AlignedUtterance("u1", "a", [(2, 7), (0, 4)])
-        assert utt != AlignedUtterance("u1", "a", [(2, 7)])
-        assert utt != AlignedUtterance("u1", "b", [(2, 7), (0, 3)])
-        assert utt != AlignedUtterance("u2", "a", [(2, 7), (0, 3)])
-        assert utt != ("u1", "a", [(2, 7), (0, 3)])
-
     def test_empty_corpus_constructs(self):
-        corpus = Corpus.from_utterances(self.INV, ())
+        corpus = make_corpus(self.INV, [])
         assert len(corpus) == 0 and corpus.by_speaker == {} and corpus.speakers == ()
         assert Corpus(self.INV, np.empty((0, 2), np.int64), [0], (), ()) == corpus
 
@@ -432,17 +405,25 @@ class TestCorpusValidation:
         assert corpus.utterance_ids == ("u1", "u2") and corpus.speakers == ("a",)
 
     @pytest.mark.parametrize(
-        "args, name",
+        "build, args, name",
         [
-            (("ABC",), "symbols"),
-            ((INV, np.array([[0, 3], [1, 2]]), [0, 1, 2], "ab", "ss"), "utterance_ids"),
-            ((INV, np.array([[0, 3], [1, 2]]), [0, 1, 2], ("a", "b"), "ss"), "speaker_ids"),
+            (PhonemeInventory, ("ABC",), "symbols"),
+            (Corpus, (INV, np.array([[0, 3], [1, 2]]), [0, 1, 2], "ab", "ss"), "utterance_ids"),
+            (Corpus, (INV, np.array([[0, 3], [1, 2]]), [0, 1, 2], ("a", "b"), "ss"), "speaker_ids"),
+            (load_inventory, ("phones",), "source"),
+            (parse_alignment, ("alignment", INV), "source"),
+            (read_trials, ("trials",), "source"),
+            (read_scores, ("scores",), "source"),
         ],
-        ids=["inventory-labels", "utterance-ids", "speaker-ids"],
+        ids=[
+            "inventory-labels", "utterance-ids", "speaker-ids",
+            "inventory-source", "alignment-source", "trial-source", "score-source",
+        ],
     )
-    def test_one_string_in_place_of_a_sequence_refused(self, args, name):
-        # a string is a sequence of its characters: "ABC" built the labels A, B and C
-        build = PhonemeInventory if len(args) == 1 else Corpus
+    def test_one_string_in_place_of_a_sequence_refused(self, build, args, name):
+        # a string is a sequence of its characters: "ABC" built the labels A, B
+        # and C, and load_inventory("phones") the labels p, h, o, n, e and s,
+        # where the other readers failed on a line's field count
         with pytest.raises(ValueError, match=f"^{name} '[a-zA-Z]+' is one string; {name} takes"):
             build(*args)
 
@@ -460,6 +441,21 @@ class TestCorpusValidation:
     def test_token_check_names_the_first_bad_token(self, tokens, bad):
         with pytest.raises(ValueError, match=re.escape(f"phoneme label {bad!r} is empty")):
             alignment._check_tokens("phoneme label", tokens, "#")
+
+    @pytest.mark.parametrize(
+        "build, args, error, want",
+        [
+            (PhonemeInventory, ((1, 2),), ValueError, "phoneme label 1"),
+            (Corpus, (INV, np.array([[0, 3]]), [0, 1], [5], ["a"]), ValueError, "utterance id 5"),
+            (Corpus, (INV, np.array([[0, 3]]), [0, 1], ["u1"], [b"a"]), ValueError, "speaker id b'a'"),
+            (parse_alignment, ([], INV, [None]), ConfigError, "excluded label None"),
+        ],
+        ids=["inventory-label", "utterance-id", "speaker-id", "excluded-label"],
+    )
+    def test_token_that_is_not_a_string_raises_the_callers_error(self, build, args, error, want):
+        # each was a bare TypeError from joining the tokens
+        with pytest.raises(error, match=f"^{re.escape(want)} is not a string$"):
+            build(*args)
 
     def test_code_points_past_the_whitespace_table_are_token_code_points(self):
         # the table ends at U+3001; str.split() splits on no code point above U+3000
@@ -488,6 +484,25 @@ class TestCorpusValidation:
             ([[0, 3], [1, 0]], [0, 1, 2], "ab", r"'u2': phone \[1, 0\] needs a class index"),
             ([[0, 3], [1, 2**31]], [0, 1, 2], "ab", "'u2': phones exceed int32"),
             ([[0, 2**32 + 3], [1, 2]], [0, 1, 2], "ab", "'u1': phones exceed int32"),
+            (np.zeros((0, 2), np.int32), [0, 0, 0], "ab", "utterance 'u1' holds no phones"),
+            ([1, 2], [0, 1, 2], "ab", r"corpus needs \(K, 2\) integer phones"),
+            (np.ones((2, 2, 1), int), [0, 1, 2], "ab", r"corpus needs \(K, 2\) integer phones"),
+            # a value outside int32, in either column, is refused, never wrapped
+            *(
+                ([[0, 3], row], [0, 1, 2], "ab", "'u2': phones exceed int32")
+                for value in (2**31, 2**32 + 5, -(2**31) - 1)
+                for row in ([value, 2], [1, value])
+            ),
+            *(
+                (np.array([[0, 3], row], np.uint64), [0, 1, 2], "ab", "'u2': phones exceed int32")
+                for row in ([2**63, 2], [1, 2**64 - 1])
+            ),
+            # numpy holds these rows as floats or objects
+            *(
+                ([[0, 3], row], [0, 1, 2], "ab", r"corpus needs \(K, 2\) integer phones")
+                for value in (2**63, 2**64)
+                for row in ([value, 2], [1, value])
+            ),
         ],
     )
     def test_table_constructor_checks_the_table(self, phones, offsets, speakers, message):
@@ -502,6 +517,10 @@ class TestCorpusValidation:
         assert corpus == make_corpus(
             self.INV, [("a", "u1", [(0, 3), (1, 2)]), ("b", "u2", [(2, 2**31 - 1)])]
         )
+        utt = corpus.utterance("u1")
+        assert utt.phones.dtype == np.int32 and utt.phones.shape == (2, 2) and len(utt) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            utt.phones[0, 1] = 0
 
 
 class TestRoundTrip:
@@ -509,7 +528,7 @@ class TestRoundTrip:
 
     def test_empty_corpus_writes_nothing(self):
         sink = io.StringIO()
-        write_alignment(Corpus.from_utterances(self.INV, ()), sink)
+        write_alignment(make_corpus(self.INV, []), sink)
         assert sink.getvalue() == ""
 
     def test_single_utterance_round_trip(self):
@@ -560,9 +579,9 @@ class TestRoundTrip:
         drawn = dict(zip(("label", "speaker", "utterance"), tokens))
         drawn[kind] = text
         try:
-            corpus = Corpus.from_utterances(
+            corpus = make_corpus(
                 PhonemeInventory((drawn["label"],)),
-                [AlignedUtterance(drawn["utterance"], drawn["speaker"], [(0, 3)])],
+                [(drawn["speaker"], drawn["utterance"], [(0, 3)])],
             )
         except ValueError:
             return
@@ -646,12 +665,15 @@ class TestCorpusTable:
         assert sorted(v.utterance_id for v in views) == sorted(corpus.utterance_ids)
         for view in views:
             i = corpus.by_utterance[view.utterance_id]
-            assert view == corpus.utterance(view.utterance_id)
+            again = corpus.utterance(view.utterance_id)
+            assert (again.utterance_id, again.speaker_id) == (view.utterance_id, view.speaker_id)
+            assert np.array_equal(again.phones, view.phones)
             assert view.speaker_id == corpus.speakers[corpus.speaker_index[i]]
             assert np.shares_memory(view.phones, corpus.phones)
             assert not view.phones.flags.writeable
             assert np.array_equal(view.phones, corpus.phones[corpus.offsets[i] : corpus.offsets[i + 1]])
-        assert Corpus.from_utterances(corpus.inventory, corpus.utterances) == corpus
+        rows = [(v.speaker_id, v.utterance_id, v.phones) for v in corpus.utterances]
+        assert make_corpus(corpus.inventory, rows) == corpus
 
     @pytest.mark.parametrize("block_lines", [1, 2, 3])
     def test_utterance_across_block_boundaries(self, monkeypatch, block_lines):
@@ -678,30 +700,22 @@ class TestCorpusTable:
         assert corpus.phones.tolist() == [[1, 3], [2, 6]]
         assert corpus.speakers == ("a",) and corpus.by_speaker == {"a": (0, 1)}
 
-    def test_bad_phone_in_tuple_built_corpus_keeps_its_message(self):
-        utterances = (
-            AlignedUtterance("u1", "a", [(0, 3)]),
-            AlignedUtterance("u2", "a", [(1, 2), (3, 1)]),
-        )
+    def test_bad_phone_in_row_built_corpus_keeps_its_message(self):
+        rows = [("a", "u1", [(0, 3)]), ("a", "u2", [(1, 2), (3, 1)])]
         with pytest.raises(ValueError) as err:
-            Corpus.from_utterances(self.INV, utterances)
+            make_corpus(self.INV, rows)
         assert str(err.value) == (
             "utterance 'u2': phone [3, 1] needs a class index in [0, 3) and a frame count >= 1"
         )
-        again = AlignedUtterance("u1", "b", [(0, 1)])
         with pytest.raises(ValueError) as err:
-            Corpus.from_utterances(self.INV, utterances + (again,))
+            make_corpus(self.INV, [*rows, ("b", "u1", [(0, 1)])])
         assert str(err.value) == "duplicate utterance id 'u1'"
 
     def test_no_program_path_builds_the_utterance_tuple(self, monkeypatch):
         def tuple_read(self):
             raise AssertionError("Corpus.utterances was built")
 
-        def object_built(cls, inventory, utterances):
-            raise AssertionError("a corpus was built from utterance objects")
-
         monkeypatch.setattr(Corpus, "utterances", property(tuple_read))
-        monkeypatch.setattr(Corpus, "from_utterances", classmethod(object_built))
         synth = SynthConfig(
             n_speakers=3,
             utts_per_speaker=4,

@@ -184,7 +184,11 @@ class TestTrialsCommand:
         corpus = generate_corpus(profiles, synth, np.random.default_rng([2, 1]))
         (tmp_path / "inventory.txt").write_text("\n".join(inventory.symbols) + "\n")
         with open(tmp_path / "alignment.txt", "w", encoding="utf-8") as sink:
-            write_alignment(Corpus.from_utterances(inventory, corpus.utterances), sink)
+            speaker_ids = [corpus.speakers[s] for s in corpus.speaker_index.tolist()]
+            relabeled = Corpus(
+                inventory, corpus.phones, corpus.offsets, corpus.utterance_ids, speaker_ids
+            )
+            write_alignment(relabeled, sink)
         assert run_trials(tmp_path, tmp_path / "trials.txt") == 0
 
     def test_byte_order_mark_changes_no_trial(self, corpus_dir, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv import model as model_module
-from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
+from durasv.alignment import PhonemeInventory
 from durasv.embeddings import cosine_score, score_trials_embedding
 from durasv.errors import UnknownUtteranceError, ZeroNormError
 from durasv.evaluation import Trial, TrialList
@@ -19,13 +19,17 @@ from durasv.model import (
     pad_batch,
     tiny_gradcheck_config,
 )
+from test_alignment import make_corpus
+
+INVENTORY = PhonemeInventory(tuple(f"P{i}" for i in range(5)))
 
 
-def utterance(spk, uid, rng, n_classes=5, length=20):
+def row(spk, uid, rng, n_classes=5, length=20):
+    """A (speaker, utterance, phones) row of ``length`` random phones."""
     phones = [
         (int(rng.integers(0, n_classes)), int(rng.integers(1, 30))) for _ in range(length)
     ]
-    return AlignedUtterance(uid, spk, phones)
+    return spk, uid, phones
 
 
 @pytest.fixture
@@ -41,7 +45,7 @@ def set_embedding(params, utterances):
 class TestEmbed:
     def test_repeatable(self, params):
         rng = np.random.default_rng(0)
-        utts = [utterance("s0", f"u{i}", rng) for i in range(3)]
+        utts = make_corpus(INVENTORY, [row("s0", f"u{i}", rng) for i in range(3)]).utterances
         a = set_embedding(params, utts)
         b = set_embedding(params, utts)
         assert np.array_equal(a, b)
@@ -51,7 +55,7 @@ class TestEmbed:
         # the encoder sees context, so permuted input may embed differently;
         # this documents the behavior rather than asserting equality
         rng = np.random.default_rng(2)
-        utts = [utterance("s0", f"u{i}", rng) for i in range(4)]
+        utts = make_corpus(INVENTORY, [row("s0", f"u{i}", rng) for i in range(4)]).utterances
         fwd = set_embedding(params, utts)
         rev = set_embedding(params, list(reversed(utts)))
         assert fwd.shape == rev.shape
@@ -83,18 +87,17 @@ class TestCosine:
 
 
 class TestScoreTrialsEmbedding:
-    def make_corpus(self, rng, n_speakers=3, n_utts=4):
-        inv = PhonemeInventory(tuple(f"P{i}" for i in range(5)))
-        utts = [
-            utterance(f"s{s}", f"s{s}-u{u}", rng)
+    def random_corpus(self, rng, n_speakers=3, n_utts=4):
+        rows = [
+            row(f"s{s}", f"s{s}-u{u}", rng)
             for s in range(n_speakers)
             for u in range(n_utts)
         ]
-        return Corpus.from_utterances(inv, tuple(utts))
+        return make_corpus(INVENTORY, rows)
 
     def test_self_trial_scores_exactly_one(self, params):
         rng = np.random.default_rng(3)
-        corpus = self.make_corpus(rng)
+        corpus = self.random_corpus(rng)
         # same utterance set on both sides is impossible through Trial
         # (disjointness), so exercise the cache path with equal content
         utts = corpus.utterances_of("s0")[:2]
@@ -103,7 +106,7 @@ class TestScoreTrialsEmbedding:
 
     def test_scores_all_trials(self, params):
         rng = np.random.default_rng(4)
-        corpus = self.make_corpus(rng)
+        corpus = self.random_corpus(rng)
         trials = TrialList(
             (
                 Trial("s0", ("s0-u0", "s0-u1"), ("s0-u2", "s0-u3"), True),
@@ -121,27 +124,24 @@ class TestScoreTrialsEmbedding:
 
     def test_sides_that_embed_identically_score_exactly_one(self, params):
         rng = np.random.default_rng(6)
-        twin = utterance("s0", "a", rng)
-        corpus = Corpus.from_utterances(
-            PhonemeInventory(tuple(f"P{i}" for i in range(5))),
-            (twin, AlignedUtterance("b", "s0", twin.phones.copy())),
-        )
+        speaker, _, phones = row("s0", "a", rng)
+        corpus = make_corpus(INVENTORY, [(speaker, "a", phones), (speaker, "b", phones)])
         trials = TrialList((Trial("s0", ("a",), ("b",), True),), 1, 1, 0)
-        v = set_embedding(params, [twin])
+        v = set_embedding(params, [corpus.utterance("a")])
         # the rule, not the arithmetic, gives 1.0 here
         assert np.dot(v, v) / (np.linalg.norm(v) * np.linalg.norm(v)) != 1.0
         assert score_trials_embedding(params, corpus, trials).scores.tolist() == [1.0]
 
     def test_zero_norm_embedding_rejected(self, params, monkeypatch):
         monkeypatch.setitem(params.tensors, "emb_w", np.zeros_like(params.tensors["emb_w"]))
-        corpus = self.make_corpus(np.random.default_rng(7))
+        corpus = self.random_corpus(np.random.default_rng(7))
         trials = TrialList((Trial("s0", ("s0-u0",), ("s1-u0",), False),), 1, 1, 0)
         with pytest.raises(ZeroNormError):
             score_trials_embedding(params, corpus, trials)
 
     def test_unknown_utterance(self, params):
         rng = np.random.default_rng(5)
-        corpus = self.make_corpus(rng)
+        corpus = self.random_corpus(rng)
         trials = TrialList((Trial("s0", ("s0-u0",), ("ghost",), True),), 1, 1, 0)
         with pytest.raises(UnknownUtteranceError):
             score_trials_embedding(params, corpus, trials)
@@ -176,10 +176,10 @@ class TestGroupedScoring:
             v += 0.05 * rng.standard_normal(v.shape)
         # one utterance per set; set i faces set i + 1, so first use
         # keeps the drawn order
-        utts = [
-            utterance(f"s{i}", f"u{i}", rng, cfg.n_classes, n) for i, n in enumerate(sizes)
-        ]
+        rows = [row(f"s{i}", f"u{i}", rng, cfg.n_classes, n) for i, n in enumerate(sizes)]
         inventory = PhonemeInventory(tuple(f"P{i}" for i in range(cfg.n_classes)))
+        corpus = make_corpus(inventory, rows)
+        utts = corpus.utterances
         pairs = [(i, (i + 1) % len(utts)) for i in range(len(utts))]
         trials = TrialList(
             tuple(Trial(f"s{i}", (f"u{i}",), (f"u{j}",), False) for i, j in pairs), 1, 1, 0
@@ -189,7 +189,6 @@ class TestGroupedScoring:
 
         with mock.patch.object(model_module, "_GROUP_PHONES", bound):
             assert np.array_equal(embed_sequences(params, seqs), alone)
-            corpus = Corpus.from_utterances(inventory, tuple(utts))
             scores = score_trials_embedding(params, corpus, trials)
         want = [cosine_score(alone[i], alone[j]) for i, j in pairs]
         assert np.array_equal(scores.scores, want)

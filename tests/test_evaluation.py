@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 from typing import get_args
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
+from durasv.alignment import PhonemeInventory
 from durasv.errors import (
     ConfigError,
     DegenerateScoreSetError,
@@ -29,6 +30,7 @@ from durasv.evaluation import (
     write_scores,
     write_trials,
 )
+from test_alignment import make_corpus
 
 
 def brute_force_eer(scores, labels):
@@ -173,12 +175,11 @@ class TestConfidenceInterval:
 
 def toy_corpus(n_speakers=2, n_utts=2, phones_per_utt=3):
     inv = PhonemeInventory(("P0",))
-    utts = []
+    rows = []
     for s in range(n_speakers):
         for u in range(n_utts):
-            phones = [(0, 5 + s)] * phones_per_utt
-            utts.append(AlignedUtterance(f"s{s}-u{u}", f"s{s}", phones))
-    return Corpus.from_utterances(inv, tuple(utts))
+            rows.append((f"s{s}", f"s{s}-u{u}", [(0, 5 + s)] * phones_per_utt))
+    return make_corpus(inv, rows)
 
 
 class TestBuildTrials:
@@ -194,17 +195,12 @@ class TestBuildTrials:
 
     def test_under_resourced_speaker_skipped(self):
         inv = PhonemeInventory(("P0",))
-        utts = [
-            AlignedUtterance(f"rich-u{i}", "rich", [(0, 5)])
-            for i in range(10)
-        ] + [
-            AlignedUtterance(f"poor-u{i}", "poor", [(0, 5)])
-            for i in range(3)
-        ] + [
-            AlignedUtterance(f"mid-u{i}", "mid", [(0, 5)])
-            for i in range(10)
+        rows = [
+            (speaker, f"{speaker}-u{i}", [(0, 5)])
+            for speaker, n in (("rich", 10), ("poor", 3), ("mid", 10))
+            for i in range(n)
         ]
-        corpus = Corpus.from_utterances(inv, tuple(utts))
+        corpus = make_corpus(inv, rows)
         trials = build_trials(corpus, 8, 1, seed=0)
         assert trials.skipped_speakers == ("poor",)
         assert all(t.enroll_speaker != "poor" for t in trials.trials)
@@ -296,12 +292,8 @@ def reference_build_trials(corpus, n_enroll, n_trial, seed, max_nontarget_per_sp
 def speaker_corpora(draw):
     """Up to six speakers of 1-12 one-phone utterances, in drawn order."""
     counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
-    utts = [
-        AlignedUtterance(f"s{s}-u{u}", f"s{s}", [(0, 5)])
-        for s, n in enumerate(counts)
-        for u in range(n)
-    ]
-    return Corpus.from_utterances(PhonemeInventory(("P0",)), tuple(draw(st.permutations(utts))))
+    rows = [(f"s{s}", f"s{s}-u{u}", [(0, 5)]) for s, n in enumerate(counts) for u in range(n)]
+    return make_corpus(PhonemeInventory(("P0",)), draw(st.permutations(rows)))
 
 
 class TestBuildTrialsMatchesPoolListReference:
@@ -369,6 +361,53 @@ class TestEvaluateAndIo:
         assert np.array_equal(again.labels, s.labels)
         fields = ("polarity", "enroll_ids", "trial_ids", "n_enroll", "n_trial", "model")
         assert [getattr(again, f) for f in fields] == [getattr(s, f) for f in fields]
+
+    @pytest.mark.parametrize(
+        "trial, want",
+        [
+            (Trial("#t", ("c",), ("d",), False), "speaker id '#t'"),
+            (Trial("s t", ("c",), ("d",), False), "speaker id 's t'"),
+            (Trial("s", ("a,b",), ("c",), True), "utterance id 'a,b'"),
+            (Trial("s", ("a",), ("c\td",), True), "utterance id 'c\\td'"),
+            (Trial("s", ("a",), ("#c",), True), "utterance id '#c'"),
+        ],
+        ids=["hash-speaker", "space-speaker", "comma-id", "tab-id", "hash-id"],
+    )
+    def test_trial_writer_refuses_ids_its_reader_cannot_read_back(self, trial, want):
+        # "#t c d nontarget" was read back as a comment, dropping its trial,
+        # and the id "a,b" as the two ids a and b
+        good = Trial("s", ("u1",), ("u2",), True)
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{re.escape(want)} is empty or holds whitespace"):
+            write_trials(TrialList((good, trial, good), 1, 1, 0), sink)
+        assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "enroll_id, trial_id, model, want",
+        [
+            ("#e", "t", None, "enrollment id '#e'"),
+            ("e", "t u", None, "trial id 't u'"),
+            ("e", "t", "my model", "model name 'my model'"),
+            ("e", "t", "", "model name ''"),
+        ],
+        ids=["hash-enroll-id", "space-trial-id", "space-model", "empty-model"],
+    )
+    def test_score_writer_refuses_fields_its_reader_cannot_read_back(
+        self, enroll_id, trial_id, model, want
+    ):
+        # a "#e" record was read back as a comment, and model="my model" as "my"
+        scores = ScoreSet(
+            np.array([0.5, 0.1]),
+            np.array([True, False]),
+            "larger-is-similar",
+            ("a,b", enroll_id),
+            ("c,d", trial_id),
+            model=model,
+        )
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{re.escape(want)} is empty or holds whitespace"):
+            write_scores(scores, sink)
+        assert sink.getvalue() == ""
 
     def test_enroll_trial_overlap_rejected(self):
         with pytest.raises(ValueError):

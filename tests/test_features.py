@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from durasv.alignment import AlignedUtterance, PhonemeInventory
+from durasv.alignment import PhonemeInventory
 from durasv.errors import ConfigError, EmptyInputError, MixedSpeakerSetError, ShapeMismatchError
 from durasv.features import (
     make_chunks,
@@ -11,6 +11,7 @@ from durasv.features import (
     sequence_from_utterances,
 )
 from durasv.training import TrainConfig
+from test_alignment import make_corpus
 
 # the paper's chunk lengths U{32..256}, whose one home is TrainConfig
 PAPER_BOUNDS = (TrainConfig.chunk_min, TrainConfig.chunk_max)
@@ -20,29 +21,31 @@ def inventory(n):
     return PhonemeInventory(tuple(f"P{i}" for i in range(n)))
 
 
-def utterance(spk, uid, phones):
-    return AlignedUtterance(uid, spk, phones)
+def views(n_classes, rows):
+    """The utterances of ``rows``, (speaker, utterance, phones) triples, as
+    views of their corpus over ``n_classes`` classes."""
+    return list(make_corpus(inventory(n_classes), rows).utterances)
 
 
 def random_utterances(rng, n_classes, n_utts, max_phones=40, speaker="s0"):
-    utts = []
+    rows = []
     for i in range(n_utts):
         k = int(rng.integers(1, max_phones + 1))
         phones = [
             (int(rng.integers(0, n_classes)), int(rng.integers(1, 60)))
             for _ in range(k)
         ]
-        utts.append(utterance(speaker, f"{speaker}-u{i}", phones))
-    return utts
+        rows.append((speaker, f"{speaker}-u{i}", phones))
+    return views(n_classes, rows)
 
 
 class TestRawDurationSequence:
     def test_rows_match_hand_example(self):
-        seq = sequence_from_utterances([utterance("s", "u", [(2, 7), (0, 3)])], 4)
+        seq = sequence_from_utterances(views(4, [("s", "u", [(2, 7), (0, 3)])]), 4)
         assert seq.to_dense().tolist() == [[0, 0, 7, 0], [3, 0, 0, 0]]
 
     def test_single_phone_identity_case(self):
-        seq = sequence_from_utterances([utterance("s", "u", [(0, 1)])], 1)
+        seq = sequence_from_utterances(views(1, [("s", "u", [(0, 1)])]), 1)
         assert seq.to_dense().tolist() == [[1]]
 
     def test_empty_input(self):
@@ -66,7 +69,7 @@ class TestRawDurationSequence:
 class TestMeanDurationArray:
     def test_hand_computation_with_fill(self):
         inv = inventory(3)
-        utts = [utterance("s", "u", [(0, 4), (0, 6), (1, 10)])]
+        utts = views(3, [("s", "u", [(0, 4), (0, 6), (1, 10)])])
         vec = mean_duration_vector(utts, inv)
         assert vec.dtype == np.float64 and vec.shape == (3,)
         assert vec[0] == 5.0
@@ -76,12 +79,12 @@ class TestMeanDurationArray:
 
     def test_constant_case(self):
         inv = inventory(4)
-        utts = [utterance("s", "u", [(i, 9) for i in range(4)])]
+        utts = views(4, [("s", "u", [(i, 9) for i in range(4)])])
         assert np.all(mean_duration_vector(utts, inv) == 9.0)
 
     def test_single_phone_fill_equals_only_observation(self):
         inv = inventory(2)
-        vec = mean_duration_vector([utterance("s", "u", [(0, 8)])], inv)
+        vec = mean_duration_vector(views(2, [("s", "u", [(0, 8)])]), inv)
         assert vec.tolist() == [8.0, 8.0]
 
     def test_empty_input(self):
@@ -159,12 +162,12 @@ def replay(utterances, n_classes, seed, min_len=PAPER_BOUNDS[0], max_len=PAPER_B
 
 class TestMakeChunks:
     def chunk_stream(self, rng, n_utts=40, lo=30, hi=90):
-        utts = []
+        rows = []
         for i in range(n_utts):
             k = int(rng.integers(lo, hi))
             phones = [(int(rng.integers(0, 6)), int(rng.integers(1, 30))) for _ in range(k)]
-            utts.append(utterance("sp", f"u{i}", phones))
-        return utts
+            rows.append(("sp", f"u{i}", phones))
+        return views(6, rows)
 
     def test_lengths_stay_in_range(self):
         rng = np.random.default_rng(0)
@@ -175,7 +178,7 @@ class TestMakeChunks:
             assert 32 <= len(c) <= 256
 
     def test_degenerate_short_stream(self):
-        utts = [utterance("sp", "u0", [(0, 2)] * 10)]
+        utts = views(1, [("sp", "u0", [(0, 2)] * 10)])
         chunks, draws = replay(utts, 1, 0)
         assert draws == []
         assert len(chunks) == 1
@@ -221,11 +224,7 @@ class TestMakeChunks:
         pytest.fail("no stream of 200 ends in a chunk shorter than its shift")
 
     def test_single_speaker_enforced(self):
-        utts = [
-            utterance("a", "u0", [(0, 1)] * 40),
-            utterance("b", "u1", [(0, 1)] * 40),
-            utterance("a", "u2", [(0, 1)] * 40),
-        ]
+        utts = views(1, [(spk, f"u{i}", [(0, 1)] * 40) for i, spk in enumerate("aba")])
         # the ids come in the order the draw shuffled them to
         order = ",".join(f"u{i}" for i in np.random.default_rng(0).permutation(3))
         want = rf"^utterance set {order} mixes speakers \['a', 'b'\]$"
@@ -241,7 +240,7 @@ class TestMakeChunks:
     @pytest.mark.parametrize("min_len, max_len", [(50, 10), (0, 10), (-3, 10)])
     def test_chunk_bounds_rejected(self, n_phones, min_len, max_len):
         # 30 phones is less than min_len = 50 and 100 more: both paths check
-        utts = [utterance("sp", "u0", [(0, 2)] * n_phones)]
+        utts = views(1, [("sp", "u0", [(0, 2)] * n_phones)])
         want = f"^max_len must be >= {min_len}$" if min_len >= 1 else "^min_len must be >= 1$"
         with pytest.raises(ConfigError, match=want):
             make_chunks(utts, inventory(1), np.random.default_rng(0), min_len, max_len)
@@ -257,12 +256,12 @@ class TestMakeChunks:
     )
     def test_non_integer_chunk_bounds_rejected(self, min_len, max_len, name):
         # 32.5 was a bare TypeError from a slice deep in the sampler
-        utts = [utterance("sp", "u0", [(0, 2)] * 100)]
+        utts = views(1, [("sp", "u0", [(0, 2)] * 100)])
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             make_chunks(utts, inventory(1), np.random.default_rng(0), min_len, max_len)
 
     def test_numpy_integer_chunk_bounds_taken(self):
-        utts = [utterance("sp", "u0", [(0, 2)] * 100)]
+        utts = views(1, [("sp", "u0", [(0, 2)] * 100)])
         got = make_chunks(utts, inventory(1), np.random.default_rng(0), np.int64(32), np.int32(40))
         want = make_chunks(utts, inventory(1), np.random.default_rng(0), 32, 40)
         assert [len(c) for c in got] == [len(c) for c in want]
@@ -282,5 +281,7 @@ PER_SET_HELPERS = {
     ids=["frames-0", "frames-minus-4", "class-past-the-inventory"],
 )
 def test_per_set_helpers_refuse_rows_the_inventory_cannot_hold(helper, phones):
+    # the corpus refuses a frame count below 1, so no view holds one; the
+    # helper refuses a class its inventory lacks, here one of an 8-class corpus
     with pytest.raises((ValueError, ShapeMismatchError), match="utterance 'u1'"):
-        PER_SET_HELPERS[helper]([utterance("s", "u0", [(1, 5)]), utterance("s", "u1", phones)])
+        PER_SET_HELPERS[helper](views(8, [("s", "u0", [(1, 5)]), ("s", "u1", phones)]))

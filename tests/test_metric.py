@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv import metric
-from durasv.alignment import AlignedUtterance, Corpus, PhonemeInventory
+from durasv.alignment import PhonemeInventory
 from durasv.errors import (
     DegenerateScoreSetError,
     NonPositiveComponentError,
@@ -17,6 +17,7 @@ from durasv.embeddings import cosine_score
 from durasv.evaluation import Trial, TrialList, build_trials, compute_eer
 from durasv.features import mean_duration_vector
 from durasv.metric import duration_ratio_distance, score_trials_metric
+from test_alignment import make_corpus
 
 positive_vectors = st.lists(
     st.floats(min_value=0.1, max_value=1e6, allow_nan=False), min_size=1, max_size=40
@@ -90,15 +91,14 @@ def test_per_pair_scores_take_two_vectors_of_one_length(score, a, b):
 
 def tiny_corpus():
     inv = PhonemeInventory(("P0", "P1"))
-    def utt(spk, uid, frames):
-        phones = [(i % 2, f) for i, f in enumerate(frames)]
-        return AlignedUtterance(uid, spk, phones)
+    def row(spk, uid, frames):
+        return spk, uid, [(i % 2, f) for i, f in enumerate(frames)]
     # speaker "fast" ~ 4 frames, speaker "slow" ~ 20 frames: disjoint regimes
-    utts = []
+    rows = []
     for k in range(4):
-        utts.append(utt("fast", f"f{k}", [4, 5, 4, 5]))
-        utts.append(utt("slow", f"s{k}", [20, 21, 20, 21]))
-    return Corpus.from_utterances(inv, tuple(utts))
+        rows.append(row("fast", f"f{k}", [4, 5, 4, 5]))
+        rows.append(row("slow", f"s{k}", [20, 21, 20, 21]))
+    return make_corpus(inv, rows)
 
 
 class TestScoreTrialsMetric:
@@ -174,7 +174,7 @@ def corpus_and_sets(draw):
     ids = draw(st.permutations([f"u{u}" for u in range(n_utts)]))
     cut = draw(st.integers(1, n_utts - 1))
     enroll, trial = tuple(ids[:cut]), tuple(ids[cut:])
-    utts = []
+    rows = []
     for u in range(n_utts):
         phones = draw(
             st.lists(
@@ -183,9 +183,9 @@ def corpus_and_sets(draw):
                 max_size=12,
             )
         )
-        utts.append(AlignedUtterance(f"u{u}", "spk0" if f"u{u}" in enroll else "spk1", phones))
+        rows.append(("spk0" if f"u{u}" in enroll else "spk1", f"u{u}", phones))
     inventory = PhonemeInventory(tuple(f"P{i}" for i in range(n_classes)))
-    corpus = Corpus.from_utterances(inventory, tuple(utts))
+    corpus = make_corpus(inventory, rows)
     return corpus, enroll, trial, tuple(draw(st.permutations(enroll))), tuple(
         draw(st.permutations(trial))
     )
@@ -210,7 +210,7 @@ def speaker_corpora(draw):
     """2-4 speakers of 4-6 utterances, frame counts up to 2^31 - 1."""
     n_classes = draw(st.integers(1, 12))
     frames = st.integers(1, 50) | st.integers(1, 2**31 - 1)
-    utts = []
+    rows = []
     for s in range(draw(st.integers(2, 4))):
         for u in range(draw(st.integers(4, 6))):
             phones = draw(
@@ -218,9 +218,9 @@ def speaker_corpora(draw):
                     st.tuples(st.integers(0, n_classes - 1), frames), min_size=1, max_size=30
                 )
             )
-            utts.append(AlignedUtterance(f"s{s}-u{u}", f"s{s}", phones))
+            rows.append((f"s{s}", f"s{s}-u{u}", phones))
     inventory = PhonemeInventory(tuple(f"P{i}" for i in range(n_classes)))
-    return Corpus.from_utterances(inventory, tuple(utts))
+    return make_corpus(inventory, rows)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durasv.alignment import (
-    AlignedUtterance,
-    Corpus,
     load_inventory,
     parse_alignment,
     write_alignment,
@@ -22,6 +20,7 @@ from durasv.synth import (
     synthetic_inventory,
     write_profiles,
 )
+from test_alignment import make_corpus
 
 
 def config(**overrides):
@@ -41,7 +40,7 @@ def config(**overrides):
 def reference_generate(profiles, cfg, rng):
     """The per-utterance generator ``generate_corpus`` must agree with."""
     lo, hi = cfg.phones_per_utt
-    utterances = []
+    rows = []
     for profile, stream in zip(profiles, rng.spawn(len(profiles))):
         for j in range(cfg.utts_per_speaker):
             n_phones = int(stream.integers(lo, hi + 1))
@@ -49,10 +48,8 @@ def reference_generate(profiles, cfg, rng):
             log_durations = stream.normal(profile.log_mean[classes], profile.log_std[classes])
             lengths = np.maximum(1, np.round(np.exp(log_durations))).astype(np.int64)
             utt_id = f"{profile.speaker_id}-u{j:04d}"
-            utterances.append(
-                AlignedUtterance(utt_id, profile.speaker_id, np.stack([classes, lengths], axis=1))
-            )
-    return Corpus.from_utterances(synthetic_inventory(cfg.n_classes), tuple(utterances))
+            rows.append((profile.speaker_id, utt_id, np.stack([classes, lengths], axis=1)))
+    return make_corpus(synthetic_inventory(cfg.n_classes), rows)
 
 
 def outcome(make):
@@ -184,18 +181,18 @@ class TestCorpusTable:
         st.integers(0, 8),
         st.integers(0, 2**16),
     )
-    def test_synthesized_parsed_and_tuple_built_tables_agree(
+    def test_synthesized_parsed_and_row_built_tables_agree(
         self, n_speakers, utts, lo, extra, seed
     ):
         cfg = config(n_speakers=n_speakers, utts_per_speaker=utts, phones_per_utt=(lo, lo + extra))
         profiles = sample_speakers(cfg, np.random.default_rng([seed, 0]))
         synthesized = generate_corpus(profiles, cfg, np.random.default_rng([seed, 1]))
-        tuple_built = reference_generate(profiles, cfg, np.random.default_rng([seed, 1]))
+        row_built = reference_generate(profiles, cfg, np.random.default_rng([seed, 1]))
         sink = io.StringIO()
         write_alignment(synthesized, sink)
         parsed = parse_alignment(io.StringIO(sink.getvalue()), synthesized.inventory)
         assert synthesized.phones.dtype == np.int32
-        for other in (tuple_built, parsed):
+        for other in (row_built, parsed):
             assert np.array_equal(other.phones, synthesized.phones)
             assert np.array_equal(other.offsets, synthesized.offsets)
             assert other.utterance_ids == synthesized.utterance_ids
