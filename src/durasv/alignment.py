@@ -75,15 +75,20 @@ def _check_tokens(
 ) -> tuple[str, ...]:
     """``tokens``, the argument ``name``, as a tuple of ``kind`` tokens.
 
-    Raise ``error`` for one string in place of the sequence, for a token
-    that is not a string, and for a token an alignment file cannot carry:
-    an empty one, or one holding whitespace or a character of ``banned``.
-    Whitespace is what ``_IN_TOKEN`` says it is, code point by code point,
-    so ids and labels follow the rule the parser splits lines by.
+    Raise ``error`` for one string or a value that is not iterable in place
+    of the sequence, for a token that is not a string, and for a token an
+    alignment file cannot carry: an empty one, or one holding whitespace or
+    a character of ``banned``. Whitespace is what ``_IN_TOKEN`` says it is,
+    code point by code point, so ids and labels follow the rule the parser
+    splits lines by.
     """
+    wanted = f"{name} takes a sequence of {kind}s"
     if isinstance(tokens, str):
-        raise error(f"{name} {tokens!r} is one string; {name} takes a sequence of {kind}s")
-    tokens = tuple(tokens)
+        raise error(f"{name} {tokens!r} is one string; {wanted}")
+    try:
+        tokens = tuple(tokens)
+    except TypeError:
+        raise error(f"{name} {tokens!r} is not a sequence; {wanted}") from None
     try:
         joined = "".join(tokens)
     except TypeError:
@@ -165,8 +170,9 @@ def _checked_phones(
 class PhonemeInventory:
     """Ordered set of phoneme-class labels with label -> index lookup.
 
-    The labels are kept as a tuple; one string in place of the sequence
-    raises ``ValueError``, as a label an alignment file cannot carry does.
+    The labels are kept as a tuple; one string, or a value that is not
+    iterable, in place of the sequence raises ``ValueError``, as a label an
+    alignment file cannot carry does.
     """
 
     symbols: tuple[str, ...]
@@ -230,8 +236,8 @@ class Corpus:
     wrapped; offsets that give every utterance a row; unique utterance
     ids; ids an alignment file can carry (none empty or holding whitespace
     or ``#``, no utterance id holding ``,``); and id sequences that are
-    not one string. Each failure raises ``ValueError``. The utterance ids
-    are kept as a tuple.
+    iterable and not one string. Each failure raises ``ValueError``. The
+    utterance ids are kept as a tuple.
     """
 
     inventory: PhonemeInventory
@@ -369,7 +375,8 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     :class:`DuplicateLabelError` or, for a label holding whitespace, which
     no alignment token can match, :class:`MalformedLineError`, each with
     the offending 1-based line number; :class:`EmptyInventoryError` when
-    no labels remain; or ``ValueError`` for one string as ``source``.
+    no labels remain; or ``ValueError`` for one string, bytes or a file
+    opened in binary mode as ``source``.
     """
     labels: list[str] = []
     seen: dict[str, int] = {}
@@ -732,14 +739,15 @@ def parse_alignment(
     the inventory lookup; utterances left empty by the exclusion are
     omitted. An ``exclude`` label no line could carry, being empty or
     holding whitespace or ``#``, raises ``ConfigError``, and so does one
-    string in place of the sequence of labels. A frame count must fit
-    int32 (at most 2^31 - 1). Every reported error carries its 1-based
-    line number.
+    string or a value that is not iterable in place of the sequence of
+    labels. A frame count must fit int32 (at most 2^31 - 1). Every
+    reported error carries its 1-based line number.
 
     A file-like source, one with ``read``, is read in chunks of text split
     into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
     deliver them. Any other iterable gives one line per element, each
-    ``'\\n'`` in it read as a space; one string raises ``ValueError``.
+    ``'\\n'`` in it read as a space. One string, bytes or a file opened in
+    binary mode raises ``ValueError``.
     Either way the lines are parsed in blocks, each tokenized and checked
     in numpy at one byte per code point when the block is ASCII and four
     when not. The first bad line in file order raises. Within a line the

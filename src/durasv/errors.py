@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import operator
@@ -224,15 +225,20 @@ def check_fields(config) -> None:
 
 
 def text_source(source: IO[str] | Iterable[str]) -> IO[str] | Iterable[str]:
-    """``source``, a reader's open file or iterable of lines. One string, a
-    path among them, would be read as lines of one character each, so it
-    raises ``ValueError``."""
+    """``source``, a reader's open text file or iterable of lines. One string,
+    a path among them, would be read as lines of one character each, and
+    bytes or a file opened in binary mode give bytes where the reader splits
+    text, so each raises ``ValueError``."""
     if isinstance(source, str):
-        raise ValueError(
-            f"source {reprlib.repr(source)} is one string;"
-            " source takes an open file or an iterable of lines"
-        )
-    return source
+        what = "one string"
+    elif isinstance(source, (bytes, bytearray, io.RawIOBase, io.BufferedIOBase)):
+        what = "binary"
+    else:
+        return source
+    raise ValueError(
+        f"source {reprlib.repr(source)} is {what};"
+        " source takes a file opened in text mode or an iterable of lines"
+    )
 
 
 @contextmanager

@@ -20,6 +20,7 @@ import numpy as np
 
 from .alignment import Corpus, _check_tokens
 from .errors import (
+    ConfigError,
     DegenerateScoreSetError,
     MalformedLineError,
     MixedSpeakerSetError,
@@ -367,11 +368,14 @@ def evaluate(cells: Iterable[tuple[str, str, ScoreSet]]) -> EerTable:
 def write_trials(trial_list: TrialList, sink: IO[str]) -> None:
     """Write a trial file that ``read_trials`` reads back as ``trial_list``.
 
-    Its speaker and utterance ids must be ones a corpus holds, and no
-    utterance id may hold ``,``, which joins a set's ids; otherwise
+    Its speaker and utterance ids must be ones a corpus holds, no
+    utterance id may hold ``,``, which joins a set's ids, and its counts
+    and seed must be integers of at least 1 and 0; otherwise
     ``ValueError`` is raised before anything is written.
     """
     trials = trial_list.trials
+    for name, least in (("n_enroll", 1), ("n_trial", 1), ("seed", 0)):
+        integer(name, getattr(trial_list, name), least)
     _check_tokens("speaker id", dict.fromkeys(t.enroll_speaker for t in trials), "#")
     sets = dict.fromkeys(s for t in trials for s in (t.enroll_utts, t.trial_utts))
     _check_tokens("utterance id", dict.fromkeys(u for s in sets for u in s), "#,")
@@ -394,11 +398,13 @@ def _read_records(
 
     Blank lines are skipped. A ``#`` line before the first record
     contributes its ``key=value`` tokens whose key is in ``header_fields``,
-    converted by that entry's function; other tokens are ignored, and a
-    key given twice raises ``MalformedLineError``. A ``#`` line after the
-    first record is a comment. Every other line must hold four fields, the
-    last being ``target`` or ``nontarget``. Records come back with their
-    1-based line numbers. One string as ``source`` raises ``ValueError``.
+    converted by that entry's function; other tokens are ignored. A key
+    given twice, or a value its function refuses with ``ValueError``,
+    raises ``MalformedLineError``. A ``#`` line after the first record is
+    a comment. Every other line must hold four fields, the last being
+    ``target`` or ``nontarget``. Records come back with their 1-based line
+    numbers. One string, bytes or a file opened in binary mode as
+    ``source`` raises ``ValueError``.
     """
     header: dict[str, object] = {}
     records: list[tuple[int, list[str]]] = []
@@ -414,9 +420,10 @@ def _read_records(
                 if eq and key in header_fields:
                     try:
                         header[key] = header_fields[key](value)
-                    except ValueError:
+                    except ValueError as exc:
+                        why = f": {exc}" if isinstance(exc, ConfigError) else ""
                         raise MalformedLineError(
-                            f"bad header value {key}={value!r}", lineno
+                            f"bad header value {key}={value!r}{why}", lineno
                         ) from None
             continue
         fields = line.split()
@@ -426,13 +433,21 @@ def _read_records(
     return header, records
 
 
+def _at_least(least: int) -> Callable[[str], int]:
+    """A header value's converter: a decimal integer, by ``errors.integer``'s rule."""
+    return lambda value: integer("value", int(value), least)
+
+
 def read_trials(source: IO[str] | Iterable[str]) -> TrialList:
     """A trial file: its ``n_enroll=``, ``n_trial=`` and ``seed=`` header and records.
 
-    All three header values are required, and every record's enrollment
-    and trial sets must hold ``n_enroll`` and ``n_trial`` utterance ids.
+    All three header values are required, the counts at least 1 and the
+    seed at least 0, and every record's enrollment and trial sets must hold
+    ``n_enroll`` and ``n_trial`` utterance ids.
     """
-    header, records = _read_records(source, {"n_enroll": int, "n_trial": int, "seed": int})
+    header, records = _read_records(
+        source, {"n_enroll": _at_least(1), "n_trial": _at_least(1), "seed": _at_least(0)}
+    )
     missing = [key for key in ("n_enroll", "n_trial", "seed") if key not in header]
     if missing:
         raise DegenerateScoreSetError(
@@ -461,14 +476,18 @@ def write_scores(scores: ScoreSet, sink: IO[str]) -> None:
     """Write ``<enroll_id> <trial_id> <score> <target|nontarget>`` lines.
 
     Each id, a set's utterance ids joined by ``,``, and the model name must
-    be one token a corpus id could be, ``,`` allowed in the ids, so that
-    ``read_scores`` reads every record and header value back; otherwise
-    ``ValueError`` is raised before anything is written.
+    be one token a corpus id could be, ``,`` allowed in the ids, and each
+    count given an integer of at least 1, so that ``read_scores`` reads
+    every record and header value back; otherwise ``ValueError`` is
+    raised before anything is written.
     """
     if scores.enroll_ids is None or scores.trial_ids is None:
         raise ValueError("score set lacks the trial ids needed for serialization")
     _check_tokens("enrollment id", dict.fromkeys(scores.enroll_ids), "#")
     _check_tokens("trial id", dict.fromkeys(scores.trial_ids), "#")
+    for name in ("n_enroll", "n_trial"):
+        if getattr(scores, name) is not None:
+            integer(name, getattr(scores, name), 1)
     meta = [f"polarity={scores.polarity}"]
     if scores.model is not None:
         _check_tokens("model name", (scores.model,), "#")
@@ -492,8 +511,11 @@ def _polarity(value: str) -> Polarity:
 
 
 def read_scores(source: IO[str] | Iterable[str]) -> ScoreSet:
+    """A score file: its ``polarity=`` header, required, the optional
+    ``model=`` and ``n_enroll=``/``n_trial=`` (each at least 1), and records."""
     header, records = _read_records(
-        source, {"polarity": _polarity, "model": str, "n_enroll": int, "n_trial": int}
+        source,
+        {"polarity": _polarity, "model": str, "n_enroll": _at_least(1), "n_trial": _at_least(1)},
     )
     if "polarity" not in header:
         raise DegenerateScoreSetError("score file has no polarity= header")

@@ -16,9 +16,15 @@ array of the real steps, with zero rows between neighbouring items as
 wide as the widest convolution reaches, so no convolution sees another
 item. Pooling reads the real rows alone, ``(P, C)`` in item order, with
 per-item softmax and sums over each item's run of rows, so an item's
-embedding does not depend on the other items of its batch. ``loss_and_grad``
-returns the exact gradient of the mean softmax cross-entropy;
-``gradient_check`` compares it against central finite differences.
+embedding does not depend on the other items of its batch.
+
+``loss_and_grad`` returns the exact gradient of the mean softmax
+cross-entropy. Its head, ``_cross_entropy``, gives the loss, the
+classifier's gradients and the gradient w.r.t. the embeddings;
+``_encoder_backward`` takes that gradient from the embedding layer down
+to ``proj``. A new loss on the encoder is a new head, and the encoder
+backward serves it as it is. ``gradient_check`` compares the gradient
+against central finite differences.
 
 A perturbed parameter leaves every stage before the first that reads it
 as it was, so each of ``gradient_check``'s perturbed passes starts at
@@ -441,8 +447,7 @@ class ForwardCache:
     att_hidden: np.ndarray | None = None  # (P,A) tanh of attention layer
     attention: np.ndarray | None = None  # (P,) pooling weights, summing to 1 per item
     centered: np.ndarray | None = None  # (P,C) encoded minus its item's mean
-    mean: np.ndarray | None = None  # (B,C)
-    std: np.ndarray | None = None
+    std: np.ndarray | None = None  # (B,C)
     pooled: np.ndarray | None = None
     embeddings: np.ndarray | None = None
     logits: np.ndarray | None = None
@@ -539,14 +544,14 @@ def _pool(
     items: np.ndarray,
     starts: np.ndarray,
     work: _Workspace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The pooling and embedding stage on real rows in item order.
 
     ``h`` and ``u`` are the encoder output and attention hidden layer,
     ``(P, C)`` and ``(P, A)``; ``items`` gives each row's item and
     ``starts`` each item's first row. Returns the attention weights, the
-    per-item mean, the centered rows (in ``work``'s ``cen`` buffer), the
-    std, the pooled statistics and the embeddings.
+    centered rows (in ``work``'s ``cen`` buffer), the std, the pooled
+    statistics and the embeddings.
     """
     # softmax over each item's run of real steps
     e = u @ tensors["att_v"] + tensors["att_v0"]
@@ -565,7 +570,7 @@ def _pool(
     pooled = np.concatenate([mu, std], axis=1)
 
     emb = pooled @ tensors["emb_w"] + tensors["emb_b"]
-    return alpha, mu, cen, std, pooled, emb
+    return alpha, cen, std, pooled, emb
 
 
 def _forward(
@@ -576,7 +581,6 @@ def _forward(
     cache = _encode(params, layout, work, start)
     (
         cache.attention,
-        cache.mean,
         cache.centered,
         cache.std,
         cache.pooled,
@@ -658,14 +662,18 @@ def _mean_nll(logp: np.ndarray, labels: np.ndarray) -> float:
     return -float(logp[np.arange(labels.size), labels].mean())
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
-    b = logits.shape[0]
-    logp = _log_softmax(logits)
+def _cross_entropy(
+    tensors: dict[str, np.ndarray], cache: ForwardCache, labels: np.ndarray
+) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    """The head: the mean softmax cross-entropy of the cached logits, its
+    gradient w.r.t. the embeddings, and the classifier's gradients."""
+    b = labels.size
+    logp = _log_softmax(cache.logits)
     dlogits = np.exp(logp)
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
-    return _mean_nll(logp, labels), dlogits
+    grads = {"cls_w": cache.embeddings.T @ dlogits, "cls_b": dlogits.sum(axis=0)}
+    return _mean_nll(logp, labels), dlogits @ tensors["cls_w"].T, grads
 
 
 def _loss(params: ModelParams, layout: PackedLayout, labels: np.ndarray, start: int) -> float:
@@ -674,27 +682,16 @@ def _loss(params: ModelParams, layout: PackedLayout, labels: np.ndarray, start: 
     return _mean_nll(_log_softmax(cache.logits), labels)
 
 
-def loss_and_grad(
-    params: ModelParams, batch: Batch
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch and its exact parameter gradient."""
-    if batch.labels is None:
-        raise ShapeMismatchError("loss needs speaker labels")
+def _encoder_backward(
+    params: ModelParams, layout: PackedLayout, cache: ForwardCache, demb: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The gradients of every encoder tensor, ``emb_*`` down to ``proj``, given
+    ``demb``, the loss's gradient w.r.t. the embeddings of the pass ``cache``
+    holds; it runs on the params' buffers, which that pass filled."""
     cfg = params.config
     tensors = params.tensors
     work = params._work
-    layout = _layout(cfg, batch)
-    cache = _forward(params, layout, work)
-
-    loss, dlogits = _cross_entropy(cache.logits, batch.labels)
-    grads: dict[str, np.ndarray] = {}
-
-    grads["cls_w"] = cache.embeddings.T @ dlogits
-    grads["cls_b"] = dlogits.sum(axis=0)
-    demb = dlogits @ tensors["cls_w"].T
-
-    grads["emb_w"] = cache.pooled.T @ demb
-    grads["emb_b"] = demb.sum(axis=0)
+    grads = {"emb_w": cache.pooled.T @ demb, "emb_b": demb.sum(axis=0)}
     dpooled = demb @ tensors["emb_w"].T
 
     c = cfg.encoder_channels
@@ -763,9 +760,20 @@ def loss_and_grad(
         dh = dx
 
     grads["proj"] = layout.class_sums(dh, cfg.n_classes, work)
+    return grads
 
-    ordered = {name: grads[name] for name in tensors}
-    return loss, ordered
+
+def loss_and_grad(
+    params: ModelParams, batch: Batch
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy over the batch and its exact parameter gradient."""
+    if batch.labels is None:
+        raise ShapeMismatchError("loss needs speaker labels")
+    layout = _layout(params.config, batch)
+    cache = _forward(params, layout, params._work)
+    loss, demb, grads = _cross_entropy(params.tensors, cache, batch.labels)
+    grads |= _encoder_backward(params, layout, cache, demb)
+    return loss, {name: grads[name] for name in params.tensors}
 
 
 def _pack(tensors: dict[str, np.ndarray]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import re
@@ -426,6 +427,49 @@ class TestCorpusValidation:
         # where the other readers failed on a line's field count
         with pytest.raises(ValueError, match=f"^{name} '[a-zA-Z]+' is one string; {name} takes"):
             build(*args)
+
+    class BinaryFile:
+        """A parameter the test replaces with ``open(path, "rb", **options)``."""
+
+        def __init__(self, **options):
+            self.options = options
+
+    BINARY = "source .+ is binary; source takes a file opened in text mode or an iterable of lines"
+
+    @pytest.mark.parametrize(
+        "build, args, error, want",
+        [
+            (load_inventory, (BinaryFile(),), ValueError, BINARY),
+            (parse_alignment, (BinaryFile(), INV), ValueError, BINARY),
+            (parse_alignment, (BinaryFile(buffering=0), INV), ValueError, BINARY),
+            (read_trials, (io.BytesIO(b"# trials\n"),), ValueError, BINARY),
+            (read_scores, (b"# scores\n",), ValueError, BINARY),
+            (load_inventory, (bytearray(b"A\n"),), ValueError, BINARY),
+            (PhonemeInventory, (5,), ValueError,
+             "symbols 5 is not a sequence; symbols takes a sequence of phoneme labels"),
+            (Corpus, (INV, np.array([[0, 3]]), [0, 1], 5, ["a"]), ValueError,
+             "utterance_ids 5 is not a sequence; utterance_ids takes a sequence of utterance ids"),
+            (parse_alignment, ([], INV, 5), ConfigError,
+             "exclude 5 is not a sequence; exclude takes a sequence of excluded labels"),
+        ],
+        ids=[
+            "inventory-file", "alignment-file", "alignment-raw-file", "trial-bytesio",
+            "score-bytes", "inventory-bytearray", "inventory-labels", "utterance-ids",
+            "excluded-labels",
+        ],
+    )
+    def test_binary_source_or_non_iterable_sequence_refused(
+        self, tmp_path, build, args, error, want
+    ):
+        # each was a bare TypeError from the first text operation or from tuple()
+        path = tmp_path / "source.txt"
+        path.write_bytes(b"A\n")
+        with contextlib.ExitStack() as files, pytest.raises(error, match=f"^{want}$"):
+            build(*(
+                files.enter_context(path.open("rb", **a.options))
+                if isinstance(a, self.BinaryFile) else a
+                for a in args
+            ))
 
     @pytest.mark.parametrize(
         "tokens, bad",

@@ -511,6 +511,19 @@ def test_eer_threshold_past_the_largest_float_refused(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_score_header_count_below_one_refused(tmp_path, capsys):
+    # the report once carried "n_enroll": -3, "n_trial": 0, with exit 0
+    scores = tmp_path / "bad.scores"
+    scores.write_text(
+        "# scores polarity=larger-is-similar n_enroll=-3 n_trial=0\n"
+        "e1 t1 0.9 target\ne2 t2 0.1 nontarget\n"
+    )
+    assert main(["eval", str(scores), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "line 1: bad header value n_enroll='-3'" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 class TestTrainCommand:
     def test_one_option_per_config_field(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

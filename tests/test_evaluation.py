@@ -326,7 +326,7 @@ class TestEvaluateAndIo:
         assert "ci_convention" in table.to_json()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(-(2**63), 2**63))
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**63))
     def test_trial_file_round_trip(self, data, n_enroll, n_trial, seed):
         trial_items = data.draw(st.lists(trials(n_enroll, n_trial), min_size=1, max_size=6))
         original = TrialList(tuple(trial_items), n_enroll, n_trial, seed)
@@ -338,8 +338,8 @@ class TestEvaluateAndIo:
     @given(
         st.lists(st.tuples(TOKEN, TOKEN, FINITE, st.booleans()), min_size=1, max_size=8),
         st.sampled_from(get_args(Polarity)),
-        st.none() | st.integers(0, 99),
-        st.none() | st.integers(0, 99),
+        st.none() | st.integers(1, 99),
+        st.none() | st.integers(1, 99),
         st.none() | TOKEN,
     )
     def test_score_file_round_trip(self, rows, polarity, n_enroll, n_trial, model):
@@ -407,6 +407,31 @@ class TestEvaluateAndIo:
         sink = io.StringIO()
         with pytest.raises(ValueError, match=f"^{re.escape(want)} is empty or holds whitespace"):
             write_scores(scores, sink)
+        assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "write, header, want",
+        [
+            (write_trials, {"n_enroll": 0}, "n_enroll must be >= 1"),
+            (write_trials, {"n_trial": -2}, "n_trial must be >= 1"),
+            (write_trials, {"seed": -5}, "seed must be >= 0"),
+            (write_trials, {"n_trial": 1.0}, "n_trial must be an integer"),
+            (write_scores, {"n_enroll": 0}, "n_enroll must be >= 1"),
+            (write_scores, {"n_trial": -1}, "n_trial must be >= 1"),
+        ],
+    )
+    def test_writers_refuse_header_values_their_readers_refuse(self, write, header, want):
+        # each was once written, though read_trials and read_scores refuse it
+        if write is write_trials:
+            good = Trial("s", ("u1",), ("u2",), True)
+            value = TrialList((good,), **({"n_enroll": 1, "n_trial": 1, "seed": 0} | header))
+        else:
+            value = ScoreSet(
+                np.array([0.5]), np.array([True]), "larger-is-similar", ("e",), ("t",), **header
+            )
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{want}"):
+            write(value, sink)
         assert sink.getvalue() == ""
 
     def test_enroll_trial_overlap_rejected(self):
@@ -486,6 +511,26 @@ class TestEvaluateAndIo:
         with pytest.raises(MalformedLineError, match="polarity= given twice") as info:
             read_scores(io.StringIO(f"{head}e1 t1 0.1 target\ne2 t2 0.9 nontarget\n"))
         assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "read, head, bad",
+        [
+            (read_scores, "# scores polarity=larger-is-similar n_enroll=-3 n_trial=0",
+             "n_enroll='-3': value must be >= 1"),
+            (read_scores, "# scores polarity=larger-is-similar n_trial=0", "n_trial='0': value"),
+            (read_scores, "# scores polarity=larger-is-similar n_enroll=1.5", "n_enroll='1.5'$"),
+            (read_trials, "# trials n_enroll=1 n_trial=1 seed=-5", "seed='-5': value must be >= 0"),
+            (read_trials, "# trials n_enroll=0 n_trial=1 seed=0", "n_enroll='0': value"),
+            (read_trials, "#\n# trials n_enroll=1 n_trial=-1 seed=0", "n_trial='-1': value"),
+        ],
+    )
+    def test_header_count_below_its_floor_names_its_line(self, read, head, bad):
+        # a score file's counts went into the eval report as they were, and
+        # a trial file with seed=-5, which build_trials refuses, read back
+        text = f"{head}\ns u1 u2 target\ns u3 u4 nontarget\n"
+        with pytest.raises(MalformedLineError, match=f"bad header value {bad}") as info:
+            read(io.StringIO(text))
+        assert info.value.line == head.count("\n") + 1
 
     @pytest.mark.parametrize(
         "header, missing",

@@ -617,6 +617,19 @@ class TestCrossItemIndependence:
             alone, _ = forward(params, pad_batch([it]))
             assert np.abs(emb[i] - alone[0]).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["gradcheck-draw", *sorted(CONFIGS)])
+    def test_gradient_check_loss_is_the_training_loss(self, name, seed):
+        # gradient_check differences model._loss; training minimizes the loss
+        # loss_and_grad returns, so the two must be one function, to the bit
+        if name == "gradcheck-draw":
+            params, batch = gradcheck_draw(tiny_gradcheck_config(), seed, 0)
+        else:
+            params, items, labels = self.make_case(name, seed)
+            batch = pad_batch(items, labels)
+        loss = model._loss(params, model._layout(params.config, batch), batch.labels, 0)
+        assert loss == loss_and_grad(params, batch)[0]
+
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_loss_and_grad_equal_recorded_values(self, name):
         # recorded from the forward pass before it was split into an
