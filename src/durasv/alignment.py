@@ -18,10 +18,9 @@ the table and the ids by these rules, whether the parser, the
 synthesizer or a caller built it; an :class:`AlignedUtterance` is a
 view of one run, taken from a corpus and never built on its own.
 
-``parse_alignment`` parses its source in blocks of whole lines. A
-file-like source is read in chunks of text, each block ending at a
-chunk's last ``'\n'``; any other iterable gives one line per element,
-a ``'\n'`` in it read as a space. Each block's code points, one byte
+``parse_alignment`` parses its source in the blocks of whole lines that
+``errors.text_blocks`` cuts it into, by the line rule every reader
+follows: lines end at ``'\n'`` only. Each block's code points, one byte
 each when the block is ASCII and four when not, are worked on in numpy:
 whitespace and comments are masked, tokens counted per line, frame
 counts converted, labels looked up in a hash table, and utterance runs
@@ -36,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +48,8 @@ from .errors import (
     NonPositiveLengthError,
     UnknownPhonemeError,
     UnknownUtteranceError,
-    text_source,
+    numbered_lines,
+    text_blocks,
 )
 
 ARPABET_VOWELS = (
@@ -375,12 +375,12 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     :class:`DuplicateLabelError` or, for a label holding whitespace, which
     no alignment token can match, :class:`MalformedLineError`, each with
     the offending 1-based line number; :class:`EmptyInventoryError` when
-    no labels remain; or ``ValueError`` for one string, bytes or a file
-    opened in binary mode as ``source``.
+    no labels remain; or ``ValueError`` for a source or line that
+    ``errors.text_blocks`` refuses. Lines are cut as it cuts them.
     """
     labels: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text_source(source), start=1):
+    for lineno, raw in numbered_lines(source):
         label = raw.split("#", 1)[0].strip()
         if not label:
             continue
@@ -393,10 +393,6 @@ def load_inventory(source: IO[str] | Iterable[str]) -> PhonemeInventory:
     return PhonemeInventory(tuple(labels))
 
 
-# Lines per block of a source that is not file-like, and characters per
-# chunk read from one that is: each bounds the arrays a block holds at once.
-_BLOCK_LINES = 1 << 12
-_CHUNK_CHARS = 1 << 17
 # Code points of an id token compared as array columns (a multiple of 8);
 # two longer ids that agree on these are compared as strings.
 _ID_WIDTH = 64
@@ -709,25 +705,6 @@ def _line_error(check: int, fields: list[str], line: int) -> AlignmentParseError
     return UnknownPhonemeError(label, line)
 
 
-def _chunk_blocks(source: IO[str]) -> Iterator[str]:
-    """The source's text in blocks of whole lines, each read chunk cut after its last ``'\\n'``.
-
-    The rest of a chunk opens the next block; a line longer than a chunk
-    spans as many as it needs.
-    """
-    pieces: list[str] = []
-    while chunk := source.read(_CHUNK_CHARS):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            pieces.append(chunk[:cut])
-            yield "".join(pieces)
-            pieces = [chunk[cut:]]
-        else:
-            pieces.append(chunk)
-    if rest := "".join(pieces):
-        yield rest
-
-
 def parse_alignment(
     source: IO[str] | Iterable[str],
     inventory: PhonemeInventory,
@@ -743,28 +720,20 @@ def parse_alignment(
     labels. A frame count must fit int32 (at most 2^31 - 1). Every
     reported error carries its 1-based line number.
 
-    A file-like source, one with ``read``, is read in chunks of text split
-    into lines at ``'\\n'``, as ``open()`` in text mode and ``io.StringIO``
-    deliver them. Any other iterable gives one line per element, each
-    ``'\\n'`` in it read as a space. One string, bytes or a file opened in
-    binary mode raises ``ValueError``.
-    Either way the lines are parsed in blocks, each tokenized and checked
-    in numpy at one byte per code point when the block is ASCII and four
-    when not. The first bad line in file order raises. Within a line the
-    checks run in this order: field count, integer frame count, frame
-    count >= 1, frame count <= 2^31 - 1, then ``,`` in and reappearance
-    of a new utterance's id or a speaker change inside an utterance, then
-    the label.
+    The source is read in the blocks of whole lines that
+    ``errors.text_blocks`` cuts it into, lines ending at ``'\\n'`` only; it
+    raises ``ValueError`` for a source or line it refuses. Each block is
+    tokenized and checked in numpy at one byte per code point when the
+    block is ASCII and four when not. The first bad line in file order
+    raises. Within a line the checks run in this order: field count,
+    integer frame count, frame count >= 1, frame count <= 2^31 - 1, then
+    ``,`` in and reappearance of a new utterance's id or a speaker change
+    inside an utterance, then the label.
     """
     exclude = _check_tokens("excluded label", exclude, "#", ConfigError, "exclude")
     parser = _Parser(inventory, exclude)
-    if hasattr(text_source(source), "read"):
-        for block in _chunk_blocks(source):
-            parser.feed(block)
-    else:
-        lines = iter(source)
-        while block := list(itertools.islice(lines, _BLOCK_LINES)):
-            parser.feed("\n".join(line.replace("\n", " ") for line in block) + "\n")
+    for block in text_blocks(source):
+        parser.feed(block)
     return parser.corpus()
 
 

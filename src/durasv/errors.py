@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by all durasv modules, the argument checks and the text opener."""
+"""durasv's exception hierarchy, argument checks, readers' line rule and text opener."""
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import numbers
 import operator
@@ -224,21 +225,60 @@ def check_fields(config) -> None:
         object.__setattr__(config, name, value)
 
 
-def text_source(source: IO[str] | Iterable[str]) -> IO[str] | Iterable[str]:
-    """``source``, a reader's open text file or iterable of lines. One string,
-    a path among them, would be read as lines of one character each, and
-    bytes or a file opened in binary mode give bytes where the reader splits
-    text, so each raises ``ValueError``."""
-    if isinstance(source, str):
-        what = "one string"
-    elif isinstance(source, (bytes, bytearray, io.RawIOBase, io.BufferedIOBase)):
-        what = "binary"
-    else:
-        return source
-    raise ValueError(
-        f"source {reprlib.repr(source)} is {what};"
-        " source takes a file opened in text mode or an iterable of lines"
-    )
+# Lines per block of a source that is not file-like, and characters per
+# chunk read from one that is: each bounds the text a block holds at once.
+_BLOCK_LINES = 1 << 12
+_CHUNK_CHARS = 1 << 17
+
+
+def _refused(what: str) -> ValueError:
+    return ValueError(f"{what}; source takes a file opened in text mode or an iterable of lines")
+
+
+def text_blocks(source: IO[str] | Iterable[str]) -> Iterator[str]:
+    """A reader's ``source`` in blocks of whole lines, by every reader's one rule.
+
+    Lines end at ``'\\n'`` only. A file-like source, one with ``read``, is read
+    in chunks, each block ending at a chunk's last ``'\\n'``; any other
+    iterable gives a line per element, a ``'\\n'`` in it read as a space. One
+    string (a path, say), bytes, a file opened in binary mode and, after the
+    lines before it, an element that is not a string raise ``ValueError``.
+    """
+    if isinstance(source, (str, bytes, bytearray, io.RawIOBase, io.BufferedIOBase)):
+        what = "one string" if isinstance(source, str) else "binary"
+        raise _refused(f"source {reprlib.repr(source)} is {what}")
+    if hasattr(source, "read"):
+        pieces: list[str] = []
+        while chunk := source.read(_CHUNK_CHARS):
+            if not isinstance(chunk, str):  # a binary file of no ``io`` binary class
+                raise _refused(f"source {reprlib.repr(source)} is binary")
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                pieces.append(chunk[:cut])
+                yield "".join(pieces)
+                pieces = [chunk[cut:]]
+            else:
+                pieces.append(chunk)
+        if rest := "".join(pieces):
+            yield rest
+        return
+    lines, first = iter(source), 1
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        try:
+            text = "\n".join([line.replace("\n", " ") for line in block]) + "\n"
+        except (TypeError, AttributeError):  # a line that is not a string
+            bad = next(i for i, line in enumerate(block) if not isinstance(line, str))
+            yield from text_blocks(block[:bad])
+            what = f"line {first + bad}: {reprlib.repr(block[bad])} is not a string"
+            raise _refused(what) from None
+        yield text
+        first += len(block)
+
+
+def numbered_lines(source: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` for each line :func:`text_blocks` gives, from 1, its ``'\\n'`` cut."""
+    blocks = (block.removesuffix("\n").split("\n") for block in text_blocks(source))
+    return enumerate(itertools.chain.from_iterable(blocks), start=1)
 
 
 @contextmanager

@@ -27,7 +27,7 @@ from .errors import (
     NoEligibleSpeakersError,
     UnknownUtteranceError,
     integer,
-    text_source,
+    numbered_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -77,11 +77,22 @@ class Trial:
 
 @dataclass(frozen=True)
 class TrialList:
+    """Trials and the values a trial file's header records.
+
+    ``n_enroll`` and ``n_trial`` must be integers of at least 1 and
+    ``seed`` one of at least 0, each checked by ``errors.integer``
+    (``ConfigError``, a ``ValueError``) and kept as a plain int.
+    """
+
     trials: tuple[Trial, ...]
     n_enroll: int
     n_trial: int
     seed: int
     skipped_speakers: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name, least in (("n_enroll", 1), ("n_trial", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,9 @@ class ScoreSet:
     """Per-trial scores, target labels, and score polarity.
 
     A polarity that is not one of ``Polarity``'s two values raises
-    ``DegenerateScoreSetError``, as a non-finite score does.
+    ``DegenerateScoreSetError``, as a non-finite score does. ``n_enroll``
+    and ``n_trial`` may be ``None``; a count given must be an integer of
+    at least 1, checked as ``TrialList``'s are.
     """
 
     scores: np.ndarray  # (n,) float64
@@ -110,6 +123,9 @@ class ScoreSet:
             _polarity(self.polarity)
         except ValueError:
             raise DegenerateScoreSetError(f"unknown score polarity {self.polarity!r}") from None
+        for name in ("n_enroll", "n_trial"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, integer(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -366,16 +382,16 @@ def evaluate(cells: Iterable[tuple[str, str, ScoreSet]]) -> EerTable:
 
 
 def write_trials(trial_list: TrialList, sink: IO[str]) -> None:
-    """Write a trial file that ``read_trials`` reads back as ``trial_list``.
+    """Write a trial file that ``read_trials`` reads back as ``trial_list``'s
+    trials, ``n_enroll``, ``n_trial`` and ``seed``.
 
-    Its speaker and utterance ids must be ones a corpus holds, no
-    utterance id may hold ``,``, which joins a set's ids, and its counts
-    and seed must be integers of at least 1 and 0; otherwise
+    Of the skipped speakers the header keeps only their count,
+    ``skipped=<n>``, so the list read back has no ``skipped_speakers``.
+    Its speaker and utterance ids must be ones a corpus holds, and no
+    utterance id may hold ``,``, which joins a set's ids; otherwise
     ``ValueError`` is raised before anything is written.
     """
     trials = trial_list.trials
-    for name, least in (("n_enroll", 1), ("n_trial", 1), ("seed", 0)):
-        integer(name, getattr(trial_list, name), least)
     _check_tokens("speaker id", dict.fromkeys(t.enroll_speaker for t in trials), "#")
     sets = dict.fromkeys(s for t in trials for s in (t.enroll_utts, t.trial_utts))
     _check_tokens("utterance id", dict.fromkeys(u for s in sets for u in s), "#,")
@@ -403,12 +419,12 @@ def _read_records(
     raises ``MalformedLineError``. A ``#`` line after the first record is
     a comment. Every other line must hold four fields, the last being
     ``target`` or ``nontarget``. Records come back with their 1-based line
-    numbers. One string, bytes or a file opened in binary mode as
-    ``source`` raises ``ValueError``.
+    numbers. Lines are cut by ``errors.text_blocks``, which raises
+    ``ValueError`` for a source or line it refuses.
     """
     header: dict[str, object] = {}
     records: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text_source(source), start=1):
+    for lineno, raw in numbered_lines(source):
         line = raw.strip()
         if not line:
             continue
@@ -476,18 +492,14 @@ def write_scores(scores: ScoreSet, sink: IO[str]) -> None:
     """Write ``<enroll_id> <trial_id> <score> <target|nontarget>`` lines.
 
     Each id, a set's utterance ids joined by ``,``, and the model name must
-    be one token a corpus id could be, ``,`` allowed in the ids, and each
-    count given an integer of at least 1, so that ``read_scores`` reads
-    every record and header value back; otherwise ``ValueError`` is
-    raised before anything is written.
+    be one token a corpus id could be, ``,`` allowed in the ids, so that
+    ``read_scores`` reads every record and header value back; otherwise
+    ``ValueError`` is raised before anything is written.
     """
     if scores.enroll_ids is None or scores.trial_ids is None:
         raise ValueError("score set lacks the trial ids needed for serialization")
     _check_tokens("enrollment id", dict.fromkeys(scores.enroll_ids), "#")
     _check_tokens("trial id", dict.fromkeys(scores.trial_ids), "#")
-    for name in ("n_enroll", "n_trial"):
-        if getattr(scores, name) is not None:
-            integer(name, getattr(scores, name), 1)
     meta = [f"polarity={scores.polarity}"]
     if scores.model is not None:
         _check_tokens("model name", (scores.model,), "#")

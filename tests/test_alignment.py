@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from unittest.mock import patch
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from durasv import alignment
+from durasv import alignment, errors
 from durasv.alignment import (
     Corpus,
     PhonemeInventory,
@@ -429,10 +430,22 @@ class TestCorpusValidation:
             build(*args)
 
     class BinaryFile:
-        """A parameter the test replaces with ``open(path, "rb", **options)``."""
+        """A parameter the test replaces with its ``open(path)``, a file opened "rb"."""
 
         def __init__(self, **options):
             self.options = options
+
+        def open(self, path):
+            return path.open("rb", **self.options)
+
+    class SpooledFile(BinaryFile):
+        """A binary file whose class is none of ``io``'s binary classes."""
+
+        def open(self, path):
+            spooled = tempfile.SpooledTemporaryFile()
+            spooled.write(path.read_bytes())
+            spooled.seek(0)
+            return spooled
 
     BINARY = "source .+ is binary; source takes a file opened in text mode or an iterable of lines"
 
@@ -445,6 +458,7 @@ class TestCorpusValidation:
             (read_trials, (io.BytesIO(b"# trials\n"),), ValueError, BINARY),
             (read_scores, (b"# scores\n",), ValueError, BINARY),
             (load_inventory, (bytearray(b"A\n"),), ValueError, BINARY),
+            (read_scores, (SpooledFile(),), ValueError, BINARY),
             (PhonemeInventory, (5,), ValueError,
              "symbols 5 is not a sequence; symbols takes a sequence of phoneme labels"),
             (Corpus, (INV, np.array([[0, 3]]), [0, 1], 5, ["a"]), ValueError,
@@ -454,8 +468,8 @@ class TestCorpusValidation:
         ],
         ids=[
             "inventory-file", "alignment-file", "alignment-raw-file", "trial-bytesio",
-            "score-bytes", "inventory-bytearray", "inventory-labels", "utterance-ids",
-            "excluded-labels",
+            "score-bytes", "inventory-bytearray", "score-spooled-file", "inventory-labels",
+            "utterance-ids", "excluded-labels",
         ],
     )
     def test_binary_source_or_non_iterable_sequence_refused(
@@ -466,8 +480,7 @@ class TestCorpusValidation:
         path.write_bytes(b"A\n")
         with contextlib.ExitStack() as files, pytest.raises(error, match=f"^{want}$"):
             build(*(
-                files.enter_context(path.open("rb", **a.options))
-                if isinstance(a, self.BinaryFile) else a
+                files.enter_context(a.open(path)) if isinstance(a, self.BinaryFile) else a
                 for a in args
             ))
 
@@ -565,6 +578,76 @@ class TestCorpusValidation:
         assert utt.phones.dtype == np.int32 and utt.phones.shape == (2, 2) and len(utt) == 2
         with pytest.raises(ValueError, match="read-only"):
             utt.phones[0, 1] = 0
+
+
+def _read_scores(source):
+    scores = read_scores(source)
+    return [scores.scores.tolist(), scores.labels.tolist(), scores.enroll_ids, scores.trial_ids]
+
+
+class TestOneLineRule:
+    """Every reader cuts a source into the lines ``errors.text_blocks`` gives."""
+
+    INV = PhonemeInventory(("A", "B", "C"))
+    # each reader with three lines of its format, which it reads without error
+    READERS = [
+        (load_inventory, ["A", "B", "C"]),
+        (
+            lambda source: parse_alignment(source, TestOneLineRule.INV),
+            ["s u1 A 3", "s u1 B 4", "s u2 C 5"],
+        ),
+        (read_trials, ["# trials n_enroll=1 n_trial=1 seed=0", "s e t1 target", "s e t2 target"]),
+        (_read_scores, ["# scores polarity=larger-is-similar", "e t1 1 target", "e t2 2 target"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "read, lines", READERS, ids=["inventory", "alignment", "trials", "scores"]
+    )
+    @pytest.mark.parametrize(
+        "source, same_as, line",
+        [
+            # a handle opened with newline="" keeps its lone "\r"s, and no line ends there
+            (
+                lambda L: io.StringIO(f"{L[0]}\n{L[1]}\r{L[2]}\r", newline=""),
+                lambda L: [L[0], f"{L[1]}\r{L[2]}\r"],
+                2,
+            ),
+            # a "\n" inside an element reads as a space
+            (
+                lambda L: [L[0] + "\n", f"{L[1]}\n{L[2]}"],
+                lambda L: [L[0] + " ", f"{L[1]} {L[2]}"],
+                2,
+            ),
+            (lambda L: io.StringIO("\n".join(L)), lambda L: L, None),
+            (lambda L: [L[0].encode(), *L[1:]], None, 1),
+            (lambda L: [L[0], L[1].encode(), L[2]], None, 2),
+            # the lines before an element that is not a string are read first
+            (lambda L: ["x y", b"z"], lambda L: ["x y"], 1),
+        ],
+        ids=[
+            "lone-cr", "newline-in-element", "no-final-newline", "bytes-line-1", "bytes-line-2",
+            "bytes-after-a-bad-line",
+        ],
+    )
+    def test_every_reader_sees_the_same_lines(self, read, lines, source, same_as, line):
+        def outcome_of(source):
+            try:
+                return read(source)
+            except AlignmentParseError as exc:
+                return type(exc), str(exc), exc.line
+            except ValueError as exc:  # a plain ValueError, for a line that is no string
+                return type(exc), str(exc)
+
+        got = outcome_of(source(lines))
+        if same_as is not None:
+            assert got == outcome_of(same_as(lines))
+        if line is None:
+            assert not isinstance(got, tuple)  # read without error
+        elif same_as is None:
+            assert got[0] is ValueError
+            assert re.match(f"line {line}: b'.*' is not a string; source takes", got[1])
+        else:
+            assert got[2] == line
 
 
 class TestRoundTrip:
@@ -721,7 +804,7 @@ class TestCorpusTable:
 
     @pytest.mark.parametrize("block_lines", [1, 2, 3])
     def test_utterance_across_block_boundaries(self, monkeypatch, block_lines):
-        monkeypatch.setattr(alignment, "_BLOCK_LINES", block_lines)
+        monkeypatch.setattr(errors, "_BLOCK_LINES", block_lines)
         lines = [
             "a u1 SIL 1", "a u1 AA1_B 2", "a u1 T_E 3", "a u1 SIL 4",
             "b u2 T_E 5", "b u3 AA1_B 6", "b u3 SIL 7",
@@ -733,7 +816,7 @@ class TestCorpusTable:
 
     @pytest.mark.parametrize("block_lines", [1, 2, 4096])
     def test_utterances_emptied_by_exclude_are_omitted(self, monkeypatch, block_lines):
-        monkeypatch.setattr(alignment, "_BLOCK_LINES", block_lines)
+        monkeypatch.setattr(errors, "_BLOCK_LINES", block_lines)
         lines = [
             "a u0 SIL 1", "a u1 SIL 2", "a u1 AA1_B 3", "b u2 SIL 4",
             "b u2 SIL 5", "a u3 T_E 6", "c u4 SIL 7",
@@ -897,13 +980,13 @@ class TestParserMatchesLineByLineReference:
             return io.StringIO("\n".join(lines)) if as_stream else list(lines)
 
         want = outcome(lambda: reference_parse(source(), self.INV, exclude))
-        with patch.object(alignment, "_BLOCK_LINES", block_lines), patch.object(
-            alignment, "_CHUNK_CHARS", chunk_chars
+        with patch.object(errors, "_BLOCK_LINES", block_lines), patch.object(
+            errors, "_CHUNK_CHARS", chunk_chars
         ):
             got = outcome(lambda: parse_alignment(source(), self.INV, exclude))
         assert got == want
 
-    @pytest.mark.parametrize("chunk_chars", [1, 2, 5, alignment._CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk_chars", [1, 2, 5, errors._CHUNK_CHARS])
     @pytest.mark.parametrize(
         "content",
         [
@@ -920,22 +1003,22 @@ class TestParserMatchesLineByLineReference:
     def test_file_handles_match_the_reference(self, tmp_path, monkeypatch, content, chunk_chars):
         path = tmp_path / "alignment.txt"
         path.write_bytes(content.encode("utf-8"))
-        monkeypatch.setattr(alignment, "_CHUNK_CHARS", chunk_chars)
+        monkeypatch.setattr(errors, "_CHUNK_CHARS", chunk_chars)
         with open(path, encoding="utf-8") as handle:
             want = outcome(lambda: reference_parse(handle, self.INV))
         with open(path, encoding="utf-8") as handle:
             assert outcome(lambda: parse_alignment(handle, self.INV)) == want
 
-    @pytest.mark.parametrize("chunk_chars", [7, alignment._CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk_chars", [7, errors._CHUNK_CHARS])
     def test_line_longer_than_a_chunk(self, tmp_path, monkeypatch, chunk_chars):
-        long_id = "u" * (alignment._CHUNK_CHARS + 100)
+        long_id = "u" * (errors._CHUNK_CHARS + 100)
         path = tmp_path / "alignment.txt"
         for lines in (
             ["a u1 SIL 3", f"a {long_id} A 4", f"a {long_id} \u014b 5", "a u2 SIL 6"],
             ["a u1 SIL 3", f"a {long_id} A 4", f"a {long_id}x B1 x"],  # an error on line 3
         ):
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            monkeypatch.setattr(alignment, "_CHUNK_CHARS", chunk_chars)
+            monkeypatch.setattr(errors, "_CHUNK_CHARS", chunk_chars)
             with open(path, encoding="utf-8") as handle:
                 got = outcome(lambda: parse_alignment(handle, self.INV))
             assert got == outcome(lambda: reference_parse(lines, self.INV))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 import sys
@@ -326,13 +327,19 @@ class TestEvaluateAndIo:
         assert "ci_convention" in table.to_json()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**63))
-    def test_trial_file_round_trip(self, data, n_enroll, n_trial, seed):
+    @given(
+        st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**63),
+        st.lists(TOKEN, max_size=3),
+    )
+    def test_trial_file_round_trip(self, data, n_enroll, n_trial, seed, skipped):
         trial_items = data.draw(st.lists(trials(n_enroll, n_trial), min_size=1, max_size=6))
-        original = TrialList(tuple(trial_items), n_enroll, n_trial, seed)
+        original = TrialList(tuple(trial_items), n_enroll, n_trial, seed, tuple(skipped))
         sink = io.StringIO()
         write_trials(original, sink)
-        assert read_trials(io.StringIO(sink.getvalue())) == original
+        # the header keeps only how many speakers were skipped, not who
+        assert sink.getvalue().split("\n", 1)[0].endswith(f" skipped={len(skipped)}")
+        again = read_trials(io.StringIO(sink.getvalue()))
+        assert again == dataclasses.replace(original, skipped_speakers=())
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -421,18 +428,17 @@ class TestEvaluateAndIo:
         ],
     )
     def test_writers_refuse_header_values_their_readers_refuse(self, write, header, want):
-        # each was once written, though read_trials and read_scores refuse it
-        if write is write_trials:
-            good = Trial("s", ("u1",), ("u2",), True)
-            value = TrialList((good,), **({"n_enroll": 1, "n_trial": 1, "seed": 0} | header))
-        else:
-            value = ScoreSet(
-                np.array([0.5]), np.array([True]), "larger-is-similar", ("e",), ("t",), **header
-            )
-        sink = io.StringIO()
+        # each was once written, though read_trials and read_scores refuse it;
+        # now the record that would hold it is refused when built
         with pytest.raises(ValueError, match=f"^{want}"):
-            write(value, sink)
-        assert sink.getvalue() == ""
+            if write is write_trials:
+                good = Trial("s", ("u1",), ("u2",), True)
+                TrialList((good,), **({"n_enroll": 1, "n_trial": 1, "seed": 0} | header))
+            else:
+                ScoreSet(
+                    np.array([0.5]), np.array([True]), "larger-is-similar", ("e",), ("t",),
+                    **header,
+                )
 
     def test_enroll_trial_overlap_rejected(self):
         with pytest.raises(ValueError):
